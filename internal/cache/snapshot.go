@@ -65,10 +65,12 @@ func (c *Cache) Restore(s *Snapshot) {
 	if c.geo != s.geometry {
 		panic(fmt.Sprintf("cache: restoring snapshot of %q into %q", s.geometry, c.geo))
 	}
-	copy(c.lines, s.lines)
-	if c.pstate != nil {
-		copy(c.pstate, s.pstate)
+	if len(s.lines) != len(c.lines) || len(s.pstate) != len(c.pstate) {
+		panic(fmt.Sprintf("cache: restoring %d lines and %d set counters into %d and %d",
+			len(s.lines), len(s.pstate), len(c.lines), len(c.pstate)))
 	}
+	copy(c.lines, s.lines)
+	copy(c.pstate, s.pstate)
 	c.nextID = s.nextID
 	c.stats = s.stats
 }
@@ -125,11 +127,21 @@ func (s *Snapshot) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode rebuilds a snapshot from its serialized form.
+// GobDecode rebuilds a snapshot from its serialized form. Per-line or
+// per-set fields of unequal length are an error, so a corrupt disk
+// artifact misses the cache instead of panicking here.
 func (s *Snapshot) GobDecode(b []byte) error {
 	var w snapshotGob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
+	}
+	if n := len(w.Tags); len(w.Valid) != n || len(w.Dirty) != n || len(w.IO) != n || len(w.Stamps) != n {
+		return fmt.Errorf("cache: snapshot line fields disagree in length: %d tags, %d valid, %d dirty, %d io, %d stamps",
+			n, len(w.Valid), len(w.Dirty), len(w.IO), len(w.Stamps))
+	}
+	if n := len(w.Quota); len(w.LastAdapt) != n || len(w.OccupCycles) != n || len(w.LastUpd) != n || len(w.HasIO) != n {
+		return fmt.Errorf("cache: snapshot set counters disagree in length: %d quota, %d last-adapt, %d occupancy, %d last-update, %d has-io",
+			n, len(w.LastAdapt), len(w.OccupCycles), len(w.LastUpd), len(w.HasIO))
 	}
 	s.geometry = w.Geometry
 	s.nextID = w.NextID

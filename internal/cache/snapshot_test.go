@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"repro/internal/sim"
@@ -210,5 +212,77 @@ func FuzzSnapshotReplay(f *testing.F) {
 			return
 		}
 		checkSnapshotReplay(t, tinyConfig(len(data)%2 == 1), data)
+	})
+}
+
+// TestSnapshotRestoreLineCountMismatchPanics: a snapshot whose line or
+// set-counter count disagrees with the cache panics in Restore instead of
+// restoring a prefix.
+func TestSnapshotRestoreLineCountMismatchPanics(t *testing.T) {
+	c := New(tinyConfig(true), sim.NewClock())
+	for name, cut := range map[string]func(*Snapshot){
+		"lines":  func(s *Snapshot) { s.lines = s.lines[:len(s.lines)-1] },
+		"pstate": func(s *Snapshot) { s.pstate = s.pstate[:len(s.pstate)-1] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := c.Snapshot()
+			cut(s)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("restoring a short snapshot must panic")
+				}
+			}()
+			c.Restore(s)
+		})
+	}
+}
+
+// FuzzCacheSnapshotGobDecode: no input panics the decoder, and every
+// input it accepts re-encodes to bytes that decode to the same snapshot
+// and encode identically again.
+func FuzzCacheSnapshotGobDecode(f *testing.F) {
+	clock := sim.NewClock()
+	for _, partition := range []bool{false, true} {
+		c := New(tinyConfig(partition), clock)
+		rng := sim.NewRNG(3)
+		for i := 0; i < 300; i++ {
+			applyOp(c, clock, byte(rng.Intn(5)), uint64(rng.Intn(256))*64)
+		}
+		b, err := c.Snapshot().GobEncode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, w := range []snapshotGob{
+		{Tags: []uint64{1, 2}, Valid: []bool{true}, Dirty: []bool{false, false}, IO: []bool{false, false}, Stamps: []uint64{1, 2}},
+		{Tags: []uint64{1}, Valid: []bool{true}, Dirty: []bool{false}, IO: []bool{false}, Stamps: []uint64{1}, Quota: []int{1, 2}, LastAdapt: []uint64{0}},
+		{Tags: []uint64{1 << 60}, Valid: []bool{true}, Dirty: []bool{false}, IO: []bool{false}, Stamps: []uint64{1}},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var s Snapshot
+		if s.GobDecode(b) != nil {
+			return
+		}
+		enc, err := s.GobEncode()
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		var s2 Snapshot
+		if err := s2.GobDecode(enc); err != nil {
+			t.Fatalf("decode of re-encoded snapshot: %v", err)
+		}
+		if !snapshotsEqual(&s, &s2) {
+			t.Fatal("snapshot changed across a gob round trip")
+		}
+		if enc2, err := s2.GobEncode(); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("encoding not stable across a round trip (err %v)", err)
+		}
 	})
 }

@@ -10,6 +10,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/probe"
+	"repro/internal/sim"
+	"repro/internal/testbed"
 )
 
 // measureJSON runs fig10's online phase on the artifact and serializes
@@ -117,6 +121,108 @@ func TestDiskStoreHealsCorruptEntries(t *testing.T) {
 	var ra RigArtifact
 	if err := gob.NewDecoder(f).Decode(&ra); err != nil {
 		t.Errorf("healed cache file still corrupt: %v", err)
+	}
+}
+
+// rawGob holds a GobEncoder's payload undecoded, so a test can rewrite one
+// nested component of a persisted artifact and leave the rest intact.
+type rawGob []byte
+
+func (r *rawGob) GobDecode(b []byte) error  { *r = append(rawGob(nil), b...); return nil }
+func (r rawGob) GobEncode() ([]byte, error) { return r, nil }
+
+// The wire shapes of RigArtifact, testbed.Snapshot and mem.AllocatorState
+// (gob matches fields by name, not types by name).
+type (
+	rigWire struct {
+		Opts    testbed.Options
+		Machine rawGob
+		Spy     probe.SpyState
+		Groups  []probe.EvictionSet
+	}
+	machineWire struct {
+		Clock                                            uint64
+		Cache, Alloc, NIC                                rawGob
+		NoiseRNG, TimerRNG                               sim.RNGState
+		NoiseRate                                        float64
+		TimerNoise, NoisePeriod, NoiseNextAt, NoiseSpace uint64
+	}
+	allocWire struct {
+		Free, Used []uint64
+		NumPages   uint64
+	}
+)
+
+// gobRewrite decodes src into v, lets edit change it, and re-encodes it.
+func gobRewrite(t *testing.T, src []byte, v any, edit func()) []byte {
+	t.Helper()
+	if err := gob.NewDecoder(bytes.NewReader(src)).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+	edit()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDiskStoreHealsOutOfRangeFrame: an entry that is valid gob but names
+// a physical frame past the end of memory is a cache miss: the decoder
+// must reject it rather than panic inside the store's once, which would
+// poison the entry for the whole run. The store rebuilds it, and the
+// rebuilt artifact measures like a clean one.
+func TestDiskStoreHealsOutOfRangeFrame(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := NewDiskArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := PrepareFig10(PrepareCtx{Scale: Demo, Seed: 3, Store: s1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := measureJSON(t, art, 3)
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("expected one cache file, got %d (%v)", len(ents), err)
+	}
+	path := filepath.Join(dir, ents[0].Name())
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rig rigWire
+	var machine machineWire
+	var alloc allocWire
+	b = gobRewrite(t, b, &rig, func() {
+		rig.Machine = gobRewrite(t, rig.Machine, &machine, func() {
+			machine.Alloc = gobRewrite(t, machine.Alloc, &alloc, func() {
+				alloc.Used = append(alloc.Used, alloc.NumPages)
+			})
+		})
+	})
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ra RigArtifact
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ra); err == nil {
+		t.Fatal("an out-of-range used frame decoded without error")
+	}
+
+	s2, err := NewDiskArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art2, err := PrepareFig10(PrepareCtx{Scale: Demo, Seed: 3, Store: s2})
+	if err != nil {
+		t.Fatalf("corrupt entry must rebuild, got %v", err)
+	}
+	if s2.Builds() != 1 || s2.DiskLoads() != 0 {
+		t.Fatalf("corrupt entry: builds=%d loads=%d, want 1/0", s2.Builds(), s2.DiskLoads())
+	}
+	if got := measureJSON(t, art2, 3); !bytes.Equal(got, want) {
+		t.Errorf("rebuilt artifact measured differently:\n want %s\n got  %s", want, got)
 	}
 }
 

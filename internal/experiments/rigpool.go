@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/probe"
@@ -34,17 +35,43 @@ import (
 type RigPool struct {
 	mu   sync.Mutex
 	idle map[string][]*attackRig
+	// order lists the keys holding idle rigs, least recently released
+	// first; n counts idle rigs across them.
+	order []string
+	n     int
+	stats RigPoolStats
 }
 
-// maxIdlePerKey caps how many idle rigs one key retains. A single
+// maxIdle caps how many idle rigs a pool retains across all keys. A single
 // matrix-style trial leases ~20 rigs of one geometry before releasing any
-// of them; the cap keeps that worst case pooled while bounding the pool's
-// footprint if an experiment ever leases an unbounded batch.
-const maxIdlePerKey = 32
+// of them; the cap keeps that worst case pooled. The cap spans keys
+// because frontier-search candidates rarely share one: most idle rigs are
+// of geometries the worker never leases again, and only cost memory.
+const maxIdle = 32
+
+// RigPoolStats counts a pool's traffic. Adopted leases were served by an
+// idle rig; Fresh ones found none of their key, so the caller cloned a new
+// machine; Dropped rigs were evicted by the cap and left to the garbage
+// collector.
+type RigPoolStats struct {
+	Adopted, Fresh, Dropped int
+}
+
+// Add returns the field-wise sum of s and o.
+func (s RigPoolStats) Add(o RigPoolStats) RigPoolStats {
+	return RigPoolStats{Adopted: s.Adopted + o.Adopted, Fresh: s.Fresh + o.Fresh, Dropped: s.Dropped + o.Dropped}
+}
 
 // NewRigPool returns an empty pool.
 func NewRigPool() *RigPool {
 	return &RigPool{idle: make(map[string][]*attackRig)}
+}
+
+// Stats returns the pool's counts so far.
+func (p *RigPool) Stats() RigPoolStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // take removes and returns an idle rig for key, or nil when none is
@@ -54,27 +81,56 @@ func (p *RigPool) take(key string) *attackRig {
 	defer p.mu.Unlock()
 	rigs := p.idle[key]
 	if len(rigs) == 0 {
+		p.stats.Fresh++
 		return nil
 	}
+	p.stats.Adopted++
+	return p.pop(key)
+}
+
+// pop removes the newest idle rig of key, which must hold one, keeping
+// the key's backing array for its next release.
+func (p *RigPool) pop(key string) *attackRig {
+	rigs := p.idle[key]
 	r := rigs[len(rigs)-1]
 	rigs[len(rigs)-1] = nil
 	p.idle[key] = rigs[:len(rigs)-1]
+	p.n--
+	if len(rigs) == 1 {
+		p.unlist(key)
+	}
 	return r
 }
 
-// put returns a rig to the idle set. Rigs above the per-key cap are
-// dropped for the garbage collector.
+// unlist removes key from the release order.
+func (p *RigPool) unlist(key string) {
+	if i := slices.Index(p.order, key); i >= 0 {
+		p.order = slices.Delete(p.order, i, i+1)
+	}
+}
+
+// put returns a rig to the idle set and marks its key the most recently
+// released. Over the cap, the least recently released key loses idle rigs
+// first: its geometry is the least likely to be leased again.
 func (p *RigPool) put(r *attackRig) {
 	if r == nil || r.poolKey == "" {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rigs := p.idle[r.poolKey]
-	if len(rigs) >= maxIdlePerKey {
-		return
+	key := r.poolKey
+	p.unlist(key)
+	p.order = append(p.order, key)
+	p.idle[key] = append(p.idle[key], r)
+	p.n++
+	for p.n > maxIdle {
+		lru := p.order[0]
+		p.pop(lru)
+		p.stats.Dropped++
+		if len(p.idle[lru]) == 0 {
+			delete(p.idle, lru)
+		}
 	}
-	p.idle[r.poolKey] = append(rigs, r)
 }
 
 // Lease opens a lease on the pool. The runner holds one lease per worker

@@ -305,15 +305,51 @@ func TestRigLeaseSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRigPoolCapBounds: the per-key idle cap drops rigs instead of growing
-// without bound.
+// TestRigPoolCapBounds: the idle cap spans keys. Released rigs of many
+// geometries never leave more than maxIdle idle, the least recently
+// released keys lose theirs first, and every eviction is counted.
 func TestRigPoolCapBounds(t *testing.T) {
 	pool := NewRigPool()
-	for i := 0; i < maxIdlePerKey+5; i++ {
-		pool.put(&attackRig{poolKey: "k"})
+	idle := func() int {
+		n := 0
+		for _, rigs := range pool.idle {
+			n += len(rigs)
+		}
+		return n
 	}
-	if n := len(pool.idle["k"]); n != maxIdlePerKey {
-		t.Fatalf("idle rigs = %d, want cap %d", n, maxIdlePerKey)
+	const keys, perKey = 10, 5
+	for k := 0; k < keys; k++ {
+		for i := 0; i < perKey; i++ {
+			pool.put(&attackRig{poolKey: fmt.Sprint("k", k)})
+			if n := idle(); n > maxIdle {
+				t.Fatalf("key %d rig %d: %d idle rigs, cap %d", k, i, n, maxIdle)
+			}
+		}
+	}
+	if n := idle(); n != maxIdle {
+		t.Fatalf("idle rigs = %d, want cap %d", n, maxIdle)
+	}
+	// 50 released, 32 kept: the oldest keys k0..k2 are gone and k3 keeps 2.
+	for k, want := range []int{0, 0, 0, 2, 5, 5, 5, 5, 5, 5} {
+		if got := len(pool.idle[fmt.Sprint("k", k)]); got != want {
+			t.Errorf("key k%d holds %d idle rigs, want %d", k, got, want)
+		}
+	}
+	if got, want := pool.Stats(), (RigPoolStats{Dropped: keys*perKey - maxIdle}); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
+	// A lease refreshes nothing, but a release does: k3 becomes the most
+	// recently released key, so k4 is next to lose a rig.
+	if pool.take("k3") == nil || pool.take("k0") != nil {
+		t.Fatal("take served the wrong keys")
+	}
+	pool.put(&attackRig{poolKey: "k3"})
+	pool.put(&attackRig{poolKey: "k3"})
+	if got := len(pool.idle["k4"]); got != 4 {
+		t.Errorf("k4 holds %d idle rigs after the refresh, want 4", got)
+	}
+	if got, want := pool.Stats(), (RigPoolStats{Adopted: 1, Fresh: 1, Dropped: keys*perKey - maxIdle + 1}); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
 	}
 	// Untracked rigs (poolKey unset) are never pooled.
 	pool.put(&attackRig{})

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -26,6 +27,10 @@ const PageSize = 4096
 // LineSize is the cache line size; buffer sizes and packet sizes are
 // expressed in 64-byte blocks throughout the paper.
 const LineSize = 64
+
+// maxPages bounds an allocator's size: free-list entries are uint32 frame
+// numbers.
+const maxPages = 1 << 32
 
 // Addr is a physical byte address.
 type Addr uint64
@@ -43,29 +48,54 @@ func (a Addr) Page() Addr { return a &^ (PageSize - 1) }
 // pseudo-random order to model the state of a long-running kernel buddy
 // allocator; sequential physical allocation would (unrealistically) give
 // the driver a perfectly uniform buffer-to-set mapping.
+//
+// The order is the stdlib Fisher–Yates shuffle of all frames, drawn
+// lazily. Shuffle fixes position n−1 first and walks down, and AllocPage
+// pops from the tail, so position i needs its draw only when the free list
+// first shrinks to i+1. Every operation touches the free list at or above
+// drawn, so the prefix below it is exactly the half-shuffled list the
+// eager shuffle would have seen there, and drawing it later yields the
+// same frames. A machine that allocates k pages therefore draws about k
+// positions instead of all of them; Snapshot draws the rest first, so
+// snapshots, restores and clones always hold the final order.
 type Allocator struct {
-	free []uint64 // shuffled free frame numbers, consumed from the tail
-	// used is a frame-number bitmap. It replaced a map[uint64]bool: the
-	// bitmap allocs/frees without hashing, and — the reason it matters —
-	// snapshots and restores with a memcpy instead of a map rebuild,
-	// which sat on the warm-start clone path of every trial.
-	used     []bool
+	// free holds the free frame numbers, consumed from the tail.
+	// free[drawn:] holds final positions; free[:drawn] the shuffle's
+	// undrawn prefix.
+	free []uint32
+	// used is a frame-number bitset: snapshots and restores copy it with
+	// a memcpy, one word per 64 frames.
+	used     []uint64
 	numPages uint64
+	drawn    int
+	// rng is the shuffle stream; the allocator owns it, and draws only
+	// while drawn > 0.
+	rng *sim.RNG
 }
 
-// NewAllocator creates an allocator over totalBytes of physical memory,
-// shuffled with the given RNG.
-func NewAllocator(totalBytes uint64, rng *sim.RNG) *Allocator {
+// newPages validates an allocator size and returns its page count.
+func newPages(totalBytes uint64) uint64 {
 	n := totalBytes / PageSize
 	if n == 0 {
 		panic("mem: allocator needs at least one page")
 	}
-	free := make([]uint64, n)
-	for i := range free {
-		free[i] = uint64(i)
+	if n > maxPages {
+		panic(fmt.Sprintf("mem: %d pages exceed the %d-page limit", n, uint64(maxPages)))
 	}
-	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-	return &Allocator{free: free, used: make([]bool, n), numPages: n}
+	return n
+}
+
+// NewAllocator creates an allocator over totalBytes of physical memory,
+// its frame order shuffled by rng. The allocator takes ownership of rng
+// and draws from it as allocations reach undrawn positions (see
+// Allocator), so the caller must pass a stream nothing else uses.
+func NewAllocator(totalBytes uint64, rng *sim.RNG) *Allocator {
+	n := newPages(totalBytes)
+	free := make([]uint32, n)
+	for i := range free {
+		free[i] = uint32(i)
+	}
+	return &Allocator{free: free, used: make([]uint64, (n+63)/64), numPages: n, drawn: int(n), rng: rng}
 }
 
 // TotalPages returns the number of physical pages.
@@ -75,29 +105,39 @@ func (al *Allocator) TotalPages() uint64 { return al.numPages }
 func (al *Allocator) FreePages() int { return len(al.free) }
 
 // NewAllocatorShell creates an allocator over totalBytes with no free
-// pages and no RNG work — a restore target. The expensive part of
-// NewAllocator is shuffling the free-frame list; a shell skips it because
-// Restore overwrites the list wholesale with the snapshot's exact order.
-// A shell that is never restored cannot allocate (every AllocPage fails).
+// pages and no RNG — a restore target. Restore overwrites the free list
+// wholesale with the snapshot's exact order. A shell that is never
+// restored cannot allocate (every AllocPage fails).
 func NewAllocatorShell(totalBytes uint64) *Allocator {
-	n := totalBytes / PageSize
-	if n == 0 {
-		panic("mem: allocator needs at least one page")
+	n := newPages(totalBytes)
+	return &Allocator{used: make([]uint64, (n+63)/64), numPages: n}
+}
+
+// drawTo draws the shuffle down to position i, making free[i:] final.
+func (al *Allocator) drawTo(i int) {
+	for al.drawn > i {
+		p := al.drawn - 1
+		if p > 0 {
+			j := al.rng.ShuffleStep(p)
+			al.free[p], al.free[j] = al.free[j], al.free[p]
+		}
+		al.drawn = p
 	}
-	return &Allocator{used: make([]bool, n), numPages: n}
 }
 
 // AllocatorState is a deep copy of an allocator's free/used bookkeeping,
 // taken by Snapshot and reapplied by Restore. The free list order is part
-// of the state: it determines every future allocation.
+// of the state: it determines every future allocation. A state is always
+// fully drawn.
 type AllocatorState struct {
-	free     []uint64
-	used     []bool // frame-number bitmap, like Allocator.used
+	free     []uint32
+	used     []uint64 // frame-number bitset, like Allocator.used
 	numPages uint64
 }
 
-// Snapshot captures the allocator's state. The returned value is immutable
-// and safe to restore into any allocator built over the same memory size.
+// Snapshot captures the allocator's state, drawing the rest of the shuffle
+// first. The returned value is immutable and safe to restore into any
+// allocator built over the same memory size.
 func (al *Allocator) Snapshot() *AllocatorState {
 	st := &AllocatorState{}
 	al.SnapshotInto(st)
@@ -110,6 +150,7 @@ func (al *Allocator) Snapshot() *AllocatorState {
 // artifact must be a fresh Snapshot(), since artifacts rely on snapshot
 // immutability.
 func (al *Allocator) SnapshotInto(st *AllocatorState) {
+	al.drawTo(0)
 	st.free = append(st.free[:0], al.free...)
 	st.used = append(st.used[:0], al.used...)
 	st.numPages = al.numPages
@@ -127,15 +168,18 @@ type allocatorStateGob struct {
 
 // GobEncode serializes the allocator state (disk-backed warm starts).
 func (st *AllocatorState) GobEncode() ([]byte, error) {
-	w := allocatorStateGob{
-		Free:     st.free,
-		NumPages: st.numPages,
+	w := allocatorStateGob{NumPages: st.numPages}
+	if len(st.free) > 0 {
+		w.Free = make([]uint64, len(st.free))
+		for i, pfn := range st.free {
+			w.Free[i] = uint64(pfn)
+		}
 	}
-	// Ascending bitmap order is already the sorted canonical encoding the
-	// map-backed implementation produced.
-	for pfn, u := range st.used {
-		if u {
-			w.Used = append(w.Used, uint64(pfn))
+	// Ascending bitset order is the sorted canonical encoding.
+	for wi, word := range st.used {
+		for word != 0 {
+			w.Used = append(w.Used, uint64(wi)*64+uint64(bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
 	var buf bytes.Buffer
@@ -145,18 +189,47 @@ func (st *AllocatorState) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode rebuilds allocator state from its serialized form.
+// GobDecode rebuilds allocator state from its serialized form. Input that
+// no allocator could have produced — a frame out of range, listed twice,
+// or both free and used, or Used out of order — is an error, so a corrupt
+// disk artifact misses the cache instead of panicking here or in Restore,
+// or handing out one frame twice.
 func (st *AllocatorState) GobDecode(b []byte) error {
 	var w allocatorStateGob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
 	}
-	st.free = w.Free
-	st.numPages = w.NumPages
-	st.used = make([]bool, w.NumPages)
-	for _, pfn := range w.Used {
-		st.used[pfn] = true
+	n := w.NumPages
+	if n > maxPages {
+		return fmt.Errorf("mem: allocator state of %d pages exceeds the %d-page limit", n, uint64(maxPages))
 	}
+	if uint64(len(w.Free)) > n {
+		return fmt.Errorf("mem: allocator state lists %d free frames of %d", len(w.Free), n)
+	}
+	used := make([]uint64, (n+63)/64)
+	for i, pfn := range w.Used {
+		if pfn >= n {
+			return fmt.Errorf("mem: used frame %d out of range (%d pages)", pfn, n)
+		}
+		if i > 0 && pfn <= w.Used[i-1] {
+			return fmt.Errorf("mem: used frames not strictly ascending at %d", pfn)
+		}
+		used[pfn/64] |= 1 << (pfn % 64)
+	}
+	free := make([]uint32, len(w.Free))
+	seen := make([]uint64, len(used))
+	for i, pfn := range w.Free {
+		if pfn >= n {
+			return fmt.Errorf("mem: free frame %d out of range (%d pages)", pfn, n)
+		}
+		bit := uint64(1) << (pfn % 64)
+		if (used[pfn/64]|seen[pfn/64])&bit != 0 {
+			return fmt.Errorf("mem: free frame %d listed twice or also used", pfn)
+		}
+		seen[pfn/64] |= bit
+		free[i] = uint32(pfn)
+	}
+	st.free, st.used, st.numPages = free, used, n
 	return nil
 }
 
@@ -171,6 +244,19 @@ func (al *Allocator) Restore(st *AllocatorState) {
 	}
 	al.free = append(al.free[:0], st.free...)
 	al.used = append(al.used[:0], st.used...)
+	// A snapshot is fully drawn, so the restored allocator never draws.
+	al.drawn, al.rng = 0, nil
+}
+
+// take removes the drawn free-list entry at position i, moving the tail
+// into its place, and marks its frame used.
+func (al *Allocator) take(i int) Addr {
+	last := len(al.free) - 1
+	pfn := uint64(al.free[i])
+	al.free[i] = al.free[last]
+	al.free = al.free[:last]
+	al.used[pfn/64] |= 1 << (pfn % 64)
+	return Addr(pfn * PageSize)
 }
 
 // AllocPage returns the base address of a newly allocated physical page.
@@ -178,10 +264,9 @@ func (al *Allocator) AllocPage() (Addr, error) {
 	if len(al.free) == 0 {
 		return 0, fmt.Errorf("mem: out of physical pages (%d total)", al.numPages)
 	}
-	pfn := al.free[len(al.free)-1]
-	al.free = al.free[:len(al.free)-1]
-	al.used[pfn] = true
-	return Addr(pfn * PageSize), nil
+	last := len(al.free) - 1
+	al.drawTo(last)
+	return al.take(last), nil
 }
 
 // AllocPageRandom returns a page drawn uniformly from the free list. The
@@ -195,11 +280,8 @@ func (al *Allocator) AllocPageRandom(rng *sim.RNG) (Addr, error) {
 		return 0, fmt.Errorf("mem: out of physical pages (%d total)", al.numPages)
 	}
 	i := rng.Intn(len(al.free))
-	pfn := al.free[i]
-	al.free[i] = al.free[len(al.free)-1]
-	al.free = al.free[:len(al.free)-1]
-	al.used[pfn] = true
-	return Addr(pfn * PageSize), nil
+	al.drawTo(i)
+	return al.take(i), nil
 }
 
 // AllocPages allocates n pages, returning their base addresses.
@@ -226,11 +308,12 @@ func (al *Allocator) FreePage(a Addr) {
 		panic(fmt.Sprintf("mem: freeing unaligned address %#x", uint64(a)))
 	}
 	pfn := uint64(a) / PageSize
-	if pfn >= al.numPages || !al.used[pfn] {
+	bit := uint64(1) << (pfn % 64)
+	if pfn >= al.numPages || al.used[pfn/64]&bit == 0 {
 		panic(fmt.Sprintf("mem: double free of frame %d", pfn))
 	}
-	al.used[pfn] = false
-	al.free = append(al.free, pfn)
+	al.used[pfn/64] &^= bit
+	al.free = append(al.free, uint32(pfn))
 }
 
 // Region is a contiguous virtual mapping owned by the spy process. The spy

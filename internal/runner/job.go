@@ -165,9 +165,9 @@ type execUnit struct {
 // reassembles the deterministic result matrix), the checkpoint journal,
 // any Config.Sinks, and the progress printer. Sinks never run
 // concurrently; workers only compute.
-func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int) ([][]trialOutcome, error) {
+func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int) ([][]trialOutcome, experiments.RigPoolStats, error) {
 	if err := r.cfg.validate(); err != nil {
-		return nil, err
+		return nil, experiments.RigPoolStats{}, err
 	}
 	parallel := r.cfg.Parallel
 	if parallel <= 0 {
@@ -187,7 +187,7 @@ func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int)
 	if r.cfg.CheckpointDir != "" {
 		ckpt, loaded, err := openCheckpoint(r.cfg.CheckpointDir, ident, r.cfg.Resume)
 		if err != nil {
-			return nil, err
+			return nil, experiments.RigPoolStats{}, err
 		}
 		defer ckpt.Close()
 		replay = loaded
@@ -228,7 +228,7 @@ func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int)
 		}
 	}
 	if sinkErr != nil {
-		return nil, sinkErr
+		return nil, experiments.RigPoolStats{}, sinkErr
 	}
 
 	remaining := 0
@@ -240,6 +240,9 @@ func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int)
 	jobs := make(chan slot)
 	outcomes := make(chan TrialOutcome, parallel)
 	stop := make(chan struct{})
+	// Each worker files its pool's counts in its own slot before exiting;
+	// the drain loop below ends only after every worker has.
+	rigStats := make([]experiments.RigPoolStats, parallel)
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
 		wg.Add(1)
@@ -253,7 +256,9 @@ func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int)
 			// buy nothing but contention.
 			var rigs *experiments.RigLease
 			if !r.cfg.NoRigReuse {
-				rigs = experiments.NewRigPool().Lease()
+				pool := experiments.NewRigPool()
+				defer func() { rigStats[w] = pool.Stats() }()
+				rigs = pool.Lease()
 			}
 			for s := range jobs {
 				u := units[s.ui]
@@ -306,15 +311,19 @@ func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int)
 		}
 	}
 	if sinkErr != nil {
-		return nil, sinkErr
+		return nil, experiments.RigPoolStats{}, sinkErr
 	}
 	if prog != nil {
 		prog.Finish()
 	}
 	if remaining > 0 {
-		return nil, fmt.Errorf("runner: %w (%d trial(s) remaining; re-run with resume)", ErrBudget, remaining)
+		return nil, experiments.RigPoolStats{}, fmt.Errorf("runner: %w (%d trial(s) remaining; re-run with resume)", ErrBudget, remaining)
 	}
-	return coll.outcomes, nil
+	var rigs experiments.RigPoolStats
+	for _, s := range rigStats {
+		rigs = rigs.Add(s)
+	}
+	return coll.outcomes, rigs, nil
 }
 
 // Run executes every selected experiment for job.Trials trials and
@@ -368,7 +377,7 @@ func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, jo
 		Seed:   job.Seed,
 		Trials: job.Trials,
 	}
-	outcomes, err := r.execute(ident, units, job.Trials)
+	outcomes, rigs, err := r.execute(ident, units, job.Trials)
 	if err != nil {
 		return nil, err
 	}
@@ -377,6 +386,7 @@ func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, jo
 		Scale:  job.Scale.String(),
 		Seed:   job.Seed,
 		Trials: job.Trials,
+		Rigs:   rigs,
 	}
 	for i, e := range selected {
 		rep.Experiments = append(rep.Experiments, aggregate(e.ID, e.Short, outcomes[i]))
@@ -420,7 +430,7 @@ func (r *Runner) RunSweep(sw experiments.Sweep, job Job) (*SweepReport, error) {
 		Seed:   job.Seed,
 		Trials: job.Trials,
 	}
-	outcomes, err := r.execute(ident, units, job.Trials)
+	outcomes, _, err := r.execute(ident, units, job.Trials)
 	if err != nil {
 		return nil, err
 	}

@@ -25,6 +25,10 @@ type Report struct {
 	Seed        int64              `json:"seed"`
 	Trials      int                `json:"trials"`
 	Experiments []ExperimentReport `json:"experiments"`
+
+	// Rigs sums the worker rig pools' counts (telemetry, never
+	// serialized: it depends on which worker ran which trial).
+	Rigs experiments.RigPoolStats `json:"-"`
 }
 
 // ExperimentReport is one experiment's aggregated entry.

@@ -96,6 +96,10 @@ type Report struct {
 	// lists every evaluated point sorted by ID.
 	Frontier   []Candidate `json:"frontier"`
 	Candidates []Candidate `json:"candidates"`
+
+	// Rigs sums the rig-pool counts of every batch (telemetry, never
+	// serialized; see runner.Report.Rigs).
+	Rigs experiments.RigPoolStats `json:"-"`
 }
 
 // Failed counts candidates whose evaluation errored.
@@ -157,6 +161,7 @@ func Run(opts Options) (*Report, error) {
 	seen := map[string]bool{}
 	byID := map[string]Candidate{}
 	resume := opts.Runner.Resume
+	var rigs experiments.RigPoolStats
 
 	evalBatch := func(batch []Params) error {
 		if len(batch) == 0 {
@@ -179,6 +184,7 @@ func Run(opts Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
+		rigs = rigs.Add(rep.Rigs)
 		if cfg.CheckpointDir != "" {
 			// Later batches append to the same journal; truncating it
 			// would discard this batch's outcomes.
@@ -254,6 +260,7 @@ func Run(opts Options) (*Report, error) {
 		Epsilon:     opts.Epsilon,
 		Evaluated:   len(byID),
 		Generations: generations,
+		Rigs:        rigs,
 	}
 	pts := okPoints(byID)
 	rep.Hypervolume = Hypervolume(pts, 1, 1)

@@ -124,3 +124,22 @@ func TestSearchAnchors(t *testing.T) {
 		t.Fatalf("hypervolume %g", rep.Hypervolume)
 	}
 }
+
+// TestSearchRigPoolCounts pins how a one-worker budget-16 search at seed 1
+// recycles rigs. The adopted and fresh counts are those the pool had when
+// its cap applied per key; capping idle rigs across keys drops only rigs
+// no later candidate would have adopted, so it costs no extra clones.
+func TestSearchRigPoolCounts(t *testing.T) {
+	rep, err := Run(Options{
+		Scale:  experiments.Demo,
+		Seed:   1,
+		Budget: 16,
+		Runner: runner.Config{Parallel: 1, Warm: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Rigs; got.Adopted != 51 || got.Fresh != 30 {
+		t.Errorf("rig pool counts %+v, want 51 adopted and 30 fresh", got)
+	}
+}

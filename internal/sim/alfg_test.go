@@ -144,3 +144,59 @@ func TestRNGSnapshotIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("restore from reused scratch state: %d, want %d", got, want)
 	}
 }
+
+// TestShuffleStepMatchesStdlib: walking positions n−1 down to 1 with
+// ShuffleStep reproduces rand.Rand.Shuffle's permutation and consumes
+// exactly its draws, for n from 2 to 10⁶. Above 2³¹−2 Shuffle switches to
+// Int63n; the first swaps of a 2³¹+3-element shuffle pin that branch and
+// the crossing, recorded from the stdlib by aborting it early.
+func TestShuffleStepMatchesStdlib(t *testing.T) {
+	for _, n := range []int{2, 3, 4, 5, 7, 8, 13, 64, 100, 255, 1000, 4097, 65537, 262144, 1000000} {
+		seed := int64(n)
+		want := rand.New(rand.NewSource(seed))
+		a := make([]int32, n)
+		for i := range a {
+			a[i] = int32(i)
+		}
+		want.Shuffle(n, func(i, j int) { a[i], a[j] = a[j], a[i] })
+		got := NewRNG(seed)
+		b := make([]int32, n)
+		for i := range b {
+			b[i] = int32(i)
+		}
+		for i := n - 1; i > 0; i-- {
+			j := got.ShuffleStep(i)
+			b[i], b[j] = b[j], b[i]
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("n=%d: position %d holds %d, Shuffle put %d there", n, i, b[i], a[i])
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("n=%d: streams diverge after the shuffle: %d vs %d", n, g, w)
+		}
+	}
+
+	const n, steps = 1<<31 + 3, 8
+	type swap struct{ i, j int }
+	var want []swap
+	func() {
+		defer func() { _ = recover() }()
+		rand.New(rand.NewSource(9)).Shuffle(n, func(i, j int) {
+			want = append(want, swap{i, j})
+			if len(want) == steps {
+				panic("enough")
+			}
+		})
+	}()
+	got := NewRNG(9)
+	for k, w := range want {
+		if j := got.ShuffleStep(w.i); j != w.j {
+			t.Fatalf("step %d at position %d: ShuffleStep %d, Shuffle %d", k, w.i, j, w.j)
+		}
+	}
+	if len(want) != steps {
+		t.Fatalf("recorded %d swaps, want %d", len(want), steps)
+	}
+}

@@ -106,6 +106,36 @@ func (r *RNG) Intn(n int) int {
 	return int(v % m)
 }
 
+// ShuffleStep returns the swap partner j in [0, i] that rand.Rand.Shuffle
+// draws for position i, draw for draw: Shuffle over n elements is exactly
+//
+//	for i := n - 1; i > 0; i-- { j := r.ShuffleStep(i); swap(i, j) }
+//
+// It exists so a Fisher–Yates shuffle can be drawn lazily, one position at
+// a time as positions are needed, while producing the stdlib permutation
+// (mem.Allocator draws its free-frame order this way). Like Shuffle, it
+// uses Int63n above 2³¹−2 and the unexported int31n, ported here, below.
+// It panics for i < 1, where Shuffle makes no draw.
+func (r *RNG) ShuffleStep(i int) int {
+	if i < 1 {
+		panic("invalid argument to ShuffleStep")
+	}
+	if i > 1<<31-1-1 {
+		return int(r.Rand.Int63n(int64(i + 1)))
+	}
+	// rand.Rand.int31n, with Uint32 = Int63 >> 31.
+	n := uint32(i + 1)
+	prod := uint64(uint32(r.src.Int63()>>31)) * uint64(n)
+	if low := uint32(prod); low < n {
+		thresh := -n % n
+		for low < thresh {
+			prod = uint64(uint32(r.src.Int63()>>31)) * uint64(n)
+			low = uint32(prod)
+		}
+	}
+	return int(prod >> 32)
+}
+
 // Snapshot captures the RNG's stream position together with a private
 // copy of the generator state.
 func (r *RNG) Snapshot() RNGState {
