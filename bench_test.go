@@ -294,10 +294,11 @@ func benchRunnerSweep(b *testing.B, parallel int) {
 		}
 		sel = append(sel, e)
 	}
+	r := runner.New(runner.Config{Parallel: parallel})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := runner.Run(sel, runner.Options{
-			Scale: experiments.Demo, Seed: int64(i) + 1, Trials: 4, Parallel: parallel,
+		rep, err := r.Run(sel, runner.Job{
+			Scale: experiments.Demo, Seed: int64(i) + 1, Trials: 4,
 		})
 		if err != nil {
 			b.Fatal(err)

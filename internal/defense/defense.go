@@ -15,12 +15,11 @@
 //     performance model.
 //
 // Fingerprint() canonically identifies the machine change a defense
-// makes. It exists because testbed.Options.OfflineFingerprint
-// deliberately excludes online knobs (timer jitter) that a *platform
-// defense* nonetheless imposes on the attacker's offline phase: two
-// prepared machines that differ only in a timer-coarsening defense must
-// never share a warm-start artifact, and the artifact-store key
-// incorporates the defense fingerprint to guarantee that.
+// makes, for scenario.Spec.Fingerprint. It feeds no warm-start artifact
+// key: a defense acts only through Apply, and the artifact store keys
+// every option Apply can write — TimerNoise included, so a
+// timer-coarsening defense, which the attacker's offline phase runs
+// under, never shares a prepared machine with the stock one.
 package defense
 
 import (
@@ -40,8 +39,7 @@ type Defense interface {
 	// Name is the registry identifier ("none", "adaptive-partition", ...).
 	Name() string
 	// Fingerprint canonically identifies the machine change the defense
-	// makes — the content-address component warm-start artifact keys use.
-	// Equal fingerprints mean interchangeable prepared machines.
+	// makes. Equal fingerprints mean defenses that Apply the same options.
 	Fingerprint() string
 	// Apply installs the mitigation into the machine options, before the
 	// testbed is built. It affects the offline and online phases alike: a
@@ -173,8 +171,8 @@ func (r RingRandomization) PerfEffects() perfsim.Effects {
 // latency reading gains one-sided jitter of the given magnitude. Unlike
 // the sweep axis of the same name, the coarse timer applies during the
 // attacker's offline phase too — a platform defense cannot be prepared
-// around — which is why the defense participates in artifact
-// fingerprints despite changing no offline-fingerprinted option.
+// around — which is why artifact keys carry TimerNoise even though the
+// option fingerprint excludes it.
 type TimerCoarsening struct {
 	// Jitter is the magnitude in cycles (see testbed.Options.TimerNoise).
 	Jitter uint64
@@ -266,7 +264,7 @@ func (a AdaptivePartitioning) Validate() error {
 // Order is preserved for application and naming, but canonicalized in
 // Fingerprint() exactly as far as is sound: layers of *different*
 // concrete types touch disjoint option fields and commute, so their
-// order is sorted away and permuted stacks share warm-start artifacts;
+// order is sorted away and permuted stacks share a fingerprint;
 // layers of the *same* type write the same fields (last Apply wins), so
 // their relative order is semantic and survives canonicalization —
 // NewStack(TimerCoarsening{32}, TimerCoarsening{64}) and its reverse

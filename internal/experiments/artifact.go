@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/probe"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 )
@@ -33,11 +32,12 @@ import (
 // An Artifact is pure data — testbed snapshots plus spy state plus
 // eviction sets — so any number of trials can clone independent machines
 // from it concurrently. The warm path stores artifacts in a
-// content-addressed in-memory store keyed by (machine fingerprint, scale,
-// offline seed); the cold path rebuilds them for every trial. Both paths
-// execute identical measurement code on identically restored machines, so
-// warm and cold runs produce byte-identical reports — the correctness bar
-// that forces snapshotting to be honest about RNG and clock positions.
+// content-addressed in-memory store keyed by the build's inputs (machine
+// options and attacker strategy); the cold path rebuilds them for every
+// trial. Both paths execute identical measurement code on identically
+// restored machines, so warm and cold runs produce byte-identical reports
+// — the correctness bar that forces snapshotting to be honest about RNG
+// and clock positions.
 
 // PrepareCtx carries the inputs of an offline phase. Seed is the
 // offline-relevant seed: the runner derives it so that every trial of an
@@ -131,69 +131,17 @@ func (ctx PrepareCtx) NewArtifact() *Artifact {
 }
 
 // AddRig prepares (or fetches from the store) the machine described by
-// opts and files it in the artifact under label. The store key combines
-// the machine's offline fingerprint, the scale, the artifact root, and
-// the machine seed, so only genuinely interchangeable machines collide.
-func (ctx PrepareCtx) AddRig(a *Artifact, label string, opts testbed.Options) error {
-	return ctx.AddRigTagged(a, label, opts, "")
-}
-
-// AddSpecRig prepares (or fetches) the machine a scenario spec
-// describes, under the given machine seed. This is the only correct
-// entry point for defended specs: the defense tag is derived from the
-// spec here, so a call site cannot forget it and silently share a
-// timer-coarsened machine with an undefended one (TimerNoise is
-// invisible to the option fingerprint). Plain AddRig remains for
-// defense-free option structs.
-func (ctx PrepareCtx) AddSpecRig(a *Artifact, label string, spec scenario.Spec, seed int64) error {
-	return ctx.addRig(a, label, spec.Options(seed), spec.DefenseTag(), probe.DefaultStrategy())
-}
-
-// AddSpecRigStrategy is AddSpecRig with an explicit attacker measurement
-// strategy: the spy calibrates (and the eviction sets are built) under
-// the given strategy, and the strategy participates in the artifact's
-// content address — a machine prepared by the amplified coarse-timer
-// attacker must never be interchanged with one the fine-timer attacker
-// prepared, even though the machine options are identical.
-func (ctx PrepareCtx) AddSpecRigStrategy(a *Artifact, label string, spec scenario.Spec, seed int64, strat probe.Strategy) error {
-	return ctx.addRig(a, label, spec.Options(seed), spec.DefenseTag(), strat)
-}
-
-// AddRigTagged is AddRig with an extra content-address component. It
-// exists for machine variants whose difference is invisible to
-// testbed.Options.OfflineFingerprint: a timer-coarsening defense changes
-// only the online-classified TimerNoise knob, yet the coarse timer is in
-// force while the offline phase calibrates and builds eviction sets, so
-// its prepared machines must never be shared with undefended ones. The
-// caller passes the variant's canonical tag (scenario.Spec.DefenseTag,
-// i.e. the defense's Fingerprint); "" degrades to plain AddRig. Prefer
-// AddSpecRig, which derives the tag and cannot be miscalled.
-func (ctx PrepareCtx) AddRigTagged(a *Artifact, label string, opts testbed.Options, tag string) error {
-	return ctx.addRig(a, label, opts, tag, probe.DefaultStrategy())
-}
-
-// AddRigStrategy is AddRigTagged plus an attacker strategy (see
-// AddSpecRigStrategy for why the strategy is part of the address).
-func (ctx PrepareCtx) AddRigStrategy(a *Artifact, label string, opts testbed.Options, tag string, strat probe.Strategy) error {
-	return ctx.addRig(a, label, opts, tag, strat)
-}
-
-// addRig is the shared build-or-fetch path behind every Add*Rig entry
-// point.
-func (ctx PrepareCtx) addRig(a *Artifact, label string, opts testbed.Options, tag string, strat probe.Strategy) error {
+// opts, offline-prepared by an attacker using strat, and files it in the
+// artifact under label. Callers with a scenario spec pass
+// spec.Options(seed); plain callers pass probe.DefaultStrategy(). The
+// store key is the build's whole input (see rigKey), so only genuinely
+// interchangeable machines collide.
+func (ctx PrepareCtx) AddRig(a *Artifact, label string, opts testbed.Options, strat probe.Strategy) error {
 	build := func() (*RigArtifact, error) { return buildRigArtifact(opts, strat) }
 	var ra *RigArtifact
 	var err error
 	if ctx.Store != nil {
-		key := fmt.Sprintf("%s|scale=%s|root=%d|seed=%d",
-			opts.OfflineFingerprint(), ctx.Scale, ctx.Seed, opts.Seed)
-		if tag != "" {
-			key += "|defense=" + tag
-		}
-		if sfp := strat.Fingerprint(); sfp != "" {
-			key += "|attacker=" + sfp
-		}
-		ra, err = ctx.Store.rig(key, build)
+		ra, err = ctx.Store.rig(rigKey(opts, strat), build)
 	} else {
 		ra, err = build()
 	}
@@ -207,6 +155,23 @@ func (ctx PrepareCtx) addRig(a *Artifact, label string, opts testbed.Options, ta
 	}
 	a.Rigs[label] = ra
 	return nil
+}
+
+// rigKey is the store's content address for one offline build: exactly
+// the inputs buildRigArtifact reads. The offline fingerprint covers the
+// machine's geometry; the seed and the online knobs follow because the
+// offline phase runs under them too (the spy calibrates and builds its
+// eviction sets under the timer and the background noise in force, which
+// is how a timer-coarsening defense reaches the offline phase); the
+// attacker strategy comes last, so a machine the amplified attacker
+// prepared is never interchanged with one the fine-timer attacker did.
+func rigKey(opts testbed.Options, strat probe.Strategy) string {
+	key := fmt.Sprintf("%s|seed=%d|noise=%g|timer=%d",
+		opts.OfflineFingerprint(), opts.Seed, opts.NoiseRate, opts.TimerNoise)
+	if sfp := strat.Fingerprint(); sfp != "" {
+		key += "|attacker=" + sfp
+	}
+	return key
 }
 
 // BuildError marks a deterministic offline-phase failure: the simulated
@@ -234,29 +199,37 @@ func buildRigArtifact(opts testbed.Options, strat probe.Strategy) (ra *RigArtifa
 			ra, err = nil, &BuildError{Err: fmt.Errorf("panic: %v", r)}
 		}
 	}()
-	rig, err := newAttackRigStrategy(opts, strat)
+	tb, err := testbed.New(opts)
 	if err != nil {
 		return nil, &BuildError{Err: err}
 	}
-	snap, err := rig.tb.Snapshot()
+	spy, err := probe.NewSpyStrategy(tb, spyPages(opts), strat)
+	if err != nil {
+		return nil, &BuildError{Err: err}
+	}
+	groups, err := spy.BuildAlignedEvictionSets(opts.Cache.Ways)
+	if err != nil {
+		return nil, &BuildError{Err: err}
+	}
+	snap, err := tb.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	return &RigArtifact{
 		Opts:    opts,
 		Machine: snap,
-		Spy:     rig.spy.State(),
-		Groups:  rig.groups,
+		Spy:     spy.State(),
+		Groups:  groups,
 	}, nil
 }
 
 // rig clones an independent machine from the labeled rig artifact: a
-// pooled testbed adopted in place when the context carries a lease with a
-// geometry match, otherwise a fresh shell restored to the snapshot; either
-// way the spy is rebound and the eviction sets deep-copied. Safe to call
+// pooled rig when the context carries a lease with a geometry match,
+// otherwise an empty shell; either way the rig adopts the artifact (see
+// attackRig.adopt), so every trial runs one restore path. Safe to call
 // concurrently for the same label. See MeasureCtx for the online-reseed
 // rule; when reseeding, the snapshot's online RNG positions are skipped
-// rather than replayed-then-discarded (testbed.RestoreReseeded).
+// rather than replayed-then-discarded.
 func (a *Artifact) rig(label string, ctx MeasureCtx) (*attackRig, error) {
 	ra, ok := a.Rigs[label]
 	if !ok {
@@ -267,21 +240,16 @@ func (a *Artifact) rig(label string, ctx MeasureCtx) (*attackRig, error) {
 	if reseed {
 		online = sim.DeriveSeedParts(ctx.Seed, "online/", label)
 	}
-	if ctx.Rigs != nil {
-		if r := ctx.Rigs.take(ra.clonePoolKey()); r != nil {
-			r.adopt(ra, reseed, online)
-			ctx.Rigs.track(r)
-			return r, nil
+	r := ctx.Rigs.take(ra.clonePoolKey())
+	if r == nil {
+		tb, err := testbed.NewShell(ra.Opts)
+		if err != nil {
+			return nil, err
 		}
+		r = &attackRig{tb: tb, spy: new(probe.Spy)}
 	}
-	r, err := freshRig(ra, reseed, online)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Rigs != nil {
-		r.poolKey = ra.clonePoolKey()
-		ctx.Rigs.track(r)
-	}
+	r.adopt(ra, reseed, online)
+	ctx.Rigs.track(r)
 	return r, nil
 }
 
@@ -317,9 +285,9 @@ func NewArtifactStore() *ArtifactStore {
 // NewDiskArtifactStore returns a store backed by dir: cache misses check
 // the directory before building, and fresh builds are persisted there.
 // Artifacts are keyed by the same content address as the in-memory map
-// (machine fingerprint, scale, offline root seed, machine seed, defense
-// tag), hashed into a filename, so a disk entry is valid for exactly the
-// machines the in-memory entry would be.
+// (rigKey: machine options and attacker strategy), hashed into a
+// filename, so a disk entry is valid for exactly the machines the
+// in-memory entry would be.
 func NewDiskArtifactStore(dir string) (*ArtifactStore, error) {
 	return NewDiskArtifactStoreCapped(dir, 0)
 }
@@ -329,7 +297,7 @@ func NewDiskArtifactStore(dir string) (*ArtifactStore, error) {
 // pass that removes least-recently-used entries (access-time order; see
 // entryATime) until the directory's *.rig.gob total fits the cap — the
 // bound a shared long-running store needs, since its key space (every
-// machine shape x seed x defense x attacker any client ever submits)
+// machine option set x attacker any client ever submits)
 // grows without limit. Eviction is safe by construction: a reader that
 // loses the race to an evicted file takes the ordinary miss path and
 // rebuilds, exactly like the corrupt-entry healing; losing an entry only

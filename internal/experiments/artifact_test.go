@@ -4,7 +4,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/defense"
+	"repro/internal/probe"
 	"repro/internal/scenario"
+	"repro/internal/testbed"
 )
 
 // TestArtifactStoreDedup: repeated Prepare calls against one store must
@@ -59,36 +62,92 @@ func TestArtifactStoreKeysSeparateMachines(t *testing.T) {
 
 // TestDefenseTagKeysSeparateArtifacts: machines that differ only in a
 // defense invisible to the option fingerprint (timer coarsening changes
-// an online-classified knob) must still key separate store entries —
-// their offline phases ran under different conditions, so sharing a
-// clone across the defense boundary would be wrong.
+// only TimerNoise) must still key separate store entries — their offline
+// phases ran under different timers, so sharing a clone across the
+// defense boundary would be wrong.
 func TestDefenseTagKeysSeparateArtifacts(t *testing.T) {
 	store := NewArtifactStore()
 	ctx := PrepareCtx{Scale: Demo, Seed: 5, Store: store}
 	opts := machineOptions(Demo, 5)
+	coarse := opts
+	defense.TimerCoarsening{Jitter: 64}.Apply(&coarse)
 
 	art := ctx.NewArtifact()
-	if err := ctx.AddRigTagged(art, "plain", opts, ""); err != nil {
+	if err := ctx.AddRig(art, "plain", opts, probe.DefaultStrategy()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.AddRigTagged(art, "coarse", opts, "timer-coarse-64"); err != nil {
+	if err := ctx.AddRig(art, "coarse", coarse, probe.DefaultStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	if store.Builds() != 2 {
 		t.Fatalf("builds = %d for two defense variants of one machine shape, want 2", store.Builds())
 	}
 	if art.Rigs["plain"] == art.Rigs["coarse"] {
-		t.Error("tagged variants must not share an artifact")
+		t.Error("defense variants must not share an artifact")
 	}
-	// Same tag again: cache hit.
-	if err := ctx.AddRigTagged(art, "coarse2", opts, "timer-coarse-64"); err != nil {
+	// The same variant again: cache hit.
+	if err := ctx.AddRig(art, "coarse2", coarse, probe.DefaultStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	if store.Builds() != 2 {
-		t.Fatalf("builds = %d after repeat tagged prepare, want 2", store.Builds())
+		t.Fatalf("builds = %d after repeat defended prepare, want 2", store.Builds())
 	}
 	if art.Rigs["coarse2"] != art.Rigs["coarse"] {
-		t.Error("equal tags must share the cached artifact")
+		t.Error("equal options must share the cached artifact")
+	}
+}
+
+// TestRigKeySplitsOnlineKnobs: the offline phase calibrates under the
+// timer and the background noise in force, so two option sets that
+// differ only in TimerNoise, or only in NoiseRate, are two builds — each
+// machine calibrated under its own environment, not one shared.
+func TestRigKeySplitsOnlineKnobs(t *testing.T) {
+	base := machineOptions(Demo, 5)
+	timer, noise := base, base
+	timer.TimerNoise = base.TimerNoise + 60
+	noise.NoiseRate = base.NoiseRate * 2
+	for name, other := range map[string]testbed.Options{"TimerNoise": timer, "NoiseRate": noise} {
+		store := NewArtifactStore()
+		ctx := PrepareCtx{Scale: Demo, Seed: 5, Store: store}
+		art := ctx.NewArtifact()
+		if err := ctx.AddRig(art, "base", base, probe.DefaultStrategy()); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.AddRig(art, "other", other, probe.DefaultStrategy()); err != nil {
+			t.Fatal(err)
+		}
+		if store.Builds() != 2 {
+			t.Errorf("%s: builds = %d for options differing only in %s, want 2", name, store.Builds(), name)
+		}
+		if got := art.Rigs["other"].Opts; got != other {
+			t.Errorf("%s: rig prepared under %+v, want %+v", name, got, other)
+		}
+	}
+}
+
+// TestRigKeyIgnoresScaleAndRoot: the build reads only the options and
+// the strategy, so identical options prepared under different artifact
+// roots or scales are one build.
+func TestRigKeyIgnoresScaleAndRoot(t *testing.T) {
+	store := NewArtifactStore()
+	opts := machineOptions(Demo, 5)
+	var rigs []*RigArtifact
+	for _, ctx := range []PrepareCtx{
+		{Scale: Demo, Seed: 5, Store: store},
+		{Scale: Demo, Seed: 6, Store: store},
+		{Scale: Paper, Seed: 5, Store: store},
+	} {
+		art := ctx.NewArtifact()
+		if err := ctx.AddRig(art, "rig", opts, probe.DefaultStrategy()); err != nil {
+			t.Fatal(err)
+		}
+		rigs = append(rigs, art.Rigs["rig"])
+	}
+	if store.Builds() != 1 {
+		t.Fatalf("builds = %d for one option set under three roots/scales, want 1", store.Builds())
+	}
+	if rigs[1] != rigs[0] || rigs[2] != rigs[0] {
+		t.Error("identical options must share one artifact")
 	}
 }
 
@@ -135,7 +194,7 @@ func TestArtifactStorePanicDoesNotPoison(t *testing.T) {
 	ctx := PrepareCtx{Scale: Demo, Seed: 1, Store: store}
 	for trial := 0; trial < 3; trial++ {
 		art := ctx.NewArtifact()
-		err := ctx.AddRig(art, "rig", bad)
+		err := ctx.AddRig(art, "rig", bad, probe.DefaultStrategy())
 		if err == nil {
 			t.Fatalf("trial %d: broken build must error", trial)
 		}
@@ -150,8 +209,8 @@ func TestArtifactStorePanicDoesNotPoison(t *testing.T) {
 	// is what keeps failing warm and cold runs byte-identical too.
 	warmErr := PrepareCtx{Scale: Demo, Seed: 1, Store: store}
 	coldErr := PrepareCtx{Scale: Demo, Seed: 1}
-	e1 := warmErr.AddRig(warmErr.NewArtifact(), "rig", bad)
-	e2 := coldErr.AddRig(coldErr.NewArtifact(), "rig", bad)
+	e1 := warmErr.AddRig(warmErr.NewArtifact(), "rig", bad, probe.DefaultStrategy())
+	e2 := coldErr.AddRig(coldErr.NewArtifact(), "rig", bad, probe.DefaultStrategy())
 	if e1 == nil || e2 == nil || e1.Error() != e2.Error() {
 		t.Fatalf("warm/cold error bytes differ: %v vs %v", e1, e2)
 	}

@@ -45,12 +45,6 @@ var coarseAttackers = []struct {
 	{"amplified", probe.AmplifiedStrategy},
 }
 
-// coarseOfflineTag keys offline-coarse machines apart from reference ones:
-// TimerNoise is deliberately excluded from the option fingerprint, so
-// machines prepared under different offline jitter would otherwise
-// collide in the warm-start store.
-func coarseOfflineTag(n uint64) string { return fmt.Sprintf("offline-timer=%d", n) }
-
 // PrepareChaseCoarseTimer builds one reference-timer machine per attacker
 // (shared by every online jitter level — the jitter is an online knob)
 // plus one offline-coarsened machine per (attacker, offline level).
@@ -58,7 +52,7 @@ func PrepareChaseCoarseTimer(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
 	opts := machineOptions(ctx.Scale, ctx.Seed)
 	for _, atk := range coarseAttackers {
-		if err := ctx.AddRigStrategy(art, atk.key, opts, "", atk.strat()); err != nil {
+		if err := ctx.AddRig(art, atk.key, opts, atk.strat()); err != nil {
 			return nil, err
 		}
 	}
@@ -67,7 +61,7 @@ func PrepareChaseCoarseTimer(ctx PrepareCtx) (*Artifact, error) {
 		coarse.TimerNoise = n
 		for _, atk := range coarseAttackers {
 			label := fmt.Sprintf("%s-off%d", atk.key, n)
-			if err := ctx.AddRigStrategy(art, label, coarse, coarseOfflineTag(n), atk.strat()); err != nil {
+			if err := ctx.AddRig(art, label, coarse, atk.strat()); err != nil {
 				// An offline phase collapsing under the coarse timer is an
 				// outcome of this experiment: record it and measure the
 				// row as a dead attack. Only deterministic simulation

@@ -66,17 +66,17 @@ func TestArtifactStoreKeysStrategiesApart(t *testing.T) {
 	ctx := PrepareCtx{Scale: Demo, Seed: 7, Store: store}
 	art := ctx.NewArtifact()
 	opts := machineOptions(Demo, 7)
-	if err := ctx.AddRigStrategy(art, "fine", opts, "", probe.DefaultStrategy()); err != nil {
+	if err := ctx.AddRig(art, "fine", opts, probe.DefaultStrategy()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.AddRigStrategy(art, "amp", opts, "", probe.AmplifiedStrategy()); err != nil {
+	if err := ctx.AddRig(art, "amp", opts, probe.AmplifiedStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	if store.Builds() != 2 {
 		t.Fatalf("store built %d rigs for two strategies; strategies collided", store.Builds())
 	}
 	// Same strategy again: must be served from the store, not rebuilt.
-	if err := ctx.AddRigStrategy(art, "amp2", opts, "", probe.AmplifiedStrategy()); err != nil {
+	if err := ctx.AddRig(art, "amp2", opts, probe.AmplifiedStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	if store.Builds() != 2 {

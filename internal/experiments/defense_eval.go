@@ -186,11 +186,11 @@ func DefenseCandidateExperiment(id string, d defense.Defense, budget DefenseEval
 			}
 			art := ctx.NewArtifact()
 			spec := defenseSpec(ctx.Scale, d)
-			if err := ctx.AddSpecRig(art, "candidate", spec, ctx.Seed); err != nil {
+			if err := ctx.AddRig(art, "candidate", spec.Options(ctx.Seed), probe.DefaultStrategy()); err != nil {
 				return nil, err
 			}
 			if coarsensTimer(ctx.Scale, d) {
-				if err := ctx.AddSpecRigStrategy(art, amplifiedLabel("candidate"), spec, ctx.Seed, probe.AmplifiedStrategy()); err != nil {
+				if err := ctx.AddRig(art, amplifiedLabel("candidate"), spec.Options(ctx.Seed), probe.AmplifiedStrategy()); err != nil {
 					return nil, err
 				}
 			}

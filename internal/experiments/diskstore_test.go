@@ -408,7 +408,8 @@ func TestDiskStoreCapPreservesHealing(t *testing.T) {
 }
 
 // TestDiskStoreDefenseVariantsDistinctFiles: two artifacts differing only
-// in the defense tag must land in distinct disk entries.
+// in a timer-coarsening defense (TimerNoise) must land in distinct disk
+// entries.
 func TestDiskStoreDefenseVariantsDistinctFiles(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewDiskArtifactStore(dir)
@@ -417,11 +418,13 @@ func TestDiskStoreDefenseVariantsDistinctFiles(t *testing.T) {
 	}
 	ctx := PrepareCtx{Scale: Demo, Seed: 5, Store: s}
 	opts := machineOptions(Demo, 5)
+	coarse := opts
+	coarse.TimerNoise = 64
 	art := ctx.NewArtifact()
-	if err := ctx.AddRigTagged(art, "plain", opts, ""); err != nil {
+	if err := ctx.AddRig(art, "plain", opts, probe.DefaultStrategy()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.AddRigTagged(art, "coarse", opts, "timer-coarse-64"); err != nil {
+	if err := ctx.AddRig(art, "coarse", coarse, probe.DefaultStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(dir)
@@ -429,6 +432,6 @@ func TestDiskStoreDefenseVariantsDistinctFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ents) != 2 {
-		t.Fatalf("expected 2 distinct cache files for tagged variants, got %d", len(ents))
+		t.Fatalf("expected 2 distinct cache files for defense variants, got %d", len(ents))
 	}
 }

@@ -188,27 +188,10 @@ type attackRig struct {
 	spy    *probe.Spy
 	groups []probe.EvictionSet
 	ccfg   cache.Config
-	// poolKey is the machine's OfflineFingerprint when the rig is pool-
-	// managed ("" otherwise): RigPool reuses a rig only for artifacts with
-	// an identical fingerprint, i.e. identical buffer geometry.
+	// poolKey is the OfflineFingerprint of the machine the rig last
+	// adopted: RigPool reuses a rig only for artifacts with an identical
+	// fingerprint, i.e. identical buffer geometry.
 	poolKey string
-}
-
-func newAttackRig(scale Scale, seed int64) (*attackRig, error) {
-	opts := machineOptions(scale, seed)
-	tb, err := testbed.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	spy, err := probe.NewSpy(tb, spyPages(opts))
-	if err != nil {
-		return nil, err
-	}
-	groups, err := spy.BuildAlignedEvictionSets(opts.Cache.Ways)
-	if err != nil {
-		return nil, err
-	}
-	return &attackRig{tb: tb, spy: spy, groups: groups, ccfg: tb.Cache().Config()}, nil
 }
 
 // canonical maps group ids to canonical aligned-set indices (ground-truth

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/netmodel"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/testbed"
@@ -113,7 +114,7 @@ func Fig6(scale Scale, seed int64) (Result, error) {
 // with its eviction sets.
 func PrepareFig7(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
-	if err := ctx.AddRig(art, "rig", machineOptions(ctx.Scale, ctx.Seed)); err != nil {
+	if err := ctx.AddRig(art, "rig", machineOptions(ctx.Scale, ctx.Seed), probe.DefaultStrategy()); err != nil {
 		return nil, err
 	}
 	return art, nil
@@ -174,7 +175,7 @@ func PrepareFig8(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
 	for blocks := 1; blocks <= 4; blocks++ {
 		opts := machineOptions(ctx.Scale, ctx.Seed+int64(blocks))
-		if err := ctx.AddRig(art, fmt.Sprintf("blocks%d", blocks), opts); err != nil {
+		if err := ctx.AddRig(art, fmt.Sprintf("blocks%d", blocks), opts, probe.DefaultStrategy()); err != nil {
 			return nil, err
 		}
 	}
@@ -220,7 +221,7 @@ func PrepareTable1(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
 	for run := 0; run < table1Runs; run++ {
 		opts := machineOptions(ctx.Scale, ctx.Seed+int64(run)*31)
-		if err := ctx.AddRig(art, fmt.Sprintf("run%d", run), opts); err != nil {
+		if err := ctx.AddRig(art, fmt.Sprintf("run%d", run), opts, probe.DefaultStrategy()); err != nil {
 			return nil, err
 		}
 	}

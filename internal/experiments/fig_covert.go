@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/covert"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -26,7 +27,7 @@ func covertClone(art *Artifact, label string, ctx MeasureCtx) (*attackRig, []int
 // PrepareFig10 builds the single-buffer channel's machine.
 func PrepareFig10(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
-	if err := ctx.AddRig(art, "rig", machineOptions(ctx.Scale, ctx.Seed)); err != nil {
+	if err := ctx.AddRig(art, "rig", machineOptions(ctx.Scale, ctx.Seed), probe.DefaultStrategy()); err != nil {
 		return nil, err
 	}
 	return art, nil
@@ -86,7 +87,7 @@ func PrepareFig11(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
 	for _, rate := range fig11Rates {
 		opts := machineOptions(ctx.Scale, ctx.Seed+int64(rate))
-		if err := ctx.AddRig(art, fmt.Sprintf("rate%.0f", rate), opts); err != nil {
+		if err := ctx.AddRig(art, fmt.Sprintf("rate%.0f", rate), opts, probe.DefaultStrategy()); err != nil {
 			return nil, err
 		}
 	}
@@ -144,7 +145,7 @@ func PrepareFig12ab(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
 	for _, n := range fig12abBuffers {
 		opts := machineOptions(ctx.Scale, ctx.Seed+int64(n)*13)
-		if err := ctx.AddRig(art, fmt.Sprintf("buffers%d", n), opts); err != nil {
+		if err := ctx.AddRig(art, fmt.Sprintf("buffers%d", n), opts, probe.DefaultStrategy()); err != nil {
 			return nil, err
 		}
 	}
@@ -189,7 +190,7 @@ func PrepareFig12cd(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
 	for _, kbps := range fig12cdRates {
 		opts := machineOptions(ctx.Scale, ctx.Seed+int64(kbps))
-		if err := ctx.AddRig(art, fmt.Sprintf("rate%.0f", kbps), opts); err != nil {
+		if err := ctx.AddRig(art, fmt.Sprintf("rate%.0f", kbps), opts, probe.DefaultStrategy()); err != nil {
 			return nil, err
 		}
 	}

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/defense"
 	"repro/internal/perfsim"
-	"repro/internal/probe"
-	"repro/internal/testbed"
 )
 
 // The perf figures (14-16) are defined over the defense registry: each
@@ -34,32 +32,6 @@ func schemesFor(names ...string) []perfsim.Scheme {
 		out[i] = mustDefense(n).PerfScheme()
 	}
 	return out
-}
-
-// newAttackRigOpts is newAttackRig with explicit options (for experiments
-// that tweak the machine, e.g. disabling DDIO).
-func newAttackRigOpts(opts testbed.Options) (*attackRig, error) {
-	return newAttackRigStrategy(opts, probe.DefaultStrategy())
-}
-
-// newAttackRigStrategy runs the offline phase under an explicit attacker
-// measurement strategy (probe.Strategy): the amplified coarse-timer
-// attacker calibrates and builds its eviction sets through it, and every
-// monitor the attack layers later construct inherits it via the spy.
-func newAttackRigStrategy(opts testbed.Options, strat probe.Strategy) (*attackRig, error) {
-	tb, err := testbed.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	spy, err := probe.NewSpyStrategy(tb, spyPages(opts), strat)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := spy.BuildAlignedEvictionSets(opts.Cache.Ways)
-	if err != nil {
-		return nil, err
-	}
-	return &attackRig{tb: tb, spy: spy, groups: groups, ccfg: tb.Cache().Config()}, nil
 }
 
 // Table2 prints the baseline processor configuration (the gem5 machine the

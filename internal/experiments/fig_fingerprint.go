@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/fingerprint"
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/webtrace"
 )
@@ -14,7 +15,7 @@ import (
 // identical seeds).
 func PrepareFig13(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
-	if err := ctx.AddRig(art, "rig", machineOptions(ctx.Scale, ctx.Seed)); err != nil {
+	if err := ctx.AddRig(art, "rig", machineOptions(ctx.Scale, ctx.Seed), probe.DefaultStrategy()); err != nil {
 		return nil, err
 	}
 	return art, nil
@@ -67,7 +68,7 @@ func PrepareFingerprint(ctx PrepareCtx) (*Artifact, error) {
 	for _, ddio := range []bool{true, false} {
 		opts := machineOptions(ctx.Scale, ctx.Seed)
 		opts.Cache.DDIO = ddio
-		if err := ctx.AddRig(art, fingerprintLabel(ddio), opts); err != nil {
+		if err := ctx.AddRig(art, fingerprintLabel(ddio), opts, probe.DefaultStrategy()); err != nil {
 			return nil, err
 		}
 	}

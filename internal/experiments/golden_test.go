@@ -27,7 +27,7 @@ var update = flag.Bool("update", false, "rewrite golden report files under testd
 // entry of a combined run.
 func TestGoldenReports(t *testing.T) {
 	all := experiments.All()
-	rep, err := runner.Run(all, runner.Options{
+	rep, err := runner.New(runner.Config{}).Run(all, runner.Job{
 		Scale:  experiments.Demo,
 		Seed:   0,
 		Trials: 1,

@@ -52,20 +52,20 @@ func pickHigher(a float64, calA bool, b float64, calB bool) bool {
 // for defenses that coarsen the timer, a second machine prepared by the
 // amplified attacker (probe.AmplifiedStrategy), because the matrix
 // reports the strongest known attack per cell. Rigs are labeled by
-// defense name and content-addressed with the defense fingerprint plus
-// the attacker strategy: a timer-coarsening machine differs from the
-// stock one only in a knob the option fingerprint excludes, yet its
-// offline phase (calibration, eviction sets) ran under the coarse timer,
-// so the artifacts must never be shared.
+// defense name and content-addressed by the defended machine's options
+// plus the attacker strategy: a timer-coarsening machine differs from the
+// stock one only in TimerNoise, and its offline phase (calibration,
+// eviction sets) ran under the coarse timer, so the key keeps the
+// artifacts apart.
 func PrepareMatrixDefense(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
 	for _, d := range defense.All() {
 		spec := defenseSpec(ctx.Scale, d)
-		if err := ctx.AddSpecRig(art, d.Name(), spec, ctx.Seed); err != nil {
+		if err := ctx.AddRig(art, d.Name(), spec.Options(ctx.Seed), probe.DefaultStrategy()); err != nil {
 			return nil, err
 		}
 		if coarsensTimer(ctx.Scale, d) {
-			if err := ctx.AddSpecRigStrategy(art, amplifiedLabel(d.Name()), spec, ctx.Seed, probe.AmplifiedStrategy()); err != nil {
+			if err := ctx.AddRig(art, amplifiedLabel(d.Name()), spec.Options(ctx.Seed), probe.AmplifiedStrategy()); err != nil {
 				return nil, err
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/defense"
+	"repro/internal/probe"
 	"repro/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func TestRigArtifactGobBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := ctx.NewArtifact()
-	if err := ctx.AddSpecRig(part, "rig", baselineSpec(Demo).WithDefense(defense.AdaptivePartitioning{}), 1); err != nil {
+	if err := ctx.AddRig(part, "rig", baselineSpec(Demo).WithDefense(defense.AdaptivePartitioning{}).Options(1), probe.DefaultStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

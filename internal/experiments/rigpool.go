@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/probe"
-	"repro/internal/testbed"
 )
 
 // RigPool recycles cloned machines across trials. Artifact.rig used to
@@ -75,7 +74,7 @@ func (p *RigPool) Stats() RigPoolStats {
 }
 
 // take removes and returns an idle rig for key, or nil when none is
-// pooled (the caller falls back to a fresh clone).
+// pooled (the caller adopts into a fresh shell instead).
 func (p *RigPool) take(key string) *attackRig {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -145,7 +144,7 @@ func (p *RigPool) Lease() *RigLease {
 // RigLease tracks the rigs one trial has drawn from (or registered with) a
 // pool. It is single-goroutine, like the Measure it serves; only the
 // underlying pool is shared. A nil lease is valid and disables pooling —
-// every clone is built fresh and dropped, the historical behavior.
+// every clone adopts into a fresh shell and is dropped after the trial.
 type RigLease struct {
 	pool   *RigPool
 	leased []*attackRig
@@ -160,7 +159,7 @@ func (l *RigLease) take(key string) *attackRig {
 	return l.pool.take(key)
 }
 
-// track registers a rig (freshly built or adopted) for return at Release.
+// track registers a rig (pooled or fresh) for return at Release.
 func (l *RigLease) track(r *attackRig) {
 	if l == nil {
 		return
@@ -181,11 +180,11 @@ func (l *RigLease) Release() {
 	l.leased = l.leased[:0]
 }
 
-// adopt rebinds a pooled rig to the artifact's machine: the testbed is
-// restored in place to the snapshot (reseeding online streams when the
-// trial decorrelates), the spy rebound, and the eviction sets copied into
-// the rig's reused buffers. State-identical to freshRig, allocation-free
-// in steady state.
+// adopt rebinds a rig — pooled, or a fresh shell with a zero spy — to
+// the artifact's machine: the testbed is restored in place to the
+// snapshot (reseeding online streams when the trial decorrelates), the spy
+// rebound, the eviction sets copied into the rig's reused buffers, and the
+// rig keyed for its return to a pool. Allocation-free in steady state.
 func (r *attackRig) adopt(ra *RigArtifact, reseed bool, online int64) {
 	if reseed {
 		r.tb.AdoptSnapshotReseeded(ra.Opts, ra.Machine, online)
@@ -195,22 +194,5 @@ func (r *attackRig) adopt(ra *RigArtifact, reseed bool, online int64) {
 	r.spy.Rebind(r.tb, ra.Spy)
 	r.groups = probe.CopyEvictionSetsInto(r.groups, ra.Groups)
 	r.ccfg = r.tb.Cache().Config()
-}
-
-// freshRig clones an independent machine from the artifact — the
-// non-pooled path, and the fallback when the pool has no rig of matching
-// geometry.
-func freshRig(ra *RigArtifact, reseed bool, online int64) (*attackRig, error) {
-	tb, err := testbed.NewShell(ra.Opts)
-	if err != nil {
-		return nil, err
-	}
-	if reseed {
-		tb.RestoreReseeded(ra.Machine, online)
-	} else {
-		tb.Restore(ra.Machine)
-	}
-	spy := probe.RestoreSpy(tb, ra.Spy)
-	groups := probe.CopyEvictionSetsInto(nil, ra.Groups)
-	return &attackRig{tb: tb, spy: spy, groups: groups, ccfg: tb.Cache().Config()}, nil
+	r.poolKey = ra.clonePoolKey()
 }

@@ -93,7 +93,7 @@ func TestRigPoolDirtyReuseMatchesFresh(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					ctx := PrepareCtx{Scale: Demo, Seed: seed}
 					art := ctx.NewArtifact()
-					if err := ctx.AddSpecRigStrategy(art, "rig", spec, seed, strat); err != nil {
+					if err := ctx.AddRig(art, "rig", spec.Options(seed), strat); err != nil {
 						t.Fatal(err)
 					}
 					// Measure seed != root: the reseeded warm-trial path.
@@ -201,10 +201,10 @@ func TestRigPoolSharedConcurrentStress(t *testing.T) {
 	ctx := PrepareCtx{Scale: Demo, Seed: 5}
 	art := ctx.NewArtifact()
 	base := baselineSpec(Demo)
-	if err := ctx.AddSpecRig(art, "a", base, 5); err != nil {
+	if err := ctx.AddRig(art, "a", base.Options(5), probe.DefaultStrategy()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.AddSpecRig(art, "b", base.WithDefense(defense.DisableDDIO{}), 5); err != nil {
+	if err := ctx.AddRig(art, "b", base.WithDefense(defense.DisableDDIO{}).Options(5), probe.DefaultStrategy()); err != nil {
 		t.Fatal(err)
 	}
 	m := MeasureCtx{Scale: Demo, Seed: 6}

@@ -108,9 +108,9 @@ func Sweeps() []Sweep {
 			// labels, so cell keys read "defense=adaptive-partition".
 			// Every cell has a distinct machine (the defense reshapes it),
 			// so a warm run prepares one artifact per defense rather than
-			// one for the grid — the defense tag keys them apart even for
-			// timer coarsening, which is invisible to the machine
-			// fingerprint.
+			// one for the grid — the artifact key carries every option, so
+			// it keys them apart even for timer coarsening, which changes
+			// only TimerNoise.
 			scenario.Grid{scenario.DefenseAxis()},
 			prepareSweepRigs, MeasureSensChaseDefense,
 		),
@@ -181,11 +181,11 @@ func prepareSweepRigsStrategy(ctx PrepareCtx, cell scenario.Cell, strat probe.St
 	spec := full.Offline()
 	art := ctx.NewArtifact()
 	for r := 0; r < sensReps; r++ {
-		// AddSpecRigStrategy derives the defense tag from the spec, so
-		// machines are keyed per mitigation even when the mitigation is
-		// invisible to the option fingerprint (timer coarsening): clones
-		// must never cross a defense boundary.
-		if err := ctx.AddSpecRigStrategy(art, repLabel(r), spec, sim.DeriveSeed(ctx.Seed, repLabel(r)), strat); err != nil {
+		// The spec's defense acts through the options it builds, and the
+		// store keys every option, so machines are keyed per mitigation
+		// even when the mitigation is invisible to the option fingerprint
+		// (timer coarsening): clones never cross a defense boundary.
+		if err := ctx.AddRig(art, repLabel(r), spec.Options(sim.DeriveSeed(ctx.Seed, repLabel(r))), strat); err != nil {
 			return nil, err
 		}
 	}

@@ -73,7 +73,7 @@ func TestNoiseSensitivityMonotone(t *testing.T) {
 	if !ok {
 		t.Fatal("sens_chase_noise not registered")
 	}
-	rep, err := runner.RunSweep(sw, runner.Options{
+	rep, err := runner.New(runner.Config{}).RunSweep(sw, runner.Job{
 		Scale: experiments.Demo, Seed: 1, Trials: 1,
 	})
 	if err != nil {

@@ -335,18 +335,12 @@ func NewRegion(al *Allocator, n int) (*Region, error) {
 	return &Region{pages: pages}, nil
 }
 
-// RegionFromPages rebuilds a region over frames that are already allocated
-// — the warm-start path, where a restored allocator snapshot records the
-// spy's pages as used and the region must be re-attached rather than
-// re-allocated. The page list is copied.
-func RegionFromPages(pages []Addr) *Region {
-	return &Region{pages: append([]Addr(nil), pages...)}
-}
-
-// SetPages re-points an existing region at a new page list (copied into
-// the region's reused backing array) — RegionFromPages for the rig-pool
-// reuse path, where the spy's region object survives across leases and a
-// fresh allocation per lease would defeat the pool.
+// SetPages re-points a region at frames that are already allocated — the
+// warm-start path, where a restored allocator snapshot records the spy's
+// pages as used and the region must be re-attached rather than
+// re-allocated. The page list is copied into the region's reused backing
+// array, so a spy's region survives across rig-pool leases without
+// allocating.
 func (r *Region) SetPages(pages []Addr) {
 	r.pages = append(r.pages[:0], pages...)
 }

@@ -96,7 +96,7 @@ func (n *NIC) Restore(s *Snapshot) {
 }
 
 // RestoreSkipRNG is Restore minus the driver-RNG restore, for callers that
-// reseed the RNG immediately afterwards (testbed.RestoreReseeded): restoring
+// reseed the RNG immediately afterwards (testbed.AdoptSnapshotReseeded): restoring
 // a position only to throw it away is wasted work, and for a snapshot
 // decoded from disk it means replaying the whole offline draw history. The
 // RNG keeps its nil-ness in sync with

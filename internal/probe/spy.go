@@ -109,35 +109,24 @@ func (s *Spy) State() SpyState {
 // restored allocator) and calibration side effects (clock advance, timer
 // draws). No allocation or calibration happens here.
 func RestoreSpy(tb *testbed.Testbed, st SpyState) *Spy {
-	factor := st.Factor
-	if factor < 1 {
-		factor = 1 // states captured before strategies existed
-	}
-	return &Spy{
-		tb:                tb,
-		cache:             tb.Cache(),
-		clock:             tb.Clock(),
-		region:            mem.RegionFromPages(st.Pages),
-		strat:             st.Strategy.withDefaults(),
-		OverheadPerAccess: st.OverheadPerAccess,
-		hitLat:            st.HitLat,
-		missLat:           st.MissLat,
-		degenerate:        st.Degenerate,
-		spread:            st.Spread,
-		factor:            factor,
-	}
+	s := new(Spy)
+	s.Rebind(tb, st)
+	return s
 }
 
-// Rebind is RestoreSpy into an existing spy: the spy object and its region
-// survive, and the captured state is copied over them (pages into the
-// region's reused backing array). It serves the rig-pool lease path, where
-// a pooled spy is rebound to a restored machine once per warm trial and
-// must not allocate. The testbed must be the machine the accompanying
-// snapshot was restored into.
+// Rebind is RestoreSpy into an existing spy: the captured state is copied
+// over it, pages into the region's reused backing array (a zero Spy gets a
+// new region). It serves the rig-pool lease path, where a pooled spy is
+// rebound to a restored machine once per warm trial and must not
+// allocate. The testbed must be the machine the accompanying snapshot was
+// restored into.
 func (s *Spy) Rebind(tb *testbed.Testbed, st SpyState) {
 	factor := st.Factor
 	if factor < 1 {
 		factor = 1 // states captured before strategies existed
+	}
+	if s.region == nil {
+		s.region = new(mem.Region)
 	}
 	s.tb = tb
 	s.cache = tb.Cache()

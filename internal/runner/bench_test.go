@@ -30,11 +30,12 @@ func benchExperiments(b *testing.B) []experiments.Experiment {
 
 func benchRun(b *testing.B, warm bool) {
 	sel := benchExperiments(b)
-	opts := Options{Scale: experiments.Demo, Seed: 17, Trials: 4, Parallel: 2, Warm: warm}
+	r := New(Config{Parallel: 2, Warm: warm})
+	job := Job{Scale: experiments.Demo, Seed: 17, Trials: 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(sel, opts)
+		rep, err := r.Run(sel, job)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,11 +56,12 @@ func benchSweep(b *testing.B, warm bool) {
 		b.Fatal("sens_covert_timer not registered")
 	}
 	sw.Grid = scenario.Grid{{Name: scenario.AxisTimerNoise, Values: []float64{0, 16, 64}}}
-	opts := Options{Scale: experiments.Demo, Seed: 17, Trials: 2, Parallel: 2, Warm: warm}
+	r := New(Config{Parallel: 2, Warm: warm})
+	job := Job{Scale: experiments.Demo, Seed: 17, Trials: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := RunSweep(sw, opts)
+		rep, err := r.RunSweep(sw, job)
 		if err != nil {
 			b.Fatal(err)
 		}

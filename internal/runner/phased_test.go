@@ -22,11 +22,9 @@ func TestWarmColdByteIdenticalExperiments(t *testing.T) {
 		}
 		sel = append(sel, e)
 	}
-	base := Options{Scale: experiments.Demo, Seed: 9, Trials: 3, Parallel: 4}
-	cold := runJSON(t, sel, base)
-	warm := base
-	warm.Warm = true
-	if got := runJSON(t, sel, warm); !bytes.Equal(cold, got) {
+	job := Job{Scale: experiments.Demo, Seed: 9, Trials: 3}
+	cold := runJSON(t, sel, Config{Parallel: 4}, job)
+	if got := runJSON(t, sel, Config{Parallel: 4, Warm: true}, job); !bytes.Equal(cold, got) {
 		t.Error("warm and cold runs serialized differently")
 	}
 }
@@ -40,32 +38,33 @@ func TestWarmColdByteIdenticalSweep(t *testing.T) {
 		t.Fatal("sens_covert_timer not registered")
 	}
 	sw.Grid = scenario.Grid{{Name: scenario.AxisTimerNoise, Values: []float64{0, 64}}}
-	base := Options{Scale: experiments.Demo, Seed: 4, Trials: 2, Parallel: 4}
-	cold := sweepJSON(t, sw, base)
-	warm := base
-	warm.Warm = true
-	if got := sweepJSON(t, sw, warm); !bytes.Equal(cold, got) {
+	job := Job{Scale: experiments.Demo, Seed: 4, Trials: 2}
+	cold := sweepJSON(t, sw, Config{Parallel: 4}, job)
+	if got := sweepJSON(t, sw, Config{Parallel: 4, Warm: true}, job); !bytes.Equal(cold, got) {
 		t.Error("warm and cold sweep runs serialized differently")
 	}
 }
 
 // TestWarmColdByteIdenticalDefenseSweep extends the sweep criterion to a
 // defense axis: cells differ in the machine itself (and, for timer
-// coarsening, only in a knob the machine fingerprint excludes — the
-// defense tag must key the artifacts apart), yet warm and cold runs must
-// still serialize identically.
+// coarsening, only in TimerNoise, which the machine fingerprint excludes
+// but the artifact key carries), yet warm and cold runs must still
+// serialize identically. Three defenses times three reps are nine
+// distinct machines, so the warm store builds exactly nine.
 func TestWarmColdByteIdenticalDefenseSweep(t *testing.T) {
 	sw, ok := experiments.SweepByID("sens_chase_defense")
 	if !ok {
 		t.Fatal("sens_chase_defense not registered")
 	}
 	sw.Grid = scenario.Grid{scenario.DefenseAxis("none", "timer-coarse-64", "adaptive-partition")}
-	base := Options{Scale: experiments.Demo, Seed: 4, Trials: 1, Parallel: 4}
-	cold := sweepJSON(t, sw, base)
-	warm := base
-	warm.Warm = true
-	if got := sweepJSON(t, sw, warm); !bytes.Equal(cold, got) {
+	job := Job{Scale: experiments.Demo, Seed: 4, Trials: 1}
+	cold := sweepJSON(t, sw, Config{Parallel: 4}, job)
+	store := experiments.NewArtifactStore()
+	if got := sweepJSON(t, sw, Config{Parallel: 4, Warm: true, Store: store}, job); !bytes.Equal(cold, got) {
 		t.Error("warm and cold defense-sweep runs serialized differently")
+	}
+	if got := store.Builds(); got != 9 {
+		t.Errorf("offline builds = %d, want 9", got)
 	}
 }
 
@@ -85,9 +84,7 @@ func TestPhasedTrialZeroMatchesMonolithicRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run([]experiments.Experiment{e}, Options{
-		Scale: experiments.Demo, Seed: 11, Trials: 1, Warm: true,
-	})
+	rep, err := New(Config{Warm: true}).Run([]experiments.Experiment{e}, Job{Scale: experiments.Demo, Seed: 11, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +112,7 @@ func TestWarmTrialsDecorrelate(t *testing.T) {
 	if !ok {
 		t.Fatal("fig7 not registered")
 	}
-	rep, err := Run([]experiments.Experiment{e}, Options{
-		Scale: experiments.Demo, Seed: 2, Trials: 3, Parallel: 3, Warm: true,
-	})
+	rep, err := New(Config{Parallel: 3, Warm: true}).Run([]experiments.Experiment{e}, Job{Scale: experiments.Demo, Seed: 2, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,66 +15,17 @@
 // (streamed through the CellSink stack — see job.go), and wall-clock
 // timings are kept out of the serialized document.
 //
-// The primary API is runner.New(Config).Run / .RunSweep with a Job spec;
-// the package-level Run / RunSweep with Options are thin compatible
-// wrappers over it.
+// The API is runner.New(Config).Run / .RunSweep with a Job spec.
 package runner
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
 )
-
-// Options configures the package-level Run / RunSweep wrappers: the
-// historical single-struct API, kept so existing callers and tests are
-// untouched. It maps onto a Config (execution environment, with Verbose
-// per-trial progress preserved) plus a Job (what to run); new code and
-// anything that wants checkpointing should use runner.New directly.
-type Options struct {
-	// Scale is the machine scale every trial runs at.
-	Scale experiments.Scale
-	// Seed is the root seed; per-trial seeds are derived from it.
-	Seed int64
-	// Trials is the number of trials per experiment (minimum 1). Trials
-	// carry decorrelated online seeds; for phase-split experiments they
-	// measure the shared trial-0 machine under re-derived ambient
-	// randomness (see runTrial), while single-shot experiments rebuild
-	// their machine from the trial seed each time.
-	Trials int
-	// Parallel is the worker-pool width; <= 0 means GOMAXPROCS.
-	Parallel int
-	// Warm enables offline-artifact reuse for phase-split experiments;
-	// see Config.Warm.
-	Warm bool
-	// ArtifactDir, when non-empty (warm mode only), backs the artifact
-	// store with a directory; see Config.ArtifactDir.
-	ArtifactDir string
-	// Progress, when non-nil, receives one line per completed trial
-	// (typically os.Stderr).
-	Progress io.Writer
-}
-
-// config maps the legacy options onto the Runner's execution config.
-// Verbose is forced on: Options.Progress always meant per-trial lines.
-func (o Options) config() Config {
-	return Config{
-		Parallel:    o.Parallel,
-		Warm:        o.Warm,
-		ArtifactDir: o.ArtifactDir,
-		Progress:    o.Progress,
-		Verbose:     true,
-	}
-}
-
-// job extracts the job spec from the legacy options.
-func (o Options) job() Job {
-	return Job{Scale: o.Scale, Seed: o.Seed, Trials: o.Trials}
-}
 
 // defaultParallel is the worker-pool width when none is requested.
 func defaultParallel() int { return runtime.GOMAXPROCS(0) }
@@ -140,14 +91,4 @@ func runTrial(e experiments.Experiment, scale experiments.Scale, root int64, tri
 		}
 		return e.Measure(experiments.MeasureCtx{Scale: scale, Seed: seed, Rigs: rigs}, art)
 	})
-}
-
-// Run executes every selected experiment for opts.Trials trials on a
-// pool of opts.Parallel workers and aggregates the outcome. It is the
-// compatibility wrapper over runner.New(cfg).Run(selected, job); the
-// returned error only reports harness-level misuse (empty selection) —
-// individual experiment failures are recorded per experiment in the
-// Report so one broken artifact does not discard the rest of a sweep.
-func Run(selected []experiments.Experiment, opts Options) (*Report, error) {
-	return New(opts.config()).Run(selected, opts.job())
 }

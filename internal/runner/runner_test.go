@@ -31,9 +31,9 @@ func fakeExp(id string) experiments.Experiment {
 	}
 }
 
-func runJSON(t *testing.T, sel []experiments.Experiment, opts Options) []byte {
+func runJSON(t *testing.T, sel []experiments.Experiment, cfg Config, job Job) []byte {
 	t.Helper()
-	rep, err := Run(sel, opts)
+	rep, err := New(cfg).Run(sel, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,10 @@ func TestParallelWidthDeterminism(t *testing.T) {
 	if real, ok := experiments.ByID("fig5"); ok {
 		sel = append(sel, real) // one real experiment for integration coverage
 	}
-	base := Options{Scale: experiments.Demo, Seed: 7, Trials: 4, Parallel: 1}
-	serial := runJSON(t, sel, base)
+	job := Job{Scale: experiments.Demo, Seed: 7, Trials: 4}
+	serial := runJSON(t, sel, Config{Parallel: 1}, job)
 	for _, width := range []int{2, 8} {
-		opts := base
-		opts.Parallel = width
-		if got := runJSON(t, sel, opts); !bytes.Equal(serial, got) {
+		if got := runJSON(t, sel, Config{Parallel: width}, job); !bytes.Equal(serial, got) {
 			t.Errorf("JSON differs between -parallel 1 and -parallel %d", width)
 		}
 	}
@@ -65,9 +63,7 @@ func TestParallelWidthDeterminism(t *testing.T) {
 
 func TestAggregationExact(t *testing.T) {
 	const trials = 5
-	rep, err := Run([]experiments.Experiment{fakeExp("x")}, Options{
-		Scale: experiments.Demo, Seed: 3, Trials: trials, Parallel: 4,
-	})
+	rep, err := New(Config{Parallel: 4}).Run([]experiments.Experiment{fakeExp("x")}, Job{Scale: experiments.Demo, Seed: 3, Trials: trials})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +105,7 @@ func TestErrorPropagation(t *testing.T) {
 			return experiments.Result{}, errors.New("kaput")
 		},
 	}
-	rep, err := Run([]experiments.Experiment{fakeExp("ok"), boom}, Options{
-		Scale: experiments.Demo, Seed: 1, Trials: 2, Parallel: 2,
-	})
+	rep, err := New(Config{Parallel: 2}).Run([]experiments.Experiment{fakeExp("ok"), boom}, Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +141,7 @@ func TestDuplicateMetricNamesAggregatePositionally(t *testing.T) {
 			return res, nil
 		},
 	}
-	rep, err := Run([]experiments.Experiment{dup}, Options{
-		Scale: experiments.Demo, Seed: 5, Trials: 3, Parallel: 2,
-	})
+	rep, err := New(Config{Parallel: 2}).Run([]experiments.Experiment{dup}, Job{Scale: experiments.Demo, Seed: 5, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +178,7 @@ func TestPartialFailureKeepsSurvivingTrials(t *testing.T) {
 			return res, nil
 		},
 	}
-	rep, err := Run([]experiments.Experiment{flaky}, Options{
-		Scale: experiments.Demo, Seed: 1, Trials: 3, Parallel: 2,
-	})
+	rep, err := New(Config{Parallel: 2}).Run([]experiments.Experiment{flaky}, Job{Scale: experiments.Demo, Seed: 1, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +200,7 @@ func TestPartialFailureKeepsSurvivingTrials(t *testing.T) {
 }
 
 func TestRunRejectsEmptySelection(t *testing.T) {
-	if _, err := Run(nil, Options{}); err == nil {
+	if _, err := New(Config{}).Run(nil, Job{}); err == nil {
 		t.Error("empty selection must error")
 	}
 }
@@ -233,9 +223,7 @@ func TestTrialSeedsDistinct(t *testing.T) {
 }
 
 func TestWriteTextAggregateBlock(t *testing.T) {
-	rep, err := Run([]experiments.Experiment{fakeExp("x")}, Options{
-		Scale: experiments.Demo, Seed: 1, Trials: 3, Parallel: 2,
-	})
+	rep, err := New(Config{Parallel: 2}).Run([]experiments.Experiment{fakeExp("x")}, Job{Scale: experiments.Demo, Seed: 1, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,7 @@ func TestPanicRecoveredAsFailure(t *testing.T) {
 			panic("synthetic failure")
 		},
 	}
-	rep, err := Run([]experiments.Experiment{fakeExp("ok"), boom, fakeExp("ok2")}, Options{
-		Scale: experiments.Demo, Seed: 1, Trials: 2, Parallel: 2,
-	})
+	rep, err := New(Config{Parallel: 2}).Run([]experiments.Experiment{fakeExp("ok"), boom, fakeExp("ok2")}, Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +52,7 @@ func TestSweepPanicRecoveredAsFailure(t *testing.T) {
 			return res, nil
 		},
 	}
-	rep, err := RunSweep(sw, Options{Scale: experiments.Demo, Seed: 1, Trials: 2, Parallel: 3})
+	rep, err := New(Config{Parallel: 3}).RunSweep(sw, Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestStressPoolDeterminismUnderFailures(t *testing.T) {
 	}
 	var want []byte
 	for _, width := range []int{1, 4, 16} {
-		got := runJSON(t, build(), Options{Scale: experiments.Demo, Seed: 9, Trials: 3, Parallel: width})
+		got := runJSON(t, build(), Config{Parallel: width}, Job{Scale: experiments.Demo, Seed: 9, Trials: 3})
 		if want == nil {
 			want = got
 			continue
@@ -124,9 +122,7 @@ func TestStressPoolRunsEveryTrialExactlyOnce(t *testing.T) {
 		},
 	}
 	const trials = 50
-	rep, err := Run([]experiments.Experiment{counted}, Options{
-		Scale: experiments.Demo, Seed: 2, Trials: trials, Parallel: 16,
-	})
+	rep, err := New(Config{Parallel: 16}).Run([]experiments.Experiment{counted}, Job{Scale: experiments.Demo, Seed: 2, Trials: trials})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,15 +121,6 @@ func runSweepTrial(sw experiments.Sweep, scale experiments.Scale, root int64, ce
 	})
 }
 
-// RunSweep executes every cell of the sweep's grid for opts.Trials trials
-// on a pool of opts.Parallel workers. It is the compatibility wrapper
-// over runner.New(cfg).RunSweep(sw, job); cell failures (including
-// panics) are recorded per cell so one broken corner of the parameter
-// space does not discard the rest of the curve.
-func RunSweep(sw experiments.Sweep, opts Options) (*SweepReport, error) {
-	return New(opts.config()).RunSweep(sw, opts.job())
-}
-
 // WriteJSON serializes the sweep report as indented, newline-terminated
 // JSON.
 func (r *SweepReport) WriteJSON(w io.Writer) error {

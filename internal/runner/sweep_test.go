@@ -32,9 +32,9 @@ func fakeSweep() experiments.Sweep {
 	}
 }
 
-func sweepJSON(t *testing.T, sw experiments.Sweep, opts Options) []byte {
+func sweepJSON(t *testing.T, sw experiments.Sweep, cfg Config, job Job) []byte {
 	t.Helper()
-	rep, err := RunSweep(sw, opts)
+	rep, err := New(cfg).RunSweep(sw, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +48,17 @@ func sweepJSON(t *testing.T, sw experiments.Sweep, opts Options) []byte {
 // TestSweepParallelWidthDeterminism is the sweep's core contract: byte-
 // identical JSON for any worker-pool width.
 func TestSweepParallelWidthDeterminism(t *testing.T) {
-	base := Options{Scale: experiments.Demo, Seed: 5, Trials: 3, Parallel: 1}
-	serial := sweepJSON(t, fakeSweep(), base)
+	job := Job{Scale: experiments.Demo, Seed: 5, Trials: 3}
+	serial := sweepJSON(t, fakeSweep(), Config{Parallel: 1}, job)
 	for _, width := range []int{2, 8} {
-		opts := base
-		opts.Parallel = width
-		if got := sweepJSON(t, fakeSweep(), opts); !bytes.Equal(serial, got) {
+		if got := sweepJSON(t, fakeSweep(), Config{Parallel: width}, job); !bytes.Equal(serial, got) {
 			t.Errorf("sweep JSON differs between -parallel 1 and -parallel %d", width)
 		}
 	}
 }
 
 func TestSweepCellsOrderedAndKeyed(t *testing.T) {
-	rep, err := RunSweep(fakeSweep(), Options{Scale: experiments.Demo, Seed: 1, Trials: 2, Parallel: 4})
+	rep, err := New(Config{Parallel: 4}).RunSweep(fakeSweep(), Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +102,7 @@ func TestSweepReportCarriesLabels(t *testing.T) {
 		{Name: "defense", Values: []float64{0, 1}, Labels: []string{"none", "no-ddio"}},
 		{Name: "y", Values: []float64{10}},
 	}
-	rep, err := RunSweep(sw, Options{Scale: experiments.Demo, Seed: 1, Trials: 1})
+	rep, err := New(Config{}).RunSweep(sw, Job{Scale: experiments.Demo, Seed: 1, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +157,7 @@ func TestSweepCellFailureIsolated(t *testing.T) {
 		}
 		return inner(scale, seed, cell)
 	}
-	rep, err := RunSweep(sw, Options{Scale: experiments.Demo, Seed: 1, Trials: 2, Parallel: 3})
+	rep, err := New(Config{Parallel: 3}).RunSweep(sw, Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,18 +183,18 @@ func TestSweepCellFailureIsolated(t *testing.T) {
 }
 
 func TestSweepRejectsBadInput(t *testing.T) {
-	if _, err := RunSweep(experiments.Sweep{ID: "norun", Grid: scenario.Grid{{Name: "a", Values: []float64{1}}}}, Options{}); err == nil {
+	if _, err := New(Config{}).RunSweep(experiments.Sweep{ID: "norun", Grid: scenario.Grid{{Name: "a", Values: []float64{1}}}}, Job{}); err == nil {
 		t.Error("sweep without Run must error")
 	}
 	sw := fakeSweep()
 	sw.Grid = scenario.Grid{}
-	if _, err := RunSweep(sw, Options{}); err == nil {
+	if _, err := New(Config{}).RunSweep(sw, Job{}); err == nil {
 		t.Error("empty grid must error")
 	}
 }
 
 func TestSweepMetricCurve(t *testing.T) {
-	rep, err := RunSweep(fakeSweep(), Options{Scale: experiments.Demo, Seed: 1, Trials: 1, Parallel: 2})
+	rep, err := New(Config{Parallel: 2}).RunSweep(fakeSweep(), Job{Scale: experiments.Demo, Seed: 1, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +214,7 @@ func TestSweepMetricCurve(t *testing.T) {
 }
 
 func TestSweepTextRendering(t *testing.T) {
-	rep, err := RunSweep(fakeSweep(), Options{Scale: experiments.Demo, Seed: 1, Trials: 2, Parallel: 2})
+	rep, err := New(Config{Parallel: 2}).RunSweep(fakeSweep(), Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

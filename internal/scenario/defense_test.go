@@ -46,11 +46,8 @@ func TestDefenseFingerprint(t *testing.T) {
 			t.Errorf("defense %s: fingerprint matches the undefended spec", d.Name())
 		}
 	}
-	if base.DefenseTag() != "" {
-		t.Error("undefended spec must have an empty defense tag")
-	}
-	if tag := base.WithDefense(defense.TimerCoarsening{Jitter: 64}).DefenseTag(); tag == "" {
-		t.Error("timer defense must contribute a tag")
+	if strings.Contains(base.Fingerprint(), "defense=") {
+		t.Error("undefended spec must not carry a defense fingerprint")
 	}
 }
 

@@ -97,19 +97,6 @@ func (s Spec) WithDefense(d defense.Defense) Spec {
 	return s
 }
 
-// DefenseTag is the content-address component the defense contributes to
-// warm-start artifact keys: the defense's canonical fingerprint, or ""
-// for the stock machine. It exists separately from Fingerprint because
-// some defenses (timer coarsening) change only knobs that
-// testbed.Options.OfflineFingerprint deliberately excludes, yet still
-// shape the offline phase.
-func (s Spec) DefenseTag() string {
-	if s.Defense == nil {
-		return ""
-	}
-	return s.Defense.Fingerprint()
-}
-
 // Baseline returns the machine the experiment registry has always run at:
 // the paper machine when paper is true, otherwise the structurally
 // faithful scaled demo machine (2 slices x 2048 sets x 8 ways, 64-buffer
@@ -325,14 +312,13 @@ func (s Spec) Offline() Spec {
 // this spec describes — geometry, driver configuration, memory size, and
 // the platform defense, with defaults resolved — and deliberately ignores
 // the name, the environment knobs (NoiseRate, TimerNoise), and the
-// traffic mix. It is the content-address half of the offline artifact
-// store's key. The defense tag rides alongside the option fingerprint
-// because a defense may shape the offline phase through knobs the option
-// fingerprint excludes (see DefenseTag).
+// traffic mix. The defense's own fingerprint rides alongside the option
+// fingerprint because a defense may change knobs the option fingerprint
+// excludes (timer coarsening changes only TimerNoise).
 func (s Spec) Fingerprint() string {
 	fp := s.Options(0).OfflineFingerprint()
-	if tag := s.DefenseTag(); tag != "" {
-		fp += "|defense=" + tag
+	if s.Defense != nil {
+		fp += "|defense=" + s.Defense.Fingerprint()
 	}
 	return fp
 }

@@ -126,20 +126,27 @@ func TestSearchAnchors(t *testing.T) {
 }
 
 // TestSearchRigPoolCounts pins how a one-worker budget-16 search at seed 1
-// recycles rigs. The adopted and fresh counts are those the pool had when
-// its cap applied per key; capping idle rigs across keys drops only rigs
-// no later candidate would have adopted, so it costs no extra clones.
+// recycles rigs and how many offline builds it makes. The adopted and
+// fresh counts are those the pool had when its cap applied per key;
+// capping idle rigs across keys drops only rigs no later candidate would
+// have adopted, so it costs no extra clones. The build count pins the
+// artifact key: a key that merged two distinct machines would build
+// fewer, one that split a machine would build more.
 func TestSearchRigPoolCounts(t *testing.T) {
+	store := experiments.NewArtifactStore()
 	rep, err := Run(Options{
 		Scale:  experiments.Demo,
 		Seed:   1,
 		Budget: 16,
-		Runner: runner.Config{Parallel: 1, Warm: true},
+		Runner: runner.Config{Parallel: 1, Warm: true, Store: store},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.Rigs; got.Adopted != 51 || got.Fresh != 30 {
 		t.Errorf("rig pool counts %+v, want 51 adopted and 30 fresh", got)
+	}
+	if got := store.Builds(); got != 27 {
+		t.Errorf("offline builds = %d, want 27", got)
 	}
 }

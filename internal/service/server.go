@@ -13,7 +13,8 @@ import (
 //
 //	GET  /v1/healthz          liveness + pool/job counters
 //	GET  /v1/registry         runnable experiments and sweeps
-//	POST /v1/jobs             submit a JobSpec; 201 created / 200 existing
+//	POST /v1/jobs             submit a JobSpec; 201 created / 200 existing,
+//	                          413 when the body exceeds maxSubmitBytes
 //	GET  /v1/jobs             list jobs in submission order
 //	GET  /v1/jobs/{id}        one job's status
 //	GET  /v1/jobs/{id}/report the finished report, verbatim bytes
@@ -87,12 +88,21 @@ type submitResponse struct {
 	Created bool `json:"created"`
 }
 
+// maxSubmitBytes caps a job-submission body. A JobSpec is a few hundred
+// bytes; the cap bounds what one client can make the decoder buffer.
+const maxSubmitBytes = 1 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad job spec: %v", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "bad job spec: %v", err)
 		return
 	}
 	st, created, err := s.Submit(spec)

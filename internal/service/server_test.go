@@ -197,6 +197,36 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitBodyCapped: a submission body over maxSubmitBytes is
+// refused with 413 and creates no job; a normal spec is still accepted.
+func TestHTTPSubmitBodyCapped(t *testing.T) {
+	svc, err := Open(Config{StateDir: t.TempDir(), Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	// Valid JSON apart from its size: the padding is whitespace inside
+	// the object, so only the cap can reject it.
+	big := `{"kind":"experiments","experiments":["fig5"]` + strings.Repeat(" ", maxSubmitBytes) + `}`
+	var e struct {
+		Error string `json:"error"`
+	}
+	if code := postJSON(t, ts.URL+"/v1/jobs", big, &e); code != http.StatusRequestEntityTooLarge || e.Error == "" {
+		t.Fatalf("oversized spec: code %d, error %q (want 413 with message)", code, e.Error)
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized spec created %d job(s)", len(jobs))
+	}
+
+	var sub submitResponse
+	if code := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"experiments","experiments":["fig5"]}`, &sub); code != http.StatusCreated || !sub.Created {
+		t.Fatalf("normal spec after an oversized one: code %d, %+v", code, sub)
+	}
+	svc.WaitIdle()
+}
+
 // TestHTTPReportNotFinished: asking for the report of a queued/running
 // job is a 409, not a hang or an empty 200.
 func TestHTTPReportNotFinished(t *testing.T) {

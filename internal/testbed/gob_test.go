@@ -64,14 +64,8 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			orig, err := NewFromSnapshot(opts, snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := NewFromSnapshot(opts, gobRoundTrip(t, snap))
-			if err != nil {
-				t.Fatal(err)
-			}
+			orig := shellClone(t, opts, snap)
+			decoded := shellClone(t, opts, gobRoundTrip(t, snap))
 			a := worldOps(orig, script[100:])
 			b := worldOps(decoded, script[100:])
 			if len(a) != len(b) {

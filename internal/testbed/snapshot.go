@@ -98,7 +98,7 @@ func (tb *Testbed) SnapshotInto(s *Snapshot) error {
 // NewShell assembles a machine with no free-list shuffle, no ring/skb page
 // allocation, and no RNG warm-up — a restore target. A shell that is never
 // restored has an empty allocator and a zeroed ring and must not be used;
-// every clone path pairs it with Restore (or a variant), which overwrites
+// every clone path pairs it with Restore or AdoptSnapshot, which overwrite
 // all of that wholesale.
 func NewShell(opts Options) (*Testbed, error) {
 	if opts.MemBytes == 0 {
@@ -123,22 +123,6 @@ func NewShell(opts Options) (*Testbed, error) {
 	}, nil
 }
 
-// NewFromSnapshot builds an independent machine directly in a snapshot's
-// state — the warm-start clone path. Unlike New followed by Restore, it
-// assembles component shells (no free-list shuffle, no ring/skb/spy page
-// allocation, no RNG warm-up) since Restore overwrites all of that
-// wholesale; the result is state-identical to restoring into a
-// conventionally built testbed with the same options, just cheaper. One
-// immutable snapshot may be cloned concurrently any number of times.
-func NewFromSnapshot(opts Options, s *Snapshot) (*Testbed, error) {
-	tb, err := NewShell(opts)
-	if err != nil {
-		return nil, err
-	}
-	tb.Restore(s)
-	return tb, nil
-}
-
 // Restore overwrites the machine's mutable state from a snapshot taken on
 // a machine with identical geometry (same Options except, possibly, the
 // online knobs NoiseRate and TimerNoise, which the snapshot carries). Any
@@ -146,18 +130,6 @@ func NewFromSnapshot(opts Options, s *Snapshot) (*Testbed, error) {
 // snapshot was taken in.
 func (tb *Testbed) Restore(s *Snapshot) {
 	tb.restore(s, true)
-}
-
-// RestoreReseeded is Restore followed by ReseedOnline(seed), except the
-// snapshot's noise/timer/driver RNG positions — which the reseed would
-// immediately discard — are never restored. Restoring them is wasted work,
-// and for a snapshot decoded from disk it means replaying the offline
-// phase's whole draw history, so every warm trial that decorrelates its
-// ambient randomness takes this entrance. The result is state-identical to
-// Restore+ReseedOnline.
-func (tb *Testbed) RestoreReseeded(s *Snapshot, seed int64) {
-	tb.restore(s, false)
-	tb.ReseedOnline(seed)
 }
 
 func (tb *Testbed) restore(s *Snapshot, withRNG bool) {
@@ -185,15 +157,21 @@ func (tb *Testbed) restore(s *Snapshot, withRNG bool) {
 // guarantees opts shares the machine's OfflineFingerprint — same geometry,
 // so every buffer is reused — while non-fingerprint options (seed, online
 // knobs) may differ and are adopted wholesale. This is the rig-pool lease
-// path: state-identical to NewFromSnapshot(opts, s) without constructing
-// anything.
+// path, and the fresh-clone path too, adopting into a NewShell: it is
+// state-identical to restoring into a conventionally built testbed with
+// the same options, without constructing anything.
 func (tb *Testbed) AdoptSnapshot(opts Options, s *Snapshot) {
 	tb.adopt(opts)
 	tb.restore(s, true)
 }
 
-// AdoptSnapshotReseeded is AdoptSnapshot with the RestoreReseeded entrance:
-// the snapshot's online RNG positions are skipped and re-derived from seed.
+// AdoptSnapshotReseeded is AdoptSnapshot followed by ReseedOnline(seed),
+// except the snapshot's noise/timer/driver RNG positions — which the
+// reseed would immediately discard — are never restored. Restoring them
+// is wasted work, and for a snapshot decoded from disk it means replaying
+// the offline phase's whole draw history, so every warm trial that
+// decorrelates its ambient randomness takes this entrance. The result is
+// state-identical to AdoptSnapshot+ReseedOnline.
 func (tb *Testbed) AdoptSnapshotReseeded(opts Options, s *Snapshot, seed int64) {
 	tb.adopt(opts)
 	tb.restore(s, false)

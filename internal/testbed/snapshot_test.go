@@ -143,14 +143,11 @@ func TestSnapshotIntoFreshTestbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Restore(snap)
-	// NewFromSnapshot is the cheap clone path: shell construction plus
-	// Restore. It must be indistinguishable from New + Restore.
-	c, err := NewFromSnapshot(opts, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A shell adopting the snapshot is the cheap clone path. It must be
+	// indistinguishable from New + Restore.
+	c := shellClone(t, opts, snap)
 	want := worldOps(a, script[60:])
-	for name, clone := range map[string]*Testbed{"New+Restore": b, "NewFromSnapshot": c} {
+	for name, clone := range map[string]*Testbed{"New+Restore": b, "NewShell+AdoptSnapshot": c} {
 		got := worldOps(clone, script[60:])
 		if len(got) != len(want) {
 			t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(got), len(want))
@@ -161,6 +158,18 @@ func TestSnapshotIntoFreshTestbed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// shellClone is the warm-start clone path: an empty shell adopting the
+// snapshot.
+func shellClone(t *testing.T, opts Options, snap *Snapshot) *Testbed {
+	t.Helper()
+	tb, err := NewShell(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.AdoptSnapshot(opts, snap)
+	return tb
 }
 
 // TestSnapshotRefusesTraffic pins the no-traffic contract.
