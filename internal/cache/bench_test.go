@@ -8,10 +8,10 @@ import (
 
 // The cache lookup is the innermost operation of the whole simulator —
 // every spy load, every DMA write, every noise access lands here. These
-// benchmarks pin the per-access cost of the flattened line array (one
-// slice, index math per set) that replaced the [][]line set-of-slices
-// layout, and the snapshot/restore cost the warm-start clone path pays
-// per trial.
+// benchmarks pin the per-access cost of the flat line arrays (separate tag
+// and stamp slices, index math per set) that replaced the [][]line
+// set-of-slices layout, and the snapshot/restore cost the warm-start clone
+// path pays per trial.
 
 // benchCache is the paper LLC geometry driven by a deterministic access
 // stream wide enough to miss the covered sets regularly.
@@ -45,8 +45,8 @@ func BenchmarkCacheIOWrite(b *testing.B) {
 }
 
 // BenchmarkCacheSnapshotRestore measures one warm-start machine clone of
-// the cache state: with the flat line array both directions are a single
-// slice copy instead of a per-set walk.
+// the cache state: with the flat line arrays both directions are two
+// slice copies instead of a per-set walk.
 func BenchmarkCacheSnapshotRestore(b *testing.B) {
 	c, addrs := benchCache(b)
 	for _, a := range addrs {

@@ -7,20 +7,20 @@ import (
 	"repro/internal/sim"
 )
 
-// line is one cache line's metadata, packed into two words. Data contents
-// are never modeled; the attack observes presence, not values.
+// A cache line's metadata is two words, kept in two parallel flat arrays
+// (Cache.meta and Cache.stamp). Data contents are never modeled; the
+// attack observes presence, not values.
 //
-// meta holds the line address (addr &^ 63, so the tag is meta >> 6) with
-// the valid/dirty/io flags in the offset bits below it. Packing shrinks a
-// line from 24 bytes to 16 — a 20-way paper set spans five host cache
-// lines instead of eight — and turns the hit test into one compare
-// (holds). Invalidation clears only the valid bit: tag, dirty and io
-// survive, as the snapshot wire format records them.
-type line struct {
-	meta  uint64
-	stamp uint64 // LRU timestamp (global access counter); >= 1 once written
-}
-
+// A meta word holds the line address (addr &^ 63, so the tag is meta >> 6)
+// with the valid/dirty/io flags in the offset bits below it, which turns
+// the hit test into one compare (holds). Invalidation clears only the
+// valid bit: tag, dirty and io survive, as the snapshot wire format
+// records them. A stamp word is the line's LRU timestamp, drawn from the
+// global access counter; it is at least 1 once the way has been written.
+//
+// Keeping tags apart from stamps means the hit scan reads only 8-byte tag
+// words: a 20-way paper set's tags span 160 bytes instead of the 320 a
+// {meta, stamp} struct array interleaves them over.
 const (
 	lineValid uint64 = 1 << iota
 	lineDirty
@@ -33,13 +33,13 @@ func lineKey(addr uint64) uint64 { return addr&^63 | lineValid }
 
 // holds reports a valid line with key's tag: dirty and io are masked off,
 // so one compare checks validity and tag together.
-func (l line) holds(key uint64) bool { return l.meta&^(lineDirty|lineIO) == key }
+func holds(meta, key uint64) bool { return meta&^(lineDirty|lineIO) == key }
 
-func (l line) valid() bool { return l.meta&lineValid != 0 }
-func (l line) io() bool    { return l.meta&lineIO != 0 }
+func valid(meta uint64) bool { return meta&lineValid != 0 }
+func isIO(meta uint64) bool  { return meta&lineIO != 0 }
 
 // validIO reports a valid, I/O-owned line.
-func (l line) validIO() bool { return l.meta&(lineValid|lineIO) == lineValid|lineIO }
+func validIO(meta uint64) bool { return meta&(lineValid|lineIO) == lineValid|lineIO }
 
 // setState carries the per-set counters of the adaptive partitioning
 // defense (§VII): the current I/O way quota, and the lazily integrated
@@ -90,11 +90,13 @@ type Cache struct {
 	cfg Config
 	//packetlint:transient wiring to the shared clock, rebound only by New
 	clock *sim.Clock
-	// lines is the flat [set*ways+way] line array. The per-set slice-of-
-	// slices layout this replaced cost every access an extra pointer load
-	// and bounds check on the simulator's hottest path; setWays carves
-	// set views out of the flat array with pure index math instead.
-	lines []line
+	// meta and stamp are the flat [set*ways+way] line arrays: tag and
+	// flags, and LRU stamp. The per-set slice-of-slices layout they
+	// replaced cost every access an extra pointer load and bounds check on
+	// the simulator's hottest path; setWays carves set views out of the
+	// flat arrays with pure index math instead.
+	meta  []uint64
+	stamp []uint64
 	//packetlint:transient cfg.Ways copy, derived at construction
 	ways   int        // cfg.Ways, kept flat for the indexing hot path
 	pstate []setState // only used when cfg.Partition != nil
@@ -132,11 +134,11 @@ func (c *Cache) globalSet(addr uint64) int {
 	return sl*c.sps + set
 }
 
-// setWays returns the ways of one global set as a view into the flat
-// line array.
-func (c *Cache) setWays(set int) []line {
+// setWays returns the meta and stamp words of one global set as views
+// into the flat line arrays.
+func (c *Cache) setWays(set int) (meta, stamp []uint64) {
 	base := set * c.ways
-	return c.lines[base : base+c.ways : base+c.ways]
+	return c.meta[base : base+c.ways : base+c.ways], c.stamp[base : base+c.ways : base+c.ways]
 }
 
 // New builds a cache; it panics on an invalid config (configs are
@@ -152,7 +154,8 @@ func New(cfg Config, clock *sim.Clock) *Cache {
 		sliceBits: bits.TrailingZeros(uint(cfg.Slices)),
 		sps:       cfg.SetsPerSlice,
 	}
-	c.lines = make([]line, total*cfg.Ways)
+	c.meta = make([]uint64, total*cfg.Ways)
+	c.stamp = make([]uint64, total*cfg.Ways)
 	if cfg.Partition != nil {
 		c.pstate = make([]setState, total)
 		for i := range c.pstate {
@@ -189,13 +192,13 @@ func (c *Cache) cpuAccess(addr uint64, store bool) (bool, uint64) {
 	set := c.globalSet(addr)
 	c.maybeAdapt(set)
 	key := lineKey(addr)
-	ways := c.setWays(set)
+	meta, stamp := c.setWays(set)
 	c.stats.CPUAccesses++
-	if w := lookup(ways, key); w >= 0 {
+	if w := lookup(meta, key); w >= 0 {
 		c.stats.CPUHits++
-		ways[w].stamp = c.touch()
+		stamp[w] = c.touch()
 		if store {
-			ways[w].meta |= lineDirty
+			meta[w] |= lineDirty
 		}
 		return true, c.cfg.HitLatency
 	}
@@ -206,13 +209,12 @@ func (c *Cache) cpuAccess(addr uint64, store bool) (bool, uint64) {
 		// Defense: CPU lines live in ways [quota, Ways).
 		q = c.pstate[set].quota
 	}
-	// The victim scan revisits the set the lookup just loaded.
-	w := q + lruWay(ways[q:])
-	c.evict(&ways[w])
+	w := q + lruWay(meta[q:], stamp[q:])
+	c.evict(meta[w])
 	if store {
 		key |= lineDirty
 	}
-	ways[w] = line{meta: key, stamp: c.touch()}
+	meta[w], stamp[w] = key, c.touch()
 	c.refreshHasIO(set)
 	return false, c.cfg.MissLatency
 }
@@ -226,27 +228,27 @@ func (c *Cache) IOWrite(addr uint64) {
 	set := c.globalSet(addr)
 	c.maybeAdapt(set)
 	key := lineKey(addr)
-	ways := c.setWays(set)
+	meta, stamp := c.setWays(set)
 	c.stats.IOWrites++
 
 	if !c.cfg.DDIO && c.cfg.Partition == nil {
 		// Classic DMA: write to DRAM, invalidate stale cached copy.
 		c.stats.MemWrites++
 		c.stats.IOBypasses++
-		if w := lookup(ways, key); w >= 0 {
-			ways[w].meta &^= lineValid
+		if w := lookup(meta, key); w >= 0 {
+			meta[w] &^= lineValid
 			c.refreshHasIO(set)
 		}
 		return
 	}
 
-	if w := lookup(ways, key); w >= 0 {
+	if w := lookup(meta, key); w >= 0 {
 		// Update in place. Ownership is preserved: a DMA update of a line
 		// a core already owns does not count against the DDIO way cap,
 		// which limits allocations, not updates.
 		c.stats.IOHits++
-		ways[w].stamp = c.touch()
-		ways[w].meta |= lineDirty
+		stamp[w] = c.touch()
+		meta[w] |= lineDirty
 		c.refreshHasIO(set)
 		return
 	}
@@ -259,16 +261,16 @@ func (c *Cache) IOWrite(addr uint64) {
 		c.stats.IOBypasses++
 		return
 	}
-	switch v := &ways[w]; {
-	case !v.valid():
+	switch v := meta[w]; {
+	case !valid(v):
 		c.stats.IOAllocsInvalid++
-	case v.io():
+	case isIO(v):
 		c.stats.IOAllocsEvictIO++
 	default:
 		c.stats.IOEvictedCPU++ // the leak: DMA displaced a CPU line
 	}
-	c.evict(&ways[w])
-	ways[w] = line{meta: key | lineDirty | lineIO, stamp: c.touch()}
+	c.evict(meta[w])
+	meta[w], stamp[w] = key|lineDirty|lineIO, c.touch()
 	c.stats.IOAllocs++
 	c.refreshHasIO(set)
 }
@@ -278,10 +280,10 @@ func (c *Cache) IOWrite(addr uint64) {
 // reproduction never relies on flush timing.
 func (c *Cache) Flush(addr uint64) {
 	set := c.globalSet(addr)
-	ways := c.setWays(set)
-	if w := lookup(ways, lineKey(addr)); w >= 0 {
-		c.evict(&ways[w])
-		ways[w].meta &^= lineValid
+	meta, _ := c.setWays(set)
+	if w := lookup(meta, lineKey(addr)); w >= 0 {
+		c.evict(meta[w])
+		meta[w] &^= lineValid
 		c.refreshHasIO(set)
 	}
 }
@@ -290,15 +292,16 @@ func (c *Cache) Flush(addr uint64) {
 // simulator-side oracle used by tests and ground-truth collection, never by
 // attack code.
 func (c *Cache) Contains(addr uint64) bool {
-	set := c.globalSet(addr)
-	return lookup(c.setWays(set), lineKey(addr)) >= 0
+	meta, _ := c.setWays(c.globalSet(addr))
+	return lookup(meta, lineKey(addr)) >= 0
 }
 
 // IOLinesInSet counts valid I/O-owned lines in the global set (test oracle).
 func (c *Cache) IOLinesInSet(set int) int {
+	meta, _ := c.setWays(set)
 	n := 0
-	for _, l := range c.setWays(set) {
-		if l.validIO() {
+	for _, m := range meta {
+		if validIO(m) {
 			n++
 		}
 	}
@@ -314,25 +317,27 @@ func (c *Cache) QuotaOf(set int) int {
 	return c.cfg.DDIOWays
 }
 
+// touch returns the next LRU stamp. Stamps count accesses from 1, so they
+// stay below maxStamp (2⁵⁸) for any run the host could finish.
 func (c *Cache) touch() uint64 {
 	c.nextID++
 	return c.nextID
 }
 
-// lookup returns the way holding key (see lineKey), or -1.
-func lookup(ways []line, key uint64) int {
-	for w := range ways {
-		if ways[w].holds(key) {
+// lookup returns the way whose meta word holds key (see lineKey), or -1.
+func lookup(meta []uint64, key uint64) int {
+	for w := range meta {
+		if holds(meta[w], key) {
 			return w
 		}
 	}
 	return -1
 }
 
-// evict writes back the victim if dirty. The slot is left to be overwritten
-// by the caller.
-func (c *Cache) evict(l *line) {
-	if l.meta&(lineValid|lineDirty) == lineValid|lineDirty {
+// evict writes back the victim, given its meta word, if dirty. The slot is
+// left to be overwritten by the caller.
+func (c *Cache) evict(meta uint64) {
+	if meta&(lineValid|lineDirty) == lineValid|lineDirty {
 		c.stats.MemWrites++
 		c.stats.Writebacks++
 	}
@@ -341,7 +346,7 @@ func (c *Cache) evict(l *line) {
 // victimIO picks the way an I/O allocation replaces; ok=false means the
 // write must bypass the cache.
 func (c *Cache) victimIO(set int) (int, bool) {
-	ways := c.setWays(set)
+	meta, stamp := c.setWays(set)
 	if c.pstate != nil {
 		// Defense: I/O confined to ways [0, quota). The quota region is
 		// reserved, so there is always a usable way.
@@ -349,45 +354,66 @@ func (c *Cache) victimIO(set int) (int, bool) {
 		if q == 0 {
 			return 0, false
 		}
-		return lruWay(ways[:q]), true
+		return lruWay(meta[:q], stamp[:q]), true
 	}
 	// Vulnerable DDIO: at most DDIOWays I/O lines per set; if the cap is
 	// reached replace the LRU I/O line, otherwise take the global LRU
 	// victim — which may well be a CPU (spy) line.
 	ioCount := 0
-	for _, l := range ways {
-		if l.validIO() {
+	for _, m := range meta {
+		if validIO(m) {
 			ioCount++
 		}
 	}
 	if ioCount >= c.cfg.DDIOWays {
-		return lruIOWay(ways), true
+		return lruIOWay(meta, stamp), true
 	}
-	return lruWay(ways), true
+	return lruWay(meta, stamp), true
 }
 
+// maxStamp bounds LRU stamps: lruWay shifts a stamp left by six bits.
+// Snapshot decoding rejects larger ones.
+const maxStamp = 1 << 58
+
 // lruWay returns the first invalid way, else the least recently used one,
-// as one branch-free argmin. Each way scores stamp & -valid: an invalid way
-// scores 0, while a valid stamp is at least 1 (touch pre-increments) and
-// unique. The first minimum is therefore the first invalid way when one
-// exists, else the oldest valid line.
-func lruWay(ways []line) int {
-	best, bestScore := 0, ^uint64(0)
-	for w := range ways {
-		if s := ways[w].stamp & -(ways[w].meta & lineValid); s < bestScore {
-			best, bestScore = w, s
-		}
+// as the minimum of a packed key per way: (stamp & -valid)<<6 | way. An
+// invalid way's key is its index, below 64. A valid stamp is at least 1
+// (touch pre-increments) and unique, so a valid way's key is at least 64
+// and no two keys tie. The minimum is therefore the first invalid way when
+// one exists, else the oldest valid line, and its low six bits name the
+// way. The keys are folded by four independent min chains rather than one
+// loop-carried compare-and-move chain, so the host overlaps them. The
+// packing needs at most 64 ways (Config.Validate) and stamps below
+// maxStamp (see touch).
+func lruWay(meta, stamp []uint64) int {
+	stamp = stamp[:len(meta)]
+	k0, k1, k2, k3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+	w := 0
+	for ; w+4 <= len(meta); w += 4 {
+		m, s := meta[w:w+4:w+4], stamp[w:w+4:w+4]
+		k0 = min(k0, lruKey(m[0], s[0], w))
+		k1 = min(k1, lruKey(m[1], s[1], w+1))
+		k2 = min(k2, lruKey(m[2], s[2], w+2))
+		k3 = min(k3, lruKey(m[3], s[3], w+3))
 	}
-	return best
+	for ; w < len(meta); w++ {
+		k0 = min(k0, lruKey(meta[w], stamp[w], w))
+	}
+	return int(min(k0, k1, k2, k3) & 63)
+}
+
+// lruKey is lruWay's packed victim key of way w.
+func lruKey(meta, stamp uint64, w int) uint64 {
+	return (stamp&-(meta&lineValid))<<6 | uint64(w)
 }
 
 // lruIOWay returns the LRU way among valid I/O lines. The caller guarantees
 // at least one exists.
-func lruIOWay(ways []line) int {
+func lruIOWay(meta, stamp []uint64) int {
 	best, bestStamp := -1, ^uint64(0)
-	for w := range ways {
-		if ways[w].validIO() && ways[w].stamp < bestStamp {
-			best, bestStamp = w, ways[w].stamp
+	for w := range meta {
+		if validIO(meta[w]) && stamp[w] < bestStamp {
+			best, bestStamp = w, stamp[w]
 		}
 	}
 	if best < 0 {
@@ -408,9 +434,10 @@ func (c *Cache) refreshHasIO(set int) {
 func (c *Cache) refreshOccupancy(set int) {
 	st := &c.pstate[set]
 	c.integrateOccupancy(st)
+	meta, _ := c.setWays(set)
 	has := false
-	for _, l := range c.setWays(set) {
-		if l.validIO() {
+	for _, m := range meta {
+		if validIO(m) {
 			has = true
 			break
 		}
@@ -467,12 +494,12 @@ func (c *Cache) adapt(set int) {
 // partitions, with writeback if dirty (§VII: "we invalidate the cache
 // blocks that are affected and perform any necessary writebacks").
 func (c *Cache) invalidateWay(set, w int) {
-	l := &c.lines[set*c.ways+w]
-	if !l.valid() {
+	m := &c.meta[set*c.ways+w]
+	if !valid(*m) {
 		return
 	}
-	c.evict(l)
-	l.meta &^= lineValid
+	c.evict(*m)
+	*m &^= lineValid
 	c.stats.BoundaryInvalidations++
 	c.refreshHasIO(set)
 }

@@ -29,6 +29,15 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("DDIO with 0 ways must fail")
 	}
 	bad = good
+	bad.Ways = 65
+	if bad.Validate() == nil {
+		t.Error("more than 64 ways must fail: the LRU victim key packs the way into six bits")
+	}
+	bad.Ways = 64
+	if err := bad.Validate(); err != nil {
+		t.Errorf("64 ways must pass: %v", err)
+	}
+	bad = good
 	bad.Partition = &PartitionConfig{Period: 0}
 	if bad.Validate() == nil {
 		t.Error("zero partition period must fail")
@@ -515,11 +524,11 @@ func diffState(c *Cache, r *refCache) string {
 		}
 	}
 	for i, want := range r.lines {
-		l := c.lines[i]
-		got := refLine{tag: l.meta >> 6, valid: l.meta&lineValid != 0, dirty: l.meta&lineDirty != 0,
-			io: l.meta&lineIO != 0, stamp: l.stamp}
-		if got != want || l.meta&(63&^(lineValid|lineDirty|lineIO)) != 0 {
-			return fmt.Sprintf("line %d: packed %+v (meta %#x), reference %+v", i, got, l.meta, want)
+		m := c.meta[i]
+		got := refLine{tag: m >> 6, valid: m&lineValid != 0, dirty: m&lineDirty != 0,
+			io: m&lineIO != 0, stamp: c.stamp[i]}
+		if got != want || m&(63&^(lineValid|lineDirty|lineIO)) != 0 {
+			return fmt.Sprintf("line %d: packed %+v (meta %#x), reference %+v", i, got, m, want)
 		}
 	}
 	return ""
@@ -532,59 +541,94 @@ func diffState(c *Cache, r *refCache) string {
 // invalidate boundary ways), and with DDIO off — and demands identical
 // hit/miss decisions and latencies at every step and identical full state
 // (stats, partition counters, every line) throughout. Victim choice —
-// first invalid way, else lowest stamp — is the part the branch-free
-// argmin could silently get wrong; the small address space keeps sets
+// first invalid way, else lowest stamp — is the part the four-chain
+// packed-key minimum could silently get wrong, so it runs at 4 ways (one
+// chain width, no tail), 11 (two widths and a tail of three) and the
+// paper's 20; an address space of eight lines per cached line keeps sets
 // full and partially invalid often.
 func TestCPUAccessMatchesReference(t *testing.T) {
 	for _, name := range []string{"ddio", "partition", "no-ddio"} {
 		t.Run(name, func(t *testing.T) {
-			cfg := ScaledConfig(2, 64, 4)
-			switch name {
-			case "partition":
-				cfg.Partition = DefaultPartitionConfig()
-			case "no-ddio":
-				cfg.DDIO = false
-			}
-			clock := sim.NewClock()
-			got, want := New(cfg, clock), newRefCache(cfg, clock)
-			rng := sim.NewRNG(41)
-			for i := 0; i < 40000; i++ {
-				addr := uint64(rng.Intn(1 << 18))
-				switch op := rng.Intn(16); {
-				case op < 10:
-					store := op >= 7
-					gh, gl := got.cpuAccess(addr, store)
-					wh, wl := want.access(addr, store)
-					if gh != wh || gl != wl {
-						t.Fatalf("access %d addr %#x: packed (%v,%d) != reference (%v,%d)", i, addr, gh, gl, wh, wl)
-					}
-				case op < 14:
-					got.IOWrite(addr)
-					want.ioWrite(addr)
-				default:
-					got.Flush(addr)
-					want.flush(addr)
-				}
-				// Mostly short gaps, occasionally one past the partition
-				// period so quotas move and boundary ways get invalidated.
-				d := uint64(rng.Intn(300))
-				if rng.Intn(64) == 0 {
-					d = uint64(rng.Intn(400_000))
-				}
-				clock.Advance(d)
-				if i%997 == 0 {
-					if diff := diffState(got, want); diff != "" {
-						t.Fatalf("after op %d: %s", i, diff)
-					}
-				}
-			}
-			if diff := diffState(got, want); diff != "" {
-				t.Fatalf("final state: %s", diff)
-			}
-			if name == "partition" && got.stats.BoundaryInvalidations == 0 {
-				t.Fatal("stream never moved a partition boundary over a valid line")
+			for _, ways := range []int{4, 11, 20} {
+				t.Run(fmt.Sprintf("%dway", ways), func(t *testing.T) {
+					checkCPUAccessMatchesReference(t, name, ways)
+				})
 			}
 		})
+	}
+}
+
+func checkCPUAccessMatchesReference(t *testing.T, name string, ways int) {
+	cfg := ScaledConfig(2, 64, ways)
+	switch name {
+	case "partition":
+		cfg.Partition = DefaultPartitionConfig()
+	case "no-ddio":
+		cfg.DDIO = false
+	}
+	clock := sim.NewClock()
+	got, want := New(cfg, clock), newRefCache(cfg, clock)
+	rng := sim.NewRNG(41)
+	for i := 0; i < 40000; i++ {
+		addr := uint64(rng.Intn(ways << 16))
+		switch op := rng.Intn(16); {
+		case op < 10:
+			store := op >= 7
+			gh, gl := got.cpuAccess(addr, store)
+			wh, wl := want.access(addr, store)
+			if gh != wh || gl != wl {
+				t.Fatalf("access %d addr %#x: packed (%v,%d) != reference (%v,%d)", i, addr, gh, gl, wh, wl)
+			}
+		case op < 14:
+			got.IOWrite(addr)
+			want.ioWrite(addr)
+		default:
+			got.Flush(addr)
+			want.flush(addr)
+		}
+		// Mostly short gaps, occasionally one past the partition
+		// period so quotas move and boundary ways get invalidated.
+		d := uint64(rng.Intn(300))
+		if rng.Intn(64) == 0 {
+			d = uint64(rng.Intn(400_000))
+		}
+		clock.Advance(d)
+		if i%997 == 0 {
+			if diff := diffState(got, want); diff != "" {
+				t.Fatalf("after op %d: %s", i, diff)
+			}
+		}
+	}
+	if diff := diffState(got, want); diff != "" {
+		t.Fatalf("final state: %s", diff)
+	}
+	if name == "partition" && got.stats.BoundaryInvalidations == 0 {
+		t.Fatal("stream never moved a partition boundary over a valid line")
+	}
+}
+
+// TestLRUWayMatchesReference checks the packed-key victim search against
+// the branchy reference scan at every associativity up to the 64-way
+// limit, on sets with no, some and all ways invalid. Stamps are distinct
+// and, like real ones, may be stale on invalid ways.
+func TestLRUWayMatchesReference(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for n := 1; n <= 64; n++ {
+		for trial := 0; trial < 200; trial++ {
+			meta, stamp, ref := make([]uint64, n), make([]uint64, n), make([]refLine, n)
+			perm := rng.Perm(n)
+			pInvalid := []float64{0, 0.1, 0.5, 1}[trial%4]
+			for w := range meta {
+				stamp[w] = uint64(perm[w])<<20 | uint64(rng.Intn(1<<20)) + 1
+				ref[w] = refLine{valid: rng.Float64() >= pInvalid, stamp: stamp[w]}
+				if ref[w].valid {
+					meta[w] = lineValid
+				}
+			}
+			if got, want := lruWay(meta, stamp), refLRU(ref); got != want {
+				t.Fatalf("%d ways, meta %x stamps %v: lruWay %d, reference %d", n, meta, stamp, got, want)
+			}
+		}
 	}
 }
 

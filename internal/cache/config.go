@@ -113,8 +113,10 @@ func (c Config) Validate() error {
 	if c.SetsPerSlice <= 0 || c.SetsPerSlice&(c.SetsPerSlice-1) != 0 {
 		return fmt.Errorf("cache: sets per slice must be a positive power of two, got %d", c.SetsPerSlice)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache: ways must be positive, got %d", c.Ways)
+	// The LRU victim search packs a way index into the low six bits of its
+	// key, above which sit stamps below 2⁵⁸ (see lruWay).
+	if c.Ways <= 0 || c.Ways > 64 {
+		return fmt.Errorf("cache: ways must be in 1..64, got %d", c.Ways)
 	}
 	if c.DDIO && (c.DDIOWays <= 0 || c.DDIOWays > c.Ways) {
 		return fmt.Errorf("cache: DDIO ways %d out of range (1..%d)", c.DDIOWays, c.Ways)

@@ -12,8 +12,9 @@ import (
 // caches (the warm-start path clones machines concurrently from a shared
 // snapshot).
 type Snapshot struct {
-	geometry string // config fingerprint guarding against cross-machine restores
-	lines    []line // flattened [set*ways+way]
+	geometry string   // config fingerprint guarding against cross-machine restores
+	meta     []uint64 // flattened [set*ways+way], like Cache.meta
+	stamp    []uint64 // flattened [set*ways+way], like Cache.stamp
 	pstate   []setState
 	nextID   uint64
 	stats    Stats
@@ -46,7 +47,8 @@ func (c *Cache) Snapshot() *Snapshot {
 // immutability.
 func (c *Cache) SnapshotInto(s *Snapshot) {
 	s.geometry = c.geo
-	s.lines = append(s.lines[:0], c.lines...)
+	s.meta = mirror(s.meta, c.meta)
+	s.stamp = mirror(s.stamp, c.stamp)
 	s.pstate = s.pstate[:0]
 	if c.pstate != nil {
 		s.pstate = append(s.pstate, c.pstate...)
@@ -65,14 +67,27 @@ func (c *Cache) Restore(s *Snapshot) {
 	if c.geo != s.geometry {
 		panic(fmt.Sprintf("cache: restoring snapshot of %q into %q", s.geometry, c.geo))
 	}
-	if len(s.lines) != len(c.lines) || len(s.pstate) != len(c.pstate) {
-		panic(fmt.Sprintf("cache: restoring %d lines and %d set counters into %d and %d",
-			len(s.lines), len(s.pstate), len(c.lines), len(c.pstate)))
+	if len(s.meta) != len(c.meta) || len(s.stamp) != len(c.stamp) || len(s.pstate) != len(c.pstate) {
+		panic(fmt.Sprintf("cache: restoring %d/%d lines and %d set counters into %d and %d",
+			len(s.meta), len(s.stamp), len(s.pstate), len(c.meta), len(c.pstate)))
 	}
-	copy(c.lines, s.lines)
+	copy(c.meta, s.meta)
+	copy(c.stamp, s.stamp)
 	copy(c.pstate, s.pstate)
 	c.nextID = s.nextID
 	c.stats = s.stats
+}
+
+// mirror copies src into dst, reusing dst's backing array when it has the
+// same length and allocating exactly len(src) words otherwise, so a
+// snapshot of a paper-scale cache (two 2.5 MiB line arrays) carries no
+// slack that would show in peak memory.
+func mirror(dst, src []uint64) []uint64 {
+	if len(dst) != len(src) {
+		dst = make([]uint64, len(src))
+	}
+	copy(dst, src)
+	return dst
 }
 
 // snapshotGob mirrors Snapshot with exported fields for the disk-backed
@@ -80,7 +95,7 @@ func (c *Cache) Restore(s *Snapshot) {
 // the wire format does not depend on unexported layout.
 type snapshotGob struct {
 	Geometry string
-	// Line metadata, flattened [set*ways+way] like Snapshot.lines.
+	// Line metadata, flattened [set*ways+way] like Snapshot.meta.
 	Tags             []uint64
 	Valid, Dirty, IO []bool
 	Stamps           []uint64
@@ -102,14 +117,14 @@ func (s *Snapshot) GobEncode() ([]byte, error) {
 		NextID:   s.nextID,
 		Stats:    s.stats,
 	}
-	w.Tags = make([]uint64, len(s.lines))
-	w.Valid = make([]bool, len(s.lines))
-	w.Dirty = make([]bool, len(s.lines))
-	w.IO = make([]bool, len(s.lines))
-	w.Stamps = make([]uint64, len(s.lines))
-	for i, l := range s.lines {
-		w.Tags[i], w.Stamps[i] = l.meta>>6, l.stamp
-		w.Valid[i], w.Dirty[i], w.IO[i] = l.meta&lineValid != 0, l.meta&lineDirty != 0, l.meta&lineIO != 0
+	w.Tags = make([]uint64, len(s.meta))
+	w.Valid = make([]bool, len(s.meta))
+	w.Dirty = make([]bool, len(s.meta))
+	w.IO = make([]bool, len(s.meta))
+	w.Stamps = s.stamp
+	for i, m := range s.meta {
+		w.Tags[i] = m >> 6
+		w.Valid[i], w.Dirty[i], w.IO[i] = m&lineValid != 0, m&lineDirty != 0, m&lineIO != 0
 	}
 	w.Quota = make([]int, len(s.pstate))
 	w.LastAdapt = make([]uint64, len(s.pstate))
@@ -146,10 +161,14 @@ func (s *Snapshot) GobDecode(b []byte) error {
 	s.geometry = w.Geometry
 	s.nextID = w.NextID
 	s.stats = w.Stats
-	s.lines = make([]line, len(w.Tags))
+	s.meta = make([]uint64, len(w.Tags))
+	s.stamp = w.Stamps
 	for i, tag := range w.Tags {
 		if tag > ^uint64(0)>>6 {
 			return fmt.Errorf("cache: snapshot line %d: tag %#x exceeds the line-address range", i, tag)
+		}
+		if w.Stamps[i] >= maxStamp {
+			return fmt.Errorf("cache: snapshot line %d: stamp %#x exceeds the LRU key range", i, w.Stamps[i])
 		}
 		meta := tag << 6
 		if w.Valid[i] {
@@ -161,7 +180,7 @@ func (s *Snapshot) GobDecode(b []byte) error {
 		if w.IO[i] {
 			meta |= lineIO
 		}
-		s.lines[i] = line{meta: meta, stamp: w.Stamps[i]}
+		s.meta[i] = meta
 	}
 	s.pstate = nil
 	if len(w.Quota) > 0 {

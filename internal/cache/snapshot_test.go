@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -123,13 +124,8 @@ func snapshotsEqual(a, b *Snapshot) bool {
 	if a.geometry != b.geometry || a.nextID != b.nextID || a.stats != b.stats {
 		return false
 	}
-	if len(a.lines) != len(b.lines) || len(a.pstate) != len(b.pstate) {
+	if !slices.Equal(a.meta, b.meta) || !slices.Equal(a.stamp, b.stamp) || len(a.pstate) != len(b.pstate) {
 		return false
-	}
-	for i := range a.lines {
-		if a.lines[i] != b.lines[i] {
-			return false
-		}
 	}
 	for i := range a.pstate {
 		if a.pstate[i] != b.pstate[i] {
@@ -221,7 +217,8 @@ func FuzzSnapshotReplay(f *testing.F) {
 func TestSnapshotRestoreLineCountMismatchPanics(t *testing.T) {
 	c := New(tinyConfig(true), sim.NewClock())
 	for name, cut := range map[string]func(*Snapshot){
-		"lines":  func(s *Snapshot) { s.lines = s.lines[:len(s.lines)-1] },
+		"lines":  func(s *Snapshot) { s.meta = s.meta[:len(s.meta)-1] },
+		"stamps": func(s *Snapshot) { s.stamp = s.stamp[:len(s.stamp)-1] },
 		"pstate": func(s *Snapshot) { s.pstate = s.pstate[:len(s.pstate)-1] },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -258,6 +255,7 @@ func FuzzCacheSnapshotGobDecode(f *testing.F) {
 		{Tags: []uint64{1, 2}, Valid: []bool{true}, Dirty: []bool{false, false}, IO: []bool{false, false}, Stamps: []uint64{1, 2}},
 		{Tags: []uint64{1}, Valid: []bool{true}, Dirty: []bool{false}, IO: []bool{false}, Stamps: []uint64{1}, Quota: []int{1, 2}, LastAdapt: []uint64{0}},
 		{Tags: []uint64{1 << 60}, Valid: []bool{true}, Dirty: []bool{false}, IO: []bool{false}, Stamps: []uint64{1}},
+		{Tags: []uint64{1}, Valid: []bool{true}, Dirty: []bool{false}, IO: []bool{false}, Stamps: []uint64{1 << 58}},
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(w); err != nil {

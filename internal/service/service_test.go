@@ -146,6 +146,67 @@ func TestResolveSpec(t *testing.T) {
 	}
 }
 
+// FuzzJobSpecJSON feeds untrusted submission bodies through the decoder
+// handleSubmit uses (unknown fields rejected) and into resolveSpec. No
+// input may panic either step. A spec that resolves must resolve again,
+// to the same job ID, after its normalized form goes through the JSON
+// round trip persistSpec and a restarted daemon's recover take: that ID
+// is how a daemon re-adopts persisted jobs and deduplicates resubmissions.
+func FuzzJobSpecJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"kind":"experiments"}`,
+		`{"kind":"experiments","experiments":["fig5"," fig7 "],"trials":3,"seed":-4}`,
+		`{"kind":"experiments","experiments":["all"],"scale":"paper","cold":true}`,
+		`{"kind":"sweep","sweep":"sens_chase_noise","trials":2}`,
+		`{"kind":"sweep","sweep":"sens_chase_defense","defense":["none","adaptive-partition"]}`,
+		`{"kind":"search","budget":16,"epsilon":-0.5}`,
+		`{"kind":"search","epsilon":-0}`,
+		`{"kind":"experiments","epsilon":-0}`,
+		`{"kind":"sweep","sweep":"fig5"}`,
+		`{"kind":"experiments","bogus":1}`,
+		`{"kind":"experiments","seed":null,"experiments":[]}`,
+		`[1,2]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	decode := func(b []byte) (JobSpec, error) {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&spec)
+		return spec, err
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxSubmitBytes {
+			return
+		}
+		spec, err := decode(body)
+		if err != nil {
+			return
+		}
+		first, err := resolveSpec(spec)
+		if err != nil {
+			return
+		}
+		persisted, err := json.Marshal(first.spec)
+		if err != nil {
+			t.Fatalf("normalized spec %+v does not marshal: %v", first.spec, err)
+		}
+		again, err := decode(persisted)
+		if err != nil {
+			t.Fatalf("persisted spec %s does not decode: %v", persisted, err)
+		}
+		second, err := resolveSpec(again)
+		if err != nil {
+			t.Fatalf("persisted spec %s no longer resolves: %v", persisted, err)
+		}
+		if second.id != first.id || second.units != first.units {
+			t.Fatalf("spec %s resolved to job %s (%d units), its persisted form %s to job %s (%d units)",
+				body, first.id, first.units, persisted, second.id, second.units)
+		}
+	})
+}
+
 // TestServiceDeterminismUnderConcurrentLoad is the headline contract:
 // several mixed jobs submitted concurrently — different kinds, seeds,
 // trial counts, warm and cold, a defense-restricted sweep — all sharing

@@ -200,3 +200,46 @@ func TestShuffleStepMatchesStdlib(t *testing.T) {
 		t.Fatalf("recorded %d swaps, want %d", len(want), steps)
 	}
 }
+
+// TestUniformMatchesIntn pins RNG.Draw to Intn: across seeds and ranges
+// covering n = 1, powers of two, odd n, a range whose rejection loop
+// redraws a quarter of the time (3·2²⁹), the 2³¹−1 edge and the n ≥ 2³¹
+// Int63n delegation, every value and every stream position after it must
+// equal what Intn gives.
+func TestUniformMatchesIntn(t *testing.T) {
+	ns := []int{1, 2, 3, 17, 129, 1<<20 + 1, 1 << 30, 3 << 29, 1<<31 - 1, 1<<31 + 5}
+	pick := NewRNG(77)
+	for len(ns) < 20 {
+		ns = append(ns, 1+pick.Intn(1<<31-1))
+	}
+	for _, n := range ns {
+		u := NewUniform(n)
+		if u.N() != n {
+			t.Fatalf("NewUniform(%d).N() = %d", n, u.N())
+		}
+		for _, seed := range []int64{0, 1, -7, 1<<31 + 3, DeriveSeed(int64(n), "uniform")} {
+			got, want := NewRNG(seed), NewRNG(seed)
+			for i := 0; i < 2000; i++ {
+				if g, w := got.Draw(&u), want.Intn(n); g != w {
+					t.Fatalf("n=%d seed=%d draw %d: Draw %d, Intn %d", n, seed, i, g, w)
+				}
+				if g, w := got.Snapshot().Position(), want.Snapshot().Position(); g != w {
+					t.Fatalf("n=%d seed=%d draw %d: Draw left the stream at %+v, Intn at %+v", n, seed, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+func TestNewUniformRejectsEmptyRange(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewUniform(%d) must panic, as Intn(%d) does", n, n)
+				}
+			}()
+			NewUniform(n)
+		}()
+	}
+}

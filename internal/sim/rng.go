@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 )
@@ -18,7 +19,7 @@ import (
 // the random decisions the original would have made.
 //
 // The generator is sim's own copy of the stdlib source (alfg.go), held by
-// value. The draws the simulator makes per simulated access — Intn for
+// value. The draws the simulator makes per simulated access — Draw for
 // timer jitter, Int63 for noise addresses — call it directly; every other
 // method comes from the embedded *rand.Rand over the same source, so all
 // of them produce the stdlib stream value for value.
@@ -104,6 +105,51 @@ func (r *RNG) Intn(n int) int {
 		v = int32(r.src.Int63() >> 32)
 	}
 	return int(v % m)
+}
+
+// Uniform is Intn(n) with its per-n work done once, for a stream that
+// draws from one range over and over: every noisy spy timer read draws
+// from [0, 2·TimerNoise]. RNG.Draw takes it.
+type Uniform struct {
+	n int
+	// max is Intn's rejection bound below 2³¹: larger draws are redrawn.
+	max int32
+	// mult is ⌈2⁶⁴/n⌉, which turns v % n into a multiplication: for
+	// v, n < 2³², v % n = hi64((mult·v mod 2⁶⁴)·n) (Lemire, Kaser and
+	// Kurz, "Faster remainder by direct computation", 2019). Zero marks
+	// the ranges Intn serves without that remainder: powers of two and
+	// n ≥ 2³¹.
+	mult uint64
+}
+
+// NewUniform precomputes the draw of Intn(n). It panics if n <= 0.
+func NewUniform(n int) Uniform {
+	if n <= 0 {
+		panic("invalid argument to NewUniform")
+	}
+	u := Uniform{n: n}
+	if n <= 1<<31-1 && n&(n-1) != 0 {
+		u.max = int32((1 << 31) - 1 - (1<<31)%uint32(n))
+		u.mult = ^uint64(0)/uint64(n) + 1
+	}
+	return u
+}
+
+// N returns the size of the range u draws from.
+func (u Uniform) N() int { return u.n }
+
+// Draw returns Intn(u.N()), value for value and draw for draw, without
+// Intn's two divisions.
+func (r *RNG) Draw(u *Uniform) int {
+	if u.mult == 0 {
+		return r.Intn(u.n)
+	}
+	v := int32(r.src.Int63() >> 32)
+	for v > u.max {
+		v = int32(r.src.Int63() >> 32)
+	}
+	hi, _ := bits.Mul64(u.mult*uint64(v), uint64(u.n))
+	return int(hi)
 }
 
 // ShuffleStep returns the swap partner j in [0, i] that rand.Rand.Shuffle

@@ -69,6 +69,8 @@ type Testbed struct {
 	noiseSpace  uint64
 
 	timerRNG *sim.RNG
+	//packetlint:transient derived from opts.TimerNoise: TimerRead rebuilds it whenever TimerNoise changes (Restore, AdoptSnapshot, SetTimerNoise)
+	timerJitter sim.Uniform // the draw of Intn(2*TimerNoise+1)
 }
 
 // New builds a testbed. The NIC's ring pages are allocated here, so two
@@ -154,7 +156,10 @@ func (tb *Testbed) TimerRead(lat uint64) uint64 {
 	if tb.opts.TimerNoise == 0 {
 		return lat
 	}
-	j := uint64(tb.timerRNG.Intn(int(2*tb.opts.TimerNoise + 1)))
+	if n := int(2*tb.opts.TimerNoise + 1); tb.timerJitter.N() != n {
+		tb.timerJitter = sim.NewUniform(n)
+	}
+	j := uint64(tb.timerRNG.Draw(&tb.timerJitter))
 	return lat + j // one-sided jitter: a timer never under-reports work
 }
 

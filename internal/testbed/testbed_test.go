@@ -88,6 +88,45 @@ func TestTimerReadOneSided(t *testing.T) {
 	}
 }
 
+// TestTimerJitterFollowsTimerNoise: TimerRead keeps its jitter
+// distribution cached, so a change of TimerNoise must rebuild it. After
+// SetTimerNoise, and after a Restore of a snapshot taken under another
+// timer, jitter stays in [0, 2N] for the new N and, drawn 400 times,
+// exceeds the old range where the new one is wider.
+func TestTimerJitterFollowsTimerNoise(t *testing.T) {
+	tb := small(t, 8)
+	maxJitter := func(n uint64) uint64 {
+		t.Helper()
+		var hi uint64
+		for i := 0; i < 400; i++ {
+			j := tb.TimerRead(100) - 100
+			if j > 2*n {
+				t.Fatalf("jitter %d outside [0, %d] at TimerNoise %d", j, 2*n, n)
+			}
+			hi = max(hi, j)
+		}
+		return hi
+	}
+	tb.SetTimerNoise(64)
+	maxJitter(64)
+	snap, err := tb.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.SetTimerNoise(1)
+	maxJitter(1)
+	tb.Restore(snap)
+	if hi := maxJitter(64); hi <= 2 {
+		t.Fatalf("jitter never exceeded 2 after restoring a TimerNoise-64 snapshot: the TimerNoise-1 range went stale")
+	}
+	tb.SetTimerNoise(0)
+	if got := tb.TimerRead(100); got != 100 {
+		t.Fatalf("zero noise read %d, want 100", got)
+	}
+	tb.SetTimerNoise(3)
+	maxJitter(3)
+}
+
 func TestReplacingTrafficDropsPending(t *testing.T) {
 	tb := small(t, 6)
 	wire := netmodel.NewWire(netmodel.GigabitRate)
