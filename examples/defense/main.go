@@ -2,7 +2,7 @@
 // mitigations on both axes the paper uses — does the attack still work,
 // and what does the defense cost? Every defense is a first-class value
 // from internal/defense: Apply reshapes the machine the spy attacks, and
-// PerfScheme prices the same mitigation in the perfsim cost model.
+// PerfEffects prices the same mitigation in the perfsim cost model.
 //
 // Run with: go run ./examples/defense
 package main
@@ -46,16 +46,17 @@ func main() {
 	cfg.Requests = 10_000
 	cfg.TargetRate = 140_000
 	var baseP99 float64
-	p99By := map[perfsim.Scheme]float64{} // several defenses share a cost scheme
+	p99By := map[string]float64{} // several defenses build the same cost machine
 	for _, d := range defense.All() {
-		p99, ok := p99By[d.PerfScheme()]
+		e := d.PerfEffects()
+		p99, ok := p99By[e.Fingerprint()]
 		if !ok {
-			m, err := perfsim.RunNginx(d.PerfScheme(), 20<<20, 5, cfg)
+			m, err := perfsim.RunNginx(e, 20<<20, 5, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
 			p99 = m.LatencyPercentile(99)
-			p99By[d.PerfScheme()] = p99
+			p99By[e.Fingerprint()] = p99
 		}
 		if d.Name() == "none" {
 			baseP99 = p99

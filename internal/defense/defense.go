@@ -10,9 +10,9 @@
 //     cache features, driver behaviour, timer granularity — so "does the
 //     attack still work" is answered by running any attack experiment on
 //     the defended machine;
-//   - PerfScheme() names the perfsim configuration that models the same
-//     mitigation, so "what does it cost" is answered by the Figs 14-16
-//     performance model.
+//   - PerfEffects() returns the perfsim machine-configuration delta that
+//     models the same mitigation, so "what does it cost" is answered by
+//     the Figs 14-16 performance model.
 //
 // Fingerprint() canonically identifies the machine change a defense
 // makes, for scenario.Spec.Fingerprint. It feeds no warm-start artifact
@@ -45,16 +45,6 @@ type Defense interface {
 	// testbed is built. It affects the offline and online phases alike: a
 	// platform defense is not something the attacker can prepare around.
 	Apply(*testbed.Options)
-	// PerfScheme names the perfsim scheme modeling this defense's
-	// performance cost (the Figs 14-16 axis). Defenses with no
-	// server-side cost (timer coarsening) return the vulnerable baseline
-	// scheme.
-	//
-	// Deprecated: the scheme menu cannot represent parameterized
-	// defenses (arbitrary randomization periods) or stacks with more
-	// than one costly layer. Use PerfEffects, which composes exactly;
-	// PerfScheme remains as the nearest-menu-point approximation.
-	PerfScheme() perfsim.Scheme
 	// PerfEffects returns the compositional performance model of the
 	// defense: the machine-configuration delta perfsim installs to
 	// measure its cost. Stacks compose their layers' effects, so
@@ -82,7 +72,6 @@ type NoDefense struct{}
 func (NoDefense) Name() string                 { return "none" }
 func (NoDefense) Fingerprint() string          { return "none" }
 func (NoDefense) Apply(*testbed.Options)       {}
-func (NoDefense) PerfScheme() perfsim.Scheme   { return perfsim.SchemeDDIO }
 func (NoDefense) PerfEffects() perfsim.Effects { return perfsim.Effects{} }
 
 // DisableDDIO turns off Data Direct I/O: DMA writes go to memory instead
@@ -93,7 +82,6 @@ type DisableDDIO struct{}
 
 func (DisableDDIO) Name() string                 { return "no-ddio" }
 func (DisableDDIO) Fingerprint() string          { return "no-ddio" }
-func (DisableDDIO) PerfScheme() perfsim.Scheme   { return perfsim.SchemeNoDDIO }
 func (DisableDDIO) PerfEffects() perfsim.Effects { return perfsim.Effects{DDIOOff: true} }
 
 func (DisableDDIO) Apply(o *testbed.Options) { o.Cache.DDIO = false }
@@ -143,23 +131,8 @@ func (r RingRandomization) Apply(o *testbed.Options) {
 	o.NIC.RandomizeInterval = r.Interval
 }
 
-// PerfScheme maps the interval onto the three randomization points the
-// performance model carries (Fig 16): full, 1k-periodic, 10k-periodic.
-// Intervals in between round toward the closer modeled cost.
-func (r RingRandomization) PerfScheme() perfsim.Scheme {
-	switch {
-	case r.Interval == 0:
-		return perfsim.SchemeFullRandom
-	case r.Interval <= 3_000:
-		return perfsim.SchemePartial1k
-	default:
-		return perfsim.SchemePartial10k
-	}
-}
-
 // PerfEffects models the configured interval exactly: the amortized
-// per-packet cost is a function of the period, not the nearest of the
-// three menu points PerfScheme rounds to.
+// per-packet cost is a function of the period.
 func (r RingRandomization) PerfEffects() perfsim.Effects {
 	if r.Interval == 0 {
 		return perfsim.Effects{Randomize: nic.RandomizeFull}
@@ -196,7 +169,6 @@ func (t TimerCoarsening) Validate() error {
 func (t TimerCoarsening) Name() string                 { return fmt.Sprintf("timer-coarse-%d", t.Jitter) }
 func (t TimerCoarsening) Fingerprint() string          { return t.Name() }
 func (t TimerCoarsening) Apply(o *testbed.Options)     { o.TimerNoise = t.Jitter }
-func (t TimerCoarsening) PerfScheme() perfsim.Scheme   { return perfsim.SchemeDDIO }
 func (t TimerCoarsening) PerfEffects() perfsim.Effects { return perfsim.Effects{} }
 
 // AdaptivePartitioning is the paper's §VII defense: I/O allocations are
@@ -225,8 +197,6 @@ func (a AdaptivePartitioning) Apply(o *testbed.Options) {
 	cfg := *a.config()
 	o.Cache.Partition = &cfg
 }
-
-func (AdaptivePartitioning) PerfScheme() perfsim.Scheme { return perfsim.SchemeAdaptive }
 
 func (a AdaptivePartitioning) PerfEffects() perfsim.Effects {
 	cfg := *a.config()
@@ -343,8 +313,7 @@ func (s Stack) Apply(o *testbed.Options) {
 
 // PerfEffects composes the layers' effects in application order, so the
 // cost model sees one machine with every mechanism installed — the
-// partition pressure AND the randomization allocations, not whichever
-// single layer ranks costlier.
+// partition pressure AND the randomization allocations together.
 func (s Stack) PerfEffects() perfsim.Effects {
 	var e perfsim.Effects
 	for _, d := range s.Layers {
@@ -361,44 +330,6 @@ func (s Stack) Validate() error {
 		}
 	}
 	return nil
-}
-
-// PerfScheme returns the costliest component's scheme: perfsim models one
-// mitigation at a time, and a stack's dominant cost is the one worth
-// reporting on the overhead axis.
-//
-// Deprecated: the dominant-layer rule drops interacting overheads; use
-// PerfEffects, which composes every layer into one machine.
-func (s Stack) PerfScheme() perfsim.Scheme {
-	best := perfsim.SchemeDDIO
-	for _, d := range s.Layers {
-		if sc := d.PerfScheme(); costRank(sc) > costRank(best) {
-			best = sc
-		}
-	}
-	return best
-}
-
-// costRank orders schemes by their measured performance impact (Figs
-// 14-16): the baseline costs nothing, periodic randomization is amortized
-// noise, adaptive partitioning costs a few percent, disabling DDIO
-// multiplies memory traffic, and full randomization pays an allocation
-// per packet (~+41.8% p99 in the paper).
-func costRank(s perfsim.Scheme) int {
-	switch s {
-	case perfsim.SchemePartial10k:
-		return 1
-	case perfsim.SchemePartial1k:
-		return 2
-	case perfsim.SchemeAdaptive:
-		return 3
-	case perfsim.SchemeNoDDIO:
-		return 4
-	case perfsim.SchemeFullRandom:
-		return 5
-	default:
-		return 0
-	}
 }
 
 // DefaultTimerJitter is the registry's timer-coarsening magnitude: well

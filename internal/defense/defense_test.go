@@ -168,30 +168,6 @@ func TestApplySemantics(t *testing.T) {
 	}
 }
 
-// TestPerfSchemes pins the cost-axis mapping, including the stack's
-// "dominant cost" rule.
-func TestPerfSchemes(t *testing.T) {
-	cases := []struct {
-		d    Defense
-		want perfsim.Scheme
-	}{
-		{NoDefense{}, perfsim.SchemeDDIO},
-		{DisableDDIO{}, perfsim.SchemeNoDDIO},
-		{RingRandomization{}, perfsim.SchemeFullRandom},
-		{RingRandomization{Interval: 1_000}, perfsim.SchemePartial1k},
-		{RingRandomization{Interval: 10_000}, perfsim.SchemePartial10k},
-		{TimerCoarsening{Jitter: 64}, perfsim.SchemeDDIO},
-		{AdaptivePartitioning{}, perfsim.SchemeAdaptive},
-		{NewStack(TimerCoarsening{Jitter: 64}, AdaptivePartitioning{}), perfsim.SchemeAdaptive},
-		{NewStack(AdaptivePartitioning{}, RingRandomization{}), perfsim.SchemeFullRandom},
-	}
-	for _, c := range cases {
-		if got := c.d.PerfScheme(); got != c.want {
-			t.Errorf("%s: PerfScheme = %v, want %v", c.d.Name(), got, c.want)
-		}
-	}
-}
-
 // TestRegistryMachinesBuild: every registered defense must produce a
 // buildable demo-scale machine.
 func TestRegistryMachinesBuild(t *testing.T) {
@@ -219,28 +195,62 @@ func TestNamesAreSlugSafe(t *testing.T) {
 	}
 }
 
-// TestPerfEffects pins the compositional cost mapping, including the
-// exact-interval fix PerfScheme's bucketing loses and the stack rule
-// that every costly layer survives composition.
+// TestPerfSchemes: each defense, alone or stacked, maps onto the
+// machine configuration the paper prices it as — the Effects value of
+// the matching Fig 14-16 scheme.
+func TestPerfSchemes(t *testing.T) {
+	adaptive := perfsim.Effects{Partition: cache.DefaultPartitionConfig()}
+	fullRandom := perfsim.Effects{Randomize: nic.RandomizeFull}
+	cases := []struct {
+		d    Defense
+		want perfsim.Effects
+	}{
+		{NoDefense{}, perfsim.Effects{}},
+		{DisableDDIO{}, perfsim.Effects{DDIOOff: true}},
+		{RingRandomization{}, fullRandom},
+		{RingRandomization{Interval: 1_000}, perfsim.Effects{Randomize: nic.RandomizePeriodic, RandomizeInterval: 1_000}},
+		{RingRandomization{Interval: 10_000}, perfsim.Effects{Randomize: nic.RandomizePeriodic, RandomizeInterval: 10_000}},
+		{TimerCoarsening{Jitter: 64}, perfsim.Effects{}},
+		{AdaptivePartitioning{}, adaptive},
+		{NewStack(TimerCoarsening{Jitter: 64}, AdaptivePartitioning{}), adaptive},
+		{NewStack(AdaptivePartitioning{}, RingRandomization{}), adaptive.Compose(fullRandom)},
+	}
+	for _, c := range cases {
+		if got, want := c.d.PerfEffects().Fingerprint(), c.want.Fingerprint(); got != want {
+			t.Errorf("%s: PerfEffects = %q, want %q", c.d.Name(), got, want)
+		}
+	}
+}
+
+// TestPerfEffects pins the cost-axis mapping of every registered
+// defense, the exact-interval cost model, and the stack rule that every
+// costly layer survives composition.
 func TestPerfEffects(t *testing.T) {
-	if e := (RingRandomization{Interval: 2_000}).PerfEffects(); e.OverheadPerPacket() != 256 {
-		t.Errorf("2k interval overhead = %d, want the exact 256, not a bucket", e.OverheadPerPacket())
+	want := map[string]string{
+		"none":                               "ddio_off=false|partition=none|randomize=none/0",
+		"no-ddio":                            "ddio_off=true|partition=none|randomize=none/0",
+		"ring-full-random":                   "ddio_off=false|partition=none|randomize=full-randomization/0",
+		"ring-partial-1k":                    "ddio_off=false|partition=none|randomize=periodic-randomization/1000",
+		"ring-partial-10k":                   "ddio_off=false|partition=none|randomize=periodic-randomization/10000",
+		"timer-coarse-64":                    "ddio_off=false|partition=none|randomize=none/0",
+		"adaptive-partition":                 "ddio_off=false|partition={Period:10000 THigh:5000 TLow:2000 MinIOWays:1 MaxIOWays:3}|randomize=none/0",
+		"adaptive-partition+timer-coarse-64": "ddio_off=false|partition={Period:10000 THigh:5000 TLow:2000 MinIOWays:1 MaxIOWays:3}|randomize=none/0",
+	}
+	if len(All()) != len(want) {
+		t.Errorf("registry has %d defenses, want %d", len(All()), len(want))
 	}
 	for _, d := range All() {
-		// Registry defenses sit on menu points, where the exact model and
-		// the legacy scheme must agree on cost.
-		if got, want := d.PerfEffects().OverheadPerPacket(), perfsim.RandomizationOverhead(d.PerfScheme()); got != want {
-			t.Errorf("%s: effects overhead %d != scheme overhead %d", d.Name(), got, want)
+		if got := d.PerfEffects().Fingerprint(); got != want[d.Name()] {
+			t.Errorf("%s: PerfEffects = %q, want %q", d.Name(), got, want[d.Name()])
 		}
+	}
+	if e := (RingRandomization{Interval: 2_000}).PerfEffects(); e.OverheadPerPacket() != 256 {
+		t.Errorf("2k interval overhead = %d, want the exact 256, not a bucket", e.OverheadPerPacket())
 	}
 	s := NewStack(AdaptivePartitioning{}, RingRandomization{Interval: 1_000}, DisableDDIO{})
 	e := s.PerfEffects()
 	if e.Partition == nil || !e.DDIOOff || e.Randomize != nic.RandomizePeriodic || e.RandomizeInterval != 1_000 {
 		t.Errorf("stack effects dropped a layer: %+v", e)
-	}
-	// PerfScheme's dominant-layer rule keeps only one of those three.
-	if s.PerfScheme() != perfsim.SchemeNoDDIO {
-		t.Errorf("deprecated shim changed: PerfScheme = %v", s.PerfScheme())
 	}
 }
 
@@ -252,7 +262,7 @@ func TestStackCostsComposeInPerfsim(t *testing.T) {
 	cfg.Requests = 3_000
 	cfg.TargetRate = 140_000
 	p99 := func(d Defense) float64 {
-		m, err := perfsim.RunNginxEffects(d.PerfEffects(), 20<<20, 7, cfg)
+		m, err := perfsim.RunNginx(d.PerfEffects(), 20<<20, 7, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

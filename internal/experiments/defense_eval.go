@@ -148,10 +148,16 @@ func DefaultEvalBudget(scale Scale) DefenseEvalBudget {
 // fully determine the deterministic result, and a 200-candidate search
 // visits only a few dozen distinct machines. Guarded globally because
 // the runner measures candidates from parallel workers.
+//
+// The seed comes from the job, so a long-running service would grow the
+// memo without limit; it is emptied when it reaches candidatePerfCap
+// entries. Results are pure, so emptying it changes no report byte.
 var (
 	candidatePerfMu    sync.Mutex
 	candidatePerfCache = map[string]matrixPerf{}
 )
+
+const candidatePerfCap = 256
 
 func candidatePerf(e perfsim.Effects, seed int64, cfg perfsim.NginxConfig) (matrixPerf, error) {
 	key := fmt.Sprintf("%s|seed=%d|req=%d|rate=%g", e.Fingerprint(), seed, cfg.Requests, cfg.TargetRate)
@@ -160,11 +166,14 @@ func candidatePerf(e perfsim.Effects, seed int64, cfg perfsim.NginxConfig) (matr
 	if p, ok := candidatePerfCache[key]; ok {
 		return p, nil
 	}
-	m, err := perfsim.RunNginxEffects(e, figLLC, seed, cfg)
+	m, err := perfsim.RunNginx(e, figLLC, seed, cfg)
 	if err != nil {
 		return matrixPerf{}, err
 	}
 	p := matrixPerf{p99: m.LatencyPercentile(99), throughput: m.Throughput()}
+	if len(candidatePerfCache) >= candidatePerfCap {
+		clear(candidatePerfCache)
+	}
 	candidatePerfCache[key] = p
 	return p, nil
 }

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netmodel"
+	"repro/internal/nic"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/testbed"
@@ -131,8 +133,8 @@ type rawGob []byte
 func (r *rawGob) GobDecode(b []byte) error  { *r = append(rawGob(nil), b...); return nil }
 func (r rawGob) GobEncode() ([]byte, error) { return r, nil }
 
-// The wire shapes of RigArtifact, testbed.Snapshot and mem.AllocatorState
-// (gob matches fields by name, not types by name).
+// The wire shapes of RigArtifact, testbed.Snapshot, mem.AllocatorState
+// and nic.Snapshot (gob matches fields by name, not types by name).
 type (
 	rigWire struct {
 		Opts    testbed.Options
@@ -150,6 +152,25 @@ type (
 	allocWire struct {
 		Free, Used []uint64
 		NumPages   uint64
+	}
+	nicWire struct {
+		Ring []struct {
+			Page   uint64
+			Offset uint32
+		}
+		Head  int
+		Queue []struct {
+			Frame   netmodel.Frame
+			DescIdx int
+			Buf     uint64
+			DueAt   uint64
+		}
+		SKB      []uint64
+		SKBIdx   int
+		DescRing uint64
+		SincePct int
+		Stats    nic.Stats
+		RNG      *sim.RNGState
 	}
 )
 
@@ -173,6 +194,33 @@ func gobRewrite(t *testing.T, src []byte, v any, edit func()) []byte {
 // poison the entry for the whole run. The store rebuilds it, and the
 // rebuilt artifact measures like a clean one.
 func TestDiskStoreHealsOutOfRangeFrame(t *testing.T) {
+	checkDiskStoreHeals(t, "an out-of-range used frame", func(machine *machineWire) {
+		var alloc allocWire
+		machine.Alloc = gobRewrite(t, machine.Alloc, &alloc, func() {
+			alloc.Used = append(alloc.Used, alloc.NumPages)
+		})
+	})
+}
+
+// TestDiskStoreHealsOutOfRangeNICHead: an entry whose NIC ring cursor
+// points past the ring decodes as gob but would panic on the first
+// Receive of every trial that adopts it. It must be rejected and rebuilt
+// like any other corrupt entry.
+func TestDiskStoreHealsOutOfRangeNICHead(t *testing.T) {
+	checkDiskStoreHeals(t, "an out-of-range NIC head", func(machine *machineWire) {
+		var n nicWire
+		machine.NIC = gobRewrite(t, machine.NIC, &n, func() {
+			n.Head = len(n.Ring)
+		})
+	})
+}
+
+// checkDiskStoreHeals persists a fig10 demo rig, lets corrupt rewrite its
+// machine snapshot, and checks that the entry no longer decodes, that a
+// fresh store rebuilds it, and that the rebuilt artifact measures like
+// the clean one.
+func checkDiskStoreHeals(t *testing.T, what string, corrupt func(*machineWire)) {
+	t.Helper()
 	dir := t.TempDir()
 	s1, err := NewDiskArtifactStore(dir)
 	if err != nil {
@@ -194,20 +242,15 @@ func TestDiskStoreHealsOutOfRangeFrame(t *testing.T) {
 	}
 	var rig rigWire
 	var machine machineWire
-	var alloc allocWire
 	b = gobRewrite(t, b, &rig, func() {
-		rig.Machine = gobRewrite(t, rig.Machine, &machine, func() {
-			machine.Alloc = gobRewrite(t, machine.Alloc, &alloc, func() {
-				alloc.Used = append(alloc.Used, alloc.NumPages)
-			})
-		})
+		rig.Machine = gobRewrite(t, rig.Machine, &machine, func() { corrupt(&machine) })
 	})
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var ra RigArtifact
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ra); err == nil {
-		t.Fatal("an out-of-range used frame decoded without error")
+		t.Fatalf("%s decoded without error", what)
 	}
 
 	s2, err := NewDiskArtifactStore(dir)

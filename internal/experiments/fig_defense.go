@@ -9,11 +9,9 @@ import (
 )
 
 // The perf figures (14-16) are defined over the defense registry: each
-// figure names its defenses and derives the perfsim cost scheme through
-// Defense.PerfScheme, so a new mitigation only needs a registry entry to
-// appear on the cost axis. Display names and metric slugs still come
-// from the scheme (the paper's labels), keeping the pinned report bytes
-// stable.
+// figure names its defenses and prices them through Defense.PerfEffects,
+// so a new mitigation only needs a registry entry to appear on the cost
+// axis.
 
 // mustDefense resolves a registry name; the figures are defined over
 // registered defenses, so a miss is a programming error.
@@ -25,13 +23,16 @@ func mustDefense(name string) defense.Defense {
 	return d
 }
 
-// schemesFor maps defense names to their cost-model schemes in order.
-func schemesFor(names ...string) []perfsim.Scheme {
-	out := make([]perfsim.Scheme, len(names))
-	for i, n := range names {
-		out[i] = mustDefense(n).PerfScheme()
-	}
-	return out
+// figLabel is the paper's legend string for each defense the perf
+// figures plot. Row labels and metric slugs derive from it, so these
+// strings are pinned report bytes.
+var figLabel = map[string]string{
+	"none":               "Vulnerable Baseline (DDIO)",
+	"no-ddio":            "No DDIO",
+	"adaptive-partition": "Adaptive Partitioning",
+	"ring-full-random":   "Fully Randomized Ring",
+	"ring-partial-1k":    "Partial Randomization (1k)",
+	"ring-partial-10k":   "Partial Randomization (10k)",
 }
 
 // Table2 prints the baseline processor configuration (the gem5 machine the
@@ -84,15 +85,15 @@ func Fig14(scale Scale, seed int64) (Result, error) {
 	for _, llc := range []int{20 << 20, 11 << 20, 8 << 20} {
 		cfg := perfsim.DefaultNginxConfig()
 		cfg.Requests = requests
-		run := func(s perfsim.Scheme) float64 {
-			m, err := perfsim.RunNginx(s, llc, seed, cfg)
+		run := func(name string) float64 {
+			m, err := perfsim.RunNginx(mustDefense(name).PerfEffects(), llc, seed, cfg)
 			if err != nil {
 				panic(err)
 			}
 			return m.Throughput()
 		}
-		d := run(mustDefense("none").PerfScheme())
-		a := run(mustDefense("adaptive-partition").PerfScheme())
+		d := run("none")
+		a := run("adaptive-partition")
 		loss := (d - a) / d
 		if loss > worst {
 			worst = loss
@@ -126,7 +127,6 @@ func Fig15(scale Scale, seed int64) (Result, error) {
 		Title:  "normalized memory traffic and LLC miss rate (No DDIO = 1.0)",
 		Header: []string{"workload", "scheme", "norm reads", "norm writes", "norm miss rate"},
 	}
-	schemes := schemesFor("no-ddio", "none", "adaptive-partition")
 	workloads := []struct {
 		name string
 		run  func(env *perfsim.Env) perfsim.Metrics
@@ -141,20 +141,20 @@ func Fig15(scale Scale, seed int64) (Result, error) {
 	}
 	for _, wl := range workloads {
 		var base perfsim.Metrics
-		for _, s := range schemes {
-			env, err := perfsim.NewEnv(s, figLLC, seed)
+		for _, name := range []string{"no-ddio", "none", "adaptive-partition"} {
+			env, err := perfsim.NewEnv(mustDefense(name).PerfEffects(), figLLC, seed)
 			if err != nil {
 				return Result{}, err
 			}
 			m := wl.run(env)
-			if s == perfsim.SchemeNoDDIO {
+			if name == "no-ddio" {
 				base = m
 			}
 			r, w, miss := m.NormalizedTraffic(base)
 			res.Rows = append(res.Rows, []string{
-				wl.name, s.String(), f2(r), f2(w), f2(miss),
+				wl.name, figLabel[name], f2(r), f2(w), f2(miss),
 			})
-			key := slug(wl.name) + "_" + slug(s.String())
+			key := slug(wl.name) + "_" + slug(figLabel[name])
 			res.AddMetric(key+"_norm_reads", "ratio", r)
 			res.AddMetric(key+"_norm_writes", "ratio", w)
 			res.AddMetric(key+"_norm_miss_rate", "ratio", miss)
@@ -181,18 +181,19 @@ func Fig16(scale Scale, seed int64) (Result, error) {
 			"p99 vs baseline"},
 	}
 	var baseP99 float64
-	for _, s := range schemesFor(
+	for _, name := range []string{
 		"none", "ring-full-random", "ring-partial-1k", "ring-partial-10k",
 		"adaptive-partition",
-	) {
+	} {
 		cfg := perfsim.DefaultNginxConfig()
 		cfg.Requests = requests
 		cfg.TargetRate = 140_000
-		m, err := perfsim.RunNginx(s, figLLC, seed, cfg)
+		m, err := perfsim.RunNginx(mustDefense(name).PerfEffects(), figLLC, seed, cfg)
 		if err != nil {
 			return Result{}, err
 		}
-		row := []string{s.String()}
+		label := figLabel[name]
+		row := []string{label}
 		var p99 float64
 		for _, p := range percentiles {
 			v := m.LatencyPercentile(p)
@@ -201,13 +202,13 @@ func Fig16(scale Scale, seed int64) (Result, error) {
 			}
 			row = append(row, fmt.Sprintf("%.0f", v))
 		}
-		res.AddMetric(slug(s.String())+"_p99_latency", "cycles", p99)
-		if s == perfsim.SchemeDDIO {
+		res.AddMetric(slug(label)+"_p99_latency", "cycles", p99)
+		if name == "none" {
 			baseP99 = p99
 			row = append(row, "baseline")
 		} else {
 			row = append(row, fmt.Sprintf("%+.1f%%", 100*(p99-baseP99)/baseP99))
-			res.AddMetric(slug(s.String())+"_p99_delta", "fraction", (p99-baseP99)/baseP99)
+			res.AddMetric(slug(label)+"_p99_delta", "fraction", (p99-baseP99)/baseP99)
 		}
 		res.Rows = append(res.Rows, row)
 	}

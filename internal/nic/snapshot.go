@@ -176,11 +176,24 @@ func (s *Snapshot) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode rebuilds a NIC snapshot from its serialized form.
+// GobDecode rebuilds a NIC snapshot from its serialized form. It rejects
+// cursors and queued descriptor indices outside the ring and skb pool,
+// which would otherwise decode cleanly and panic on the next Receive.
 func (s *Snapshot) GobDecode(b []byte) error {
 	var w snapshotGob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
+	}
+	if w.Head < 0 || w.Head >= len(w.Ring) {
+		return fmt.Errorf("nic: snapshot head %d outside %d-descriptor ring", w.Head, len(w.Ring))
+	}
+	if w.SKBIdx < 0 || w.SKBIdx >= len(w.SKB) {
+		return fmt.Errorf("nic: snapshot skb cursor %d outside %d-page pool", w.SKBIdx, len(w.SKB))
+	}
+	for _, p := range w.Queue {
+		if p.DescIdx < 0 || p.DescIdx >= len(w.Ring) {
+			return fmt.Errorf("nic: queued descriptor %d outside %d-descriptor ring", p.DescIdx, len(w.Ring))
+		}
 	}
 	s.head, s.skb, s.skbIdx = w.Head, w.SKB, w.SKBIdx
 	s.descRing, s.sincePct, s.stats, s.rng = w.DescRing, w.SincePct, w.Stats, w.RNG

@@ -9,15 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Effects is the compositional performance model of a defense: not a
-// point on the fixed five-scheme menu, but the machine-configuration
-// delta the defense imposes, expressed in the same vocabulary the
-// simulator is configured in. A stack of defenses composes its layers'
-// Effects and the composed value builds ONE environment with every
-// mechanism installed, so interacting overheads — partition pressure on
-// top of randomization's per-packet allocation work — flow through the
-// simulation instead of being dropped by a dominant-layer
-// approximation.
+// Effects is the compositional performance model of a defense: the
+// machine-configuration delta the defense imposes, expressed in the same
+// vocabulary the simulator is configured in. A stack of defenses
+// composes its layers' Effects and the composed value builds ONE
+// environment with every mechanism installed, so interacting overheads —
+// partition pressure on top of randomization's per-packet allocation
+// work — flow through the simulation together.
 type Effects struct {
 	// DDIOOff disables direct cache access: DMA traffic goes to memory.
 	DDIOOff bool
@@ -53,9 +51,7 @@ func (e Effects) Compose(other Effects) Effects {
 // OverheadPerPacket returns the amortized per-packet driver cost of the
 // randomization component, in cycles — an exact function of the
 // configured period (whole-ring reallocation cost spread over the
-// interval), not a nearest-of-three bucket. At the intervals the legacy
-// schemes model (full, 1k, 10k) the value is identical to
-// RandomizationOverhead's.
+// interval).
 func (e Effects) OverheadPerPacket() uint64 {
 	switch e.Randomize {
 	case nic.RandomizeFull:
@@ -82,29 +78,11 @@ func (e Effects) Fingerprint() string {
 		e.DDIOOff, part, e.Randomize, e.RandomizeInterval)
 }
 
-// EffectsForScheme maps a legacy scheme onto its compositional form.
-// NewEnv routes through it, so the two APIs build identical machines.
-func EffectsForScheme(s Scheme) Effects {
-	switch s {
-	case SchemeNoDDIO:
-		return Effects{DDIOOff: true}
-	case SchemeAdaptive:
-		return Effects{Partition: cache.DefaultPartitionConfig()}
-	case SchemeFullRandom:
-		return Effects{Randomize: nic.RandomizeFull}
-	case SchemePartial1k:
-		return Effects{Randomize: nic.RandomizePeriodic, RandomizeInterval: 1_000}
-	case SchemePartial10k:
-		return Effects{Randomize: nic.RandomizePeriodic, RandomizeInterval: 10_000}
-	default:
-		return Effects{}
-	}
-}
-
-// NewEnvEffects builds a machine with every mechanism of the composed
-// effects installed, at the given LLC size (see NewEnv for the
-// size-to-geometry mapping).
-func NewEnvEffects(e Effects, llcBytes int, seed int64) (*Env, error) {
+// NewEnv builds a machine with every mechanism of the composed effects
+// installed, at the given LLC size (bytes). LLC sizes map to way counts
+// at fixed 8x2048 sets x 64 B geometry, the way Fig 14 shrinks the cache
+// (20 MB -> 20 ways, 11 MB -> 11, 8 MB -> 8).
+func NewEnv(e Effects, llcBytes int, seed int64) (*Env, error) {
 	ways := llcBytes / (8 * 2048 * 64)
 	if ways < 4 {
 		return nil, fmt.Errorf("perfsim: LLC %d too small", llcBytes)
@@ -142,11 +120,11 @@ func NewEnvEffects(e Effects, llcBytes int, seed int64) (*Env, error) {
 	}, nil
 }
 
-// RunNginxEffects builds an environment for the composed effects and
-// runs the Nginx workload — the cost-axis measurement the defense
-// matrix and the frontier search share.
-func RunNginxEffects(e Effects, llcBytes int, seed int64, cfg NginxConfig) (Metrics, error) {
-	env, err := NewEnvEffects(e, llcBytes, seed)
+// RunNginx builds an environment for the composed effects and runs the
+// Nginx workload — the cost-axis measurement Figs 14 and 16, the defense
+// matrix, the frontier search and the defense example share.
+func RunNginx(e Effects, llcBytes int, seed int64, cfg NginxConfig) (Metrics, error) {
+	env, err := NewEnv(e, llcBytes, seed)
 	if err != nil {
 		return Metrics{}, err
 	}

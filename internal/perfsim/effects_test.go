@@ -55,35 +55,6 @@ func TestOverheadPerPacketExact(t *testing.T) {
 			t.Errorf("%s: overhead %d, want %d", c.e.Fingerprint(), got, c.want)
 		}
 	}
-	// Legacy parity at every menu point.
-	for _, s := range []Scheme{SchemeDDIO, SchemeNoDDIO, SchemeAdaptive, SchemeFullRandom, SchemePartial1k, SchemePartial10k} {
-		if got, want := EffectsForScheme(s).OverheadPerPacket(), RandomizationOverhead(s); got != want {
-			t.Errorf("%v: effects overhead %d != legacy %d", s, got, want)
-		}
-	}
-}
-
-// TestNewEnvEffectsParity pins that the legacy scheme path and the
-// compositional path build byte-identical machines: same workload run,
-// same metrics.
-func TestNewEnvEffectsParity(t *testing.T) {
-	cfg := DefaultNginxConfig()
-	cfg.Requests = 1_500
-	cfg.TargetRate = 140_000
-	for _, s := range []Scheme{SchemeDDIO, SchemeNoDDIO, SchemeAdaptive, SchemeFullRandom, SchemePartial1k, SchemePartial10k} {
-		a, err := RunNginx(s, 20<<20, 7, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunNginxEffects(EffectsForScheme(s), 20<<20, 7, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Duration != b.Duration || a.Requests != b.Requests ||
-			a.Cache != b.Cache || a.LatencyPercentile(99) != b.LatencyPercentile(99) {
-			t.Errorf("%v: scheme path and effects path diverge: %+v vs %+v", s, a, b)
-		}
-	}
 }
 
 // TestComposedStackCostsMore pins the compositional property the
@@ -101,7 +72,7 @@ func TestComposedStackCostsMore(t *testing.T) {
 	both := part.Compose(rand)
 
 	p99 := func(e Effects) float64 {
-		m, err := RunNginxEffects(e, 20<<20, 7, cfg)
+		m, err := RunNginx(e, 20<<20, 7, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,8 @@
 // full-system evaluation (§VII): a trace-driven performance model that runs
 // the three I/O-heavy workloads — a 100 MB file copy, a TCP receiver with
 // tiny payloads, and an Nginx-style web server under wrk2-style load —
-// through the same cache model the attack uses, under each defense scheme.
+// through the same cache model the attack uses, under each defense's
+// composed Effects.
 //
 // The paper's Table II machine is simulated at the level that matters for
 // Figs 14-16: memory traffic, LLC miss rate, and request service/queueing
@@ -20,42 +21,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Scheme is a defense configuration under evaluation (the five lines of
-// Fig 16, of which three also appear in Figs 14-15).
-type Scheme int
-
-const (
-	// SchemeDDIO is the vulnerable baseline: stock DDIO, stock driver.
-	SchemeDDIO Scheme = iota
-	// SchemeNoDDIO disables direct cache access: DMA goes to memory.
-	SchemeNoDDIO
-	// SchemeAdaptive is the paper's §VII adaptive I/O cache partitioning.
-	SchemeAdaptive
-	// SchemeFullRandom re-allocates the rx buffer for every packet (§VI-b).
-	SchemeFullRandom
-	// SchemePartial1k re-allocates the whole ring every 1,000 packets.
-	SchemePartial1k
-	// SchemePartial10k re-allocates the whole ring every 10,000 packets.
-	SchemePartial10k
-)
-
-func (s Scheme) String() string {
-	switch s {
-	case SchemeNoDDIO:
-		return "No DDIO"
-	case SchemeAdaptive:
-		return "Adaptive Partitioning"
-	case SchemeFullRandom:
-		return "Fully Randomized Ring"
-	case SchemePartial1k:
-		return "Partial Randomization (1k)"
-	case SchemePartial10k:
-		return "Partial Randomization (10k)"
-	default:
-		return "Vulnerable Baseline (DDIO)"
-	}
-}
-
 // Per-packet costs of the software mitigations, in cycles, charged to the
 // driver path: a fresh page allocation plus the coherent-memory descriptor
 // rewrite §III-A explains is expensive. Periodic randomization pays the
@@ -65,34 +30,11 @@ const (
 	ringSize             = 256
 )
 
-// RandomizationOverhead returns the amortized per-packet driver overhead
-// of a scheme, in cycles.
-//
-// Deprecated: the scheme menu only models three fixed intervals. New code
-// should build an Effects value, whose OverheadPerPacket is an exact
-// function of the configured period; this function remains as the legacy
-// mapping (and equals EffectsForScheme(s).OverheadPerPacket()).
-func RandomizationOverhead(s Scheme) uint64 {
-	switch s {
-	case SchemeFullRandom:
-		return reallocCostPerPacket
-	case SchemePartial1k:
-		return reallocCostPerPacket * ringSize / 1_000
-	case SchemePartial10k:
-		return reallocCostPerPacket * ringSize / 10_000
-	default:
-		return 0
-	}
-}
-
-// Env is one simulated machine instance configured for a defense — a
-// legacy scheme (NewEnv) or a composed Effects value (NewEnvEffects).
+// Env is one simulated machine instance configured for a defense's
+// composed Effects (see NewEnv).
 type Env struct {
-	// Scheme is the legacy menu entry the env was built from; the zero
-	// value (SchemeDDIO) for effects-built environments.
-	Scheme Scheme
 	// Effects is the compositional configuration the machine was built
-	// with; NewEnv fills it via EffectsForScheme.
+	// with.
 	Effects Effects
 	Clock   *sim.Clock
 	Cache   *cache.Cache
@@ -105,35 +47,9 @@ type Env struct {
 	overhead uint64
 }
 
-// NewEnv builds a machine with the given LLC size (bytes) under a scheme.
-// LLC sizes map to way counts at fixed 8x2048 sets x 64 B geometry, the
-// way Fig 14 shrinks the cache (20 MB -> 20 ways, 11 MB -> 11, 8 MB -> 8).
-// It is the legacy five-point menu over NewEnvEffects: the two paths
-// build identical machines for the schemes the menu covers.
-func NewEnv(scheme Scheme, llcBytes int, seed int64) (*Env, error) {
-	env, err := NewEnvEffects(EffectsForScheme(scheme), llcBytes, seed)
-	if err != nil {
-		return nil, err
-	}
-	env.Scheme = scheme
-	return env, nil
-}
-
-// RunNginx builds an environment for the scheme and runs the Nginx
-// workload — the shared cost-axis measurement of Fig 16, the defense
-// examples, and the matrix_defense experiment.
-func RunNginx(scheme Scheme, llcBytes int, seed int64, cfg NginxConfig) (Metrics, error) {
-	env, err := NewEnv(scheme, llcBytes, seed)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return Nginx(env, cfg), nil
-}
-
 // Metrics aggregates a workload run.
 type Metrics struct {
 	Workload string
-	Scheme   Scheme
 	Cache    cache.Stats
 	// Duration is the simulated run time in cycles.
 	Duration uint64

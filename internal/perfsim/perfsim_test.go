@@ -3,14 +3,25 @@ package perfsim
 import (
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/nic"
 	"repro/internal/stats"
 )
 
 const testLLC = 20 << 20
 
-func mustEnv(t *testing.T, s Scheme, llc int) *Env {
+// The defense configurations the paper's Figs 14-16 price, as Effects.
+var (
+	effDDIO       = Effects{}
+	effNoDDIO     = Effects{DDIOOff: true}
+	effAdaptive   = Effects{Partition: cache.DefaultPartitionConfig()}
+	effFullRandom = Effects{Randomize: nic.RandomizeFull}
+	effPartial10k = Effects{Randomize: nic.RandomizePeriodic, RandomizeInterval: 10_000}
+)
+
+func mustEnv(t *testing.T, e Effects, llc int) *Env {
 	t.Helper()
-	env, err := NewEnv(s, llc, 7)
+	env, err := NewEnv(e, llc, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,30 +29,22 @@ func mustEnv(t *testing.T, s Scheme, llc int) *Env {
 }
 
 func TestEnvRejectsTinyLLC(t *testing.T) {
-	if _, err := NewEnv(SchemeDDIO, 1<<20, 1); err == nil {
+	if _, err := NewEnv(effDDIO, 1<<20, 1); err == nil {
 		t.Error("1MB LLC should be rejected (below 4 ways)")
 	}
 }
 
-func TestSchemeStrings(t *testing.T) {
-	seen := map[string]bool{}
-	for s := SchemeDDIO; s <= SchemePartial10k; s++ {
-		str := s.String()
-		if str == "" || seen[str] {
-			t.Errorf("scheme %d: bad name %q", s, str)
-		}
-		seen[str] = true
-	}
-}
-
+// TestRandomizationOverheadOrdering: full randomization costs the driver
+// more per packet than a 1k-packet period, which costs more than a
+// 10k-packet period; the hardware-only configurations cost nothing.
 func TestRandomizationOverheadOrdering(t *testing.T) {
-	full := RandomizationOverhead(SchemeFullRandom)
-	p1k := RandomizationOverhead(SchemePartial1k)
-	p10k := RandomizationOverhead(SchemePartial10k)
-	if !(full > p1k && p1k > p10k && p10k >= 0) {
+	full := effFullRandom.OverheadPerPacket()
+	p1k := Effects{Randomize: nic.RandomizePeriodic, RandomizeInterval: 1_000}.OverheadPerPacket()
+	p10k := effPartial10k.OverheadPerPacket()
+	if !(full > p1k && p1k > p10k && p10k > 0) {
 		t.Errorf("overhead ordering broken: full=%d 1k=%d 10k=%d", full, p1k, p10k)
 	}
-	if RandomizationOverhead(SchemeDDIO) != 0 || RandomizationOverhead(SchemeAdaptive) != 0 {
+	if effDDIO.OverheadPerPacket() != 0 || effAdaptive.OverheadPerPacket() != 0 {
 		t.Error("hardware schemes have no driver overhead")
 	}
 }
@@ -49,9 +52,9 @@ func TestRandomizationOverheadOrdering(t *testing.T) {
 func TestFileCopyDDIOReducesMemReads(t *testing.T) {
 	// Fig 15 file copy: with DDIO the copy loop reads DMA'd lines from
 	// the LLC; without, every read goes to DRAM.
-	base := FileCopy(mustEnv(t, SchemeNoDDIO, testLLC), 2<<20)
-	ddio := FileCopy(mustEnv(t, SchemeDDIO, testLLC), 2<<20)
-	adaptive := FileCopy(mustEnv(t, SchemeAdaptive, testLLC), 2<<20)
+	base := FileCopy(mustEnv(t, effNoDDIO, testLLC), 2<<20)
+	ddio := FileCopy(mustEnv(t, effDDIO, testLLC), 2<<20)
+	adaptive := FileCopy(mustEnv(t, effAdaptive, testLLC), 2<<20)
 
 	r, _, miss := ddio.NormalizedTraffic(base)
 	if r >= 0.9 {
@@ -71,8 +74,8 @@ func TestFileCopyDDIOReducesMemReads(t *testing.T) {
 }
 
 func TestTCPRecvTrafficShape(t *testing.T) {
-	base := TCPRecv(mustEnv(t, SchemeNoDDIO, testLLC), 4000)
-	ddio := TCPRecv(mustEnv(t, SchemeDDIO, testLLC), 4000)
+	base := TCPRecv(mustEnv(t, effNoDDIO, testLLC), 4000)
+	ddio := TCPRecv(mustEnv(t, effDDIO, testLLC), 4000)
 	r, w, _ := ddio.NormalizedTraffic(base)
 	if r >= 1.0 {
 		t.Errorf("DDIO TCP recv norm reads %.2f; driver reads should hit LLC", r)
@@ -91,8 +94,8 @@ func TestNginxThroughputAdaptiveClosesOnDDIO(t *testing.T) {
 	cfg := DefaultNginxConfig()
 	cfg.Requests = 4000
 	for _, llc := range []int{20 << 20, 11 << 20, 8 << 20} {
-		ddio := Nginx(mustEnv(t, SchemeDDIO, llc), cfg)
-		adaptive := Nginx(mustEnv(t, SchemeAdaptive, llc), cfg)
+		ddio := Nginx(mustEnv(t, effDDIO, llc), cfg)
+		adaptive := Nginx(mustEnv(t, effAdaptive, llc), cfg)
 		dt, at := ddio.Throughput(), adaptive.Throughput()
 		loss := (dt - at) / dt
 		t.Logf("LLC %dMB: DDIO %.0f req/s, adaptive %.0f req/s, loss %.1f%%",
@@ -109,8 +112,8 @@ func TestNginxThroughputAdaptiveClosesOnDDIO(t *testing.T) {
 func TestNginxSmallerLLCLowersThroughput(t *testing.T) {
 	cfg := DefaultNginxConfig()
 	cfg.Requests = 4000
-	big := Nginx(mustEnv(t, SchemeDDIO, 20<<20), cfg)
-	small := Nginx(mustEnv(t, SchemeDDIO, 8<<20), cfg)
+	big := Nginx(mustEnv(t, effDDIO, 20<<20), cfg)
+	small := Nginx(mustEnv(t, effDDIO, 8<<20), cfg)
 	if small.Throughput() >= big.Throughput() {
 		t.Errorf("8MB LLC throughput %.0f should be below 20MB %.0f",
 			small.Throughput(), big.Throughput())
@@ -123,18 +126,18 @@ func TestNginxTailLatencyOrdering(t *testing.T) {
 	cfg := DefaultNginxConfig()
 	cfg.Requests = 12_000
 	cfg.TargetRate = 140_000
-	p99 := func(s Scheme) float64 {
-		m := Nginx(mustEnv(t, s, testLLC), cfg)
+	p99 := func(e Effects) float64 {
+		m := Nginx(mustEnv(t, e, testLLC), cfg)
 		lat := make([]float64, len(m.Latencies))
 		for i, l := range m.Latencies {
 			lat[i] = float64(l)
 		}
 		return stats.Percentile(lat, 99)
 	}
-	base := p99(SchemeDDIO)
-	adaptive := p99(SchemeAdaptive)
-	full := p99(SchemeFullRandom)
-	p10k := p99(SchemePartial10k)
+	base := p99(effDDIO)
+	adaptive := p99(effAdaptive)
+	full := p99(effFullRandom)
+	p10k := p99(effPartial10k)
 	t.Logf("p99 cycles: base=%.0f adaptive=%.0f (+%.1f%%) full=%.0f (+%.1f%%) partial10k=%.0f (+%.1f%%)",
 		base, adaptive, 100*(adaptive-base)/base, full, 100*(full-base)/base, p10k, 100*(p10k-base)/base)
 	if full <= base {
@@ -153,11 +156,11 @@ func TestNginxTailLatencyOrdering(t *testing.T) {
 
 func TestAdaptiveStillBlocksAttackDuringWorkload(t *testing.T) {
 	// Defense property end-to-end: even under a full Nginx run, the
-	// adaptive scheme never lets I/O evict a CPU line.
+	// adaptive partition never lets I/O evict a CPU line.
 	cfg := DefaultNginxConfig()
 	cfg.Requests = 8000
 	cfg.CorpusBytes = 24 << 20 // exceed the LLC so every set is full
-	m := Nginx(mustEnv(t, SchemeAdaptive, testLLC), cfg)
+	m := Nginx(mustEnv(t, effAdaptive, testLLC), cfg)
 	if m.Cache.IOEvictedCPU != 0 {
 		t.Errorf("adaptive partitioning leaked %d CPU evictions by IO", m.Cache.IOEvictedCPU)
 	}
@@ -166,7 +169,7 @@ func TestAdaptiveStillBlocksAttackDuringWorkload(t *testing.T) {
 	// the IO lines between packets (that something is the spy in the
 	// attack). A randomized ring forces fresh allocations every packet and
 	// must show the displacement even without an adversary.
-	v := Nginx(mustEnv(t, SchemeFullRandom, testLLC), cfg)
+	v := Nginx(mustEnv(t, effFullRandom, testLLC), cfg)
 	if v.Cache.IOEvictedCPU == 0 {
 		t.Error("DDIO with randomized buffers should show IO-evicts-CPU events")
 	}

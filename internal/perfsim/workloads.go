@@ -33,7 +33,6 @@ func FileCopy(env *Env, bytes int) Metrics {
 	}
 	return Metrics{
 		Workload: "File Copy",
-		Scheme:   env.Scheme,
 		Cache:    env.Cache.Stats(),
 		Duration: env.Clock.Now() - start,
 		Requests: chunks,
@@ -70,7 +69,6 @@ func TCPRecv(env *Env, packets int) Metrics {
 	}
 	return Metrics{
 		Workload: "TCP Recv",
-		Scheme:   env.Scheme,
 		Cache:    env.Cache.Stats(),
 		Duration: env.Clock.Now() - start,
 		Requests: count,
@@ -115,7 +113,7 @@ func DefaultNginxConfig() NginxConfig {
 // corpus working set), and is answered. Request latency combines queueing
 // (open-loop arrivals onto Threads workers) and the measured service time,
 // which includes the memory stalls the cache model charges and the
-// driver-path overhead of the active defense scheme.
+// driver-path overhead of the active defense.
 func Nginx(env *Env, cfg NginxConfig) Metrics {
 	corpusPages, _ := env.Alloc.AllocPages(cfg.CorpusBytes / mem.PageSize)
 	hotPages, _ := env.Alloc.AllocPages(64) // nginx code + config + TLS state
@@ -188,7 +186,6 @@ func Nginx(env *Env, cfg NginxConfig) Metrics {
 	}
 	return Metrics{
 		Workload:  "Nginx",
-		Scheme:    env.Scheme,
 		Cache:     env.Cache.Stats(),
 		Duration:  end - start,
 		Requests:  uint64(cfg.Requests),
