@@ -104,7 +104,7 @@ type Cache struct {
 	stats  Stats
 	geo    string // geometryKey(cfg), cached: Restore checks it per lease
 	// Set-index math cached out of Config: Config.GlobalSet is a value
-	// method, so calling it from cpuAccess copies the whole Config (and
+	// method, so calling it from the access path copies the whole Config (and
 	// re-derives the slice-hash width) on every simulated access — the
 	// single hottest call site in the tree. globalSet below reads these
 	// three words instead.
@@ -180,18 +180,70 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // advances the clock around its probes; the driver core's accesses overlap
 // with the spy and cost it nothing).
 func (c *Cache) Read(addr uint64) (bool, uint64) {
-	return c.cpuAccess(addr, false)
+	set := c.globalSet(addr)
+	c.maybeAdapt(set)
+	hit, lat, _ := c.access(set, lineKey(addr), false)
+	return hit, lat
 }
 
 // Write performs a CPU store (write-allocate, write-back).
 func (c *Cache) Write(addr uint64) (bool, uint64) {
-	return c.cpuAccess(addr, true)
-}
-
-func (c *Cache) cpuAccess(addr uint64, store bool) (bool, uint64) {
 	set := c.globalSet(addr)
 	c.maybeAdapt(set)
-	key := lineKey(addr)
+	hit, lat, _ := c.access(set, lineKey(addr), true)
+	return hit, lat
+}
+
+// LineRef is a resolved reference to one line address: its global set and
+// hit-test key, computed once by Ref, plus the way the line was last seen
+// in. It is the simulated hardware's address translation cached for a
+// line that is loaded over and over (a spy's probe lines), so ReadRef
+// skips the set hashing and, when the way hint is current, the tag scan.
+// A ref holds no cache pointer and depends only on the geometry, so it
+// stays valid across Restore and in any cache of the same shape; a stale
+// way hint only costs ReadRef the ordinary lookup.
+type LineRef struct {
+	set, way int
+	key      uint64
+}
+
+// Ref resolves the line containing addr.
+func (c *Cache) Ref(addr uint64) LineRef {
+	return LineRef{set: c.globalSet(addr), key: lineKey(addr)}
+}
+
+// Resolve points r at the line containing addr, keeping r's way hint when
+// it already refers to that line.
+func (c *Cache) Resolve(r *LineRef, addr uint64) {
+	if r.key != lineKey(addr) {
+		*r = c.Ref(addr)
+	}
+}
+
+// ReadRef is Read of the line r resolves, event for event: the same
+// adaptation, counters, stamps, fills and latencies. When r's way hint
+// still holds the line it hits with one compare; otherwise it runs the
+// shared lookup and victim path and re-points the hint at the way the
+// line now occupies. The hint is exact because a valid key sits in at
+// most one way of its set (see lookup).
+func (c *Cache) ReadRef(r *LineRef) (bool, uint64) {
+	c.maybeAdapt(r.set)
+	if i := r.set*c.ways + r.way; holds(c.meta[i], r.key) {
+		c.stats.CPUAccesses++
+		c.stats.CPUHits++
+		c.stamp[i] = c.touch()
+		return true, c.cfg.HitLatency
+	}
+	hit, lat, w := c.access(r.set, r.key, false)
+	r.way = w
+	return hit, lat
+}
+
+// access is the one CPU access path behind Read, Write and ReadRef's
+// fallback: look key up in the (already adapted) set, stamp a hit, or
+// fill the LRU way of the CPU partition on a miss. It returns the way the
+// line occupies afterwards.
+func (c *Cache) access(set int, key uint64, store bool) (bool, uint64, int) {
 	meta, stamp := c.setWays(set)
 	c.stats.CPUAccesses++
 	if w := lookup(meta, key); w >= 0 {
@@ -200,7 +252,7 @@ func (c *Cache) cpuAccess(addr uint64, store bool) (bool, uint64) {
 		if store {
 			meta[w] |= lineDirty
 		}
-		return true, c.cfg.HitLatency
+		return true, c.cfg.HitLatency, w
 	}
 	c.stats.CPUMisses++
 	c.stats.MemReads++
@@ -216,7 +268,7 @@ func (c *Cache) cpuAccess(addr uint64, store bool) (bool, uint64) {
 	}
 	meta[w], stamp[w] = key, c.touch()
 	c.refreshHasIO(set)
-	return false, c.cfg.MissLatency
+	return false, c.cfg.MissLatency, w
 }
 
 // IOWrite performs a DMA write of the line containing addr. With DDIO the
@@ -325,6 +377,12 @@ func (c *Cache) touch() uint64 {
 }
 
 // lookup returns the way whose meta word holds key (see lineKey), or -1.
+//
+// A valid key sits in at most one way of its set, so the first match is
+// the only one: a line is filled (access, IOWrite) only after lookup
+// missed it, IOWrite updates a present line in place, and invalidation
+// (Flush, no-DDIO IOWrite, partition moves) clears the valid bit. ReadRef's
+// way hint relies on this.
 func lookup(meta []uint64, key uint64) int {
 	for w := range meta {
 		if holds(meta[w], key) {

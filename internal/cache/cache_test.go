@@ -558,7 +558,9 @@ func TestCPUAccessMatchesReference(t *testing.T) {
 	}
 }
 
-func checkCPUAccessMatchesReference(t *testing.T, name string, ways int) {
+// differentialConfig is the cache the differential tests run under name
+// ("ddio", "partition" or "no-ddio") at the given associativity.
+func differentialConfig(name string, ways int) Config {
 	cfg := ScaledConfig(2, 64, ways)
 	switch name {
 	case "partition":
@@ -566,6 +568,28 @@ func checkCPUAccessMatchesReference(t *testing.T, name string, ways int) {
 	case "no-ddio":
 		cfg.DDIO = false
 	}
+	return cfg
+}
+
+// duplicateKey reports a valid key held by two ways of one set, the
+// state ReadRef's way hint must never meet (see lookup).
+func duplicateKey(c *Cache, set int) string {
+	meta, _ := c.setWays(set)
+	for i, m := range meta {
+		if !valid(m) {
+			continue
+		}
+		for j := i + 1; j < len(meta); j++ {
+			if holds(meta[j], lineKey(m)) {
+				return fmt.Sprintf("set %d holds line %#x in ways %d and %d", set, m&^63, i, j)
+			}
+		}
+	}
+	return ""
+}
+
+func checkCPUAccessMatchesReference(t *testing.T, name string, ways int) {
+	cfg := differentialConfig(name, ways)
 	clock := sim.NewClock()
 	got, want := New(cfg, clock), newRefCache(cfg, clock)
 	rng := sim.NewRNG(41)
@@ -574,7 +598,11 @@ func checkCPUAccessMatchesReference(t *testing.T, name string, ways int) {
 		switch op := rng.Intn(16); {
 		case op < 10:
 			store := op >= 7
-			gh, gl := got.cpuAccess(addr, store)
+			access := got.Read
+			if store {
+				access = got.Write
+			}
+			gh, gl := access(addr)
 			wh, wl := want.access(addr, store)
 			if gh != wh || gl != wl {
 				t.Fatalf("access %d addr %#x: packed (%v,%d) != reference (%v,%d)", i, addr, gh, gl, wh, wl)
@@ -593,6 +621,11 @@ func checkCPUAccessMatchesReference(t *testing.T, name string, ways int) {
 			d = uint64(rng.Intn(400_000))
 		}
 		clock.Advance(d)
+		// An op changes only the set addr maps to, so checking that set
+		// after every op checks every set throughout.
+		if dup := duplicateKey(got, got.globalSet(addr)); dup != "" {
+			t.Fatalf("after op %d: %s", i, dup)
+		}
 		if i%997 == 0 {
 			if diff := diffState(got, want); diff != "" {
 				t.Fatalf("after op %d: %s", i, diff)

@@ -333,8 +333,9 @@ func (s *ArtifactStore) rigPath(key string) string {
 }
 
 // loadRig reads a persisted artifact. Any failure — missing file, corrupt
-// or truncated gob — reports (nil, false): the caller rebuilds and
-// overwrites, so a damaged cache heals instead of wedging every run.
+// or truncated gob, content that cannot stand in for key's build (see
+// servesKey) — reports (nil, false): the caller rebuilds and overwrites,
+// so a damaged cache heals instead of wedging every run.
 func (s *ArtifactStore) loadRig(key string) (*RigArtifact, bool) {
 	path := s.rigPath(key)
 	f, err := os.Open(path)
@@ -343,7 +344,7 @@ func (s *ArtifactStore) loadRig(key string) (*RigArtifact, bool) {
 	}
 	defer f.Close()
 	var ra RigArtifact
-	if err := gob.NewDecoder(f).Decode(&ra); err != nil {
+	if err := gob.NewDecoder(f).Decode(&ra); err != nil || !ra.servesKey(key) {
 		return nil, false
 	}
 	// Touch the entry so LRU eviction sees the hit. Reading alone is not
@@ -353,6 +354,23 @@ func (s *ArtifactStore) loadRig(key string) (*RigArtifact, bool) {
 	now := time.Now() //packetlint:allow disk-cache LRU recency stamp; never mixes into simulated time or report bytes
 	_ = os.Chtimes(path, now, now)
 	return &ra, true
+}
+
+// servesKey reports whether a decoded artifact is a build of key that a
+// trial can adopt. Gob accepts any bytes of the right shape: a machine
+// whose options were edited after the build decodes, then runs its trials
+// under the wrong environment; a missing machine, spy or eviction-set
+// line decodes, then panics the first trial that adopts it.
+func (ra *RigArtifact) servesKey(key string) bool {
+	if rigKey(ra.Opts, ra.Spy.Strategy) != key || ra.Machine == nil || len(ra.Spy.Pages) == 0 {
+		return false
+	}
+	for _, g := range ra.Groups {
+		if len(g.Lines) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // saveRig persists an artifact atomically (temp file + rename), so a

@@ -215,11 +215,41 @@ func TestDiskStoreHealsOutOfRangeNICHead(t *testing.T) {
 	})
 }
 
-// checkDiskStoreHeals persists a fig10 demo rig, lets corrupt rewrite its
-// machine snapshot, and checks that the entry no longer decodes, that a
-// fresh store rebuilds it, and that the rebuilt artifact measures like
-// the clean one.
+// TestDiskStoreRejectsArtifactForOtherKey: an entry whose recorded
+// options no longer match its key (here a timer noise edited after the
+// build) still decodes, but its trials would run under the wrong
+// environment and produce wrong bytes without any error. The store must
+// rebuild it.
+func TestDiskStoreRejectsArtifactForOtherKey(t *testing.T) {
+	checkDiskStoreRebuilds(t, "an artifact for another key", true, func(rig *rigWire) {
+		rig.Opts.TimerNoise++
+	})
+}
+
+// TestDiskStoreHealsEmptyGroup: an entry with an eviction set of no lines
+// decodes, but would panic every trial that adopts it. The store must
+// rebuild it.
+func TestDiskStoreHealsEmptyGroup(t *testing.T) {
+	checkDiskStoreRebuilds(t, "an empty eviction set", true, func(rig *rigWire) {
+		rig.Groups[0].Lines = nil
+	})
+}
+
+// checkDiskStoreHeals is checkDiskStoreRebuilds for a corruption of the
+// machine snapshot, which its decoder must reject.
 func checkDiskStoreHeals(t *testing.T, what string, corrupt func(*machineWire)) {
+	t.Helper()
+	checkDiskStoreRebuilds(t, what, false, func(rig *rigWire) {
+		var machine machineWire
+		rig.Machine = gobRewrite(t, rig.Machine, &machine, func() { corrupt(&machine) })
+	})
+}
+
+// checkDiskStoreRebuilds persists a fig10 demo rig, lets corrupt rewrite
+// it, checks that the entry still decodes as gob exactly when decodes is
+// set, that a fresh store rebuilds it, and that the rebuilt artifact
+// measures like the clean one.
+func checkDiskStoreRebuilds(t *testing.T, what string, decodes bool, corrupt func(*rigWire)) {
 	t.Helper()
 	dir := t.TempDir()
 	s1, err := NewDiskArtifactStore(dir)
@@ -241,16 +271,13 @@ func checkDiskStoreHeals(t *testing.T, what string, corrupt func(*machineWire)) 
 		t.Fatal(err)
 	}
 	var rig rigWire
-	var machine machineWire
-	b = gobRewrite(t, b, &rig, func() {
-		rig.Machine = gobRewrite(t, rig.Machine, &machine, func() { corrupt(&machine) })
-	})
+	b = gobRewrite(t, b, &rig, func() { corrupt(&rig) })
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var ra RigArtifact
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ra); err == nil {
-		t.Fatalf("%s decoded without error", what)
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ra); (err == nil) != decodes {
+		t.Fatalf("%s: decode error %v, want decodable %v", what, err, decodes)
 	}
 
 	s2, err := NewDiskArtifactStore(dir)
@@ -259,10 +286,10 @@ func checkDiskStoreHeals(t *testing.T, what string, corrupt func(*machineWire)) 
 	}
 	art2, err := PrepareFig10(PrepareCtx{Scale: Demo, Seed: 3, Store: s2})
 	if err != nil {
-		t.Fatalf("corrupt entry must rebuild, got %v", err)
+		t.Fatalf("%s must rebuild, got %v", what, err)
 	}
 	if s2.Builds() != 1 || s2.DiskLoads() != 0 {
-		t.Fatalf("corrupt entry: builds=%d loads=%d, want 1/0", s2.Builds(), s2.DiskLoads())
+		t.Fatalf("%s: builds=%d loads=%d, want 1/0", what, s2.Builds(), s2.DiskLoads())
 	}
 	if got := measureJSON(t, art2, 3); !bytes.Equal(got, want) {
 		t.Errorf("rebuilt artifact measured differently:\n want %s\n got  %s", want, got)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/scenario"
 	"repro/internal/testbed"
 )
 
@@ -50,6 +51,31 @@ func BenchmarkSpyEvicts(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Evicts(set, victim)
+	}
+}
+
+// BenchmarkSpyMonitorProbeSingle is the online phase's probe: one synced
+// PRIME+PROBE walk of one monitored set, cycling through every set of a
+// built demo rig. Steady state allocates nothing.
+func BenchmarkSpyMonitorProbeSingle(b *testing.B) {
+	opts := scenario.Baseline(false).Options(1)
+	tb, err := testbed.New(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spy, err := NewSpy(tb, opts.Cache.AlignedSetCount()*opts.Cache.Ways*3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups, err := spy.BuildAlignedEvictionSets(opts.Cache.Ways)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewMonitor(spy, groups)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ProbeSingle(i % len(groups))
 	}
 }
 

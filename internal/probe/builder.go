@@ -2,7 +2,9 @@ package probe
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 )
 
@@ -69,42 +71,51 @@ func (e EvictionSet) Offset(k int) EvictionSet {
 // minimal ways-sized eviction set by group elimination, then sweep the
 // pool for every other page the minimal set evicts — those form one
 // conflict group. Repeat until the pool is exhausted.
+//
+// Every page is resolved into a line ref once; the pool and its reductions
+// are index slices into that one array, so each page keeps its way hint
+// across the thousands of conflict tests it takes part in.
 func (s *Spy) BuildAlignedEvictionSets(ways int) ([]EvictionSet, error) {
 	if ways <= 0 {
 		return nil, fmt.Errorf("probe: ways must be positive")
 	}
-	pool := make([]uint64, s.region.Pages())
-	for i := range pool {
-		pool[i] = s.PageBase(i)
+	n := s.region.Pages()
+	refs := make([]cache.LineRef, n)
+	pool := make([]int32, n)
+	for i := range refs {
+		refs[i] = s.cache.Ref(s.PageBase(i))
+		pool[i] = int32(i)
 	}
+	// Every page joins at most one group's Lines, so one backing array
+	// holds them all.
+	lines := make([]uint64, 0, n)
 	var groups []EvictionSet
 	for len(pool) > ways {
-		victim := pool[0]
-		rest := append([]uint64(nil), pool[1:]...)
-		if !s.Evicts(rest, victim) {
+		// rest aliases the pool: reduce works on its own copy, and the
+		// pool changes only once this victim is settled.
+		victim, rest := pool[0], pool[1:]
+		if !s.conflict(refs, rest, victim) {
 			// Not enough co-mapped pages remain for this victim's set;
 			// set it aside and move on.
 			pool = pool[1:]
 			continue
 		}
-		minimal := s.reduce(rest, victim, ways)
-		if len(minimal) != ways || !s.Evicts(minimal, victim) {
+		minimal := s.reduce(refs, rest, victim, ways)
+		if len(minimal) != ways || !s.conflict(refs, minimal, victim) {
 			pool = pool[1:]
 			continue
 		}
-		group := EvictionSet{ID: len(groups), Lines: minimal}
-		group.Members = append(group.Members, victim)
-		inMinimal := make(map[uint64]bool, len(minimal))
-		for _, a := range minimal {
-			inMinimal[a] = true
+		from := len(lines)
+		for _, i := range minimal {
+			lines = append(lines, s.PageBase(int(i)))
 		}
+		group := EvictionSet{ID: len(groups), Lines: lines[from:len(lines):len(lines)]}
+		group.Members = append(group.Members, s.PageBase(int(victim)))
 		next := pool[:0]
 		for _, y := range pool[1:] {
 			switch {
-			case inMinimal[y]:
-				group.Members = append(group.Members, y)
-			case s.Evicts(minimal, y):
-				group.Members = append(group.Members, y)
+			case slices.Contains(minimal, y), s.conflict(refs, minimal, y):
+				group.Members = append(group.Members, s.PageBase(int(y)))
 			default:
 				next = append(next, y)
 			}
@@ -120,9 +131,10 @@ func (s *Spy) BuildAlignedEvictionSets(ways int) ([]EvictionSet, error) {
 
 // reduce shrinks candidates to a minimal eviction set for victim using
 // group elimination: repeatedly split into ways+1 chunks and drop any
-// chunk whose removal still leaves the victim evicted.
-func (s *Spy) reduce(candidates []uint64, victim uint64, ways int) []uint64 {
-	work := append([]uint64(nil), candidates...)
+// chunk whose removal still leaves the victim evicted. Pages are indices
+// into refs, as in BuildAlignedEvictionSets.
+func (s *Spy) reduce(refs []cache.LineRef, candidates []int32, victim int32, ways int) []int32 {
+	work := append([]int32(nil), candidates...)
 	for len(work) > ways {
 		// Split into exactly ways+1 chunks: at most ways elements are
 		// needed, so by pigeonhole at least one chunk is disposable.
@@ -133,10 +145,10 @@ func (s *Spy) reduce(candidates []uint64, victim uint64, ways int) []uint64 {
 			if lo == hi {
 				continue
 			}
-			rest := make([]uint64, 0, len(work)-(hi-lo))
+			rest := make([]int32, 0, len(work)-(hi-lo))
 			rest = append(rest, work[:lo]...)
 			rest = append(rest, work[hi:]...)
-			if s.Evicts(rest, victim) {
+			if s.conflict(refs, rest, victim) {
 				work = rest
 				removed = true
 				break

@@ -3,6 +3,8 @@ package probe
 import (
 	"math"
 	"sort"
+
+	"repro/internal/cache"
 )
 
 // Monitor runs PRIME+PROBE over a list of eviction sets. Each probe of a
@@ -18,8 +20,11 @@ import (
 // its length, and widens its activity thresholds by the calibrated noise
 // spread so idle jitter cannot cross them.
 type Monitor struct {
-	spy        *Spy
-	sets       []EvictionSet
+	spy  *Spy
+	sets []EvictionSet
+	// refs[i] is sets[i].Lines resolved into line refs, the form probeSet
+	// walks; the views share one backing array per monitor.
+	refs       [][]cache.LineRef
 	thresholds []uint64
 	// idleMin and idleMax record each set's calibration-pass extremes —
 	// the raw material CalibrationOK judges threshold health from.
@@ -46,18 +51,35 @@ type Sample struct {
 // monitor reports it through CalibrationOK instead of probing blind in
 // silence.
 func NewMonitor(spy *Spy, sets []EvictionSet) *Monitor {
+	n := 0
+	for _, e := range sets {
+		n += len(e.Lines)
+	}
+	backing := make([]cache.LineRef, 0, n)
 	m := &Monitor{
 		spy:        spy,
 		sets:       sets,
+		refs:       make([][]cache.LineRef, len(sets)),
 		thresholds: make([]uint64, len(sets)),
 		idleMin:    make([]uint64, len(sets)),
 		idleMax:    make([]uint64, len(sets)),
 		spreadEst:  make([]uint64, len(sets)),
 	}
-	for i := range sets {
+	for i, e := range sets {
+		from := len(backing)
+		backing = m.resolve(backing, e.Lines)
+		m.refs[i] = backing[from:len(backing):len(backing)]
 		m.recalibrate(i)
 	}
 	return m
+}
+
+// resolve appends the line refs of lines to dst.
+func (m *Monitor) resolve(dst []cache.LineRef, lines []uint64) []cache.LineRef {
+	for _, a := range lines {
+		dst = append(dst, m.spy.cache.Ref(a))
+	}
+	return dst
 }
 
 // recalibrate measures set i's idle baseline and installs its activity
@@ -229,6 +251,7 @@ func (m *Monitor) CalibrationOK() bool {
 // recalibrates its threshold through the same path NewMonitor used.
 func (m *Monitor) ReplaceSet(i int, e EvictionSet) {
 	m.sets[i] = e
+	m.refs[i] = m.resolve(m.refs[i][:0], e.Lines)
 	m.recalibrate(i)
 }
 
@@ -236,16 +259,17 @@ func (m *Monitor) ReplaceSet(i int, e EvictionSet) {
 // per-access timer reads summed (fine-timer strategy) or one block
 // reading (amplified strategy).
 func (m *Monitor) probeSet(i int) uint64 {
+	refs := m.refs[i]
 	if m.spy.strat.Amplify {
 		var elapsed uint64
-		for _, a := range m.sets[i].Lines {
-			elapsed += m.spy.loadRaw(a)
+		for j := range refs {
+			elapsed += m.spy.loadRaw(&refs[j])
 		}
 		return m.spy.tb.TimerRead(elapsed)
 	}
 	var lat uint64
-	for _, a := range m.sets[i].Lines {
-		lat += m.spy.Touch(a)
+	for j := range refs {
+		lat += m.spy.touchRef(&refs[j])
 	}
 	return lat
 }

@@ -158,7 +158,14 @@ func TestMonitorReplaceSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMonitor(spy, groups)
-	m.ReplaceSet(0, groups[0].Offset(1))
+	repl := groups[0].Offset(1)
+	m.ReplaceSet(0, repl)
+	// Recalibration walked the replacement's lines, not the old ones.
+	for _, a := range repl.Lines {
+		if !tb.Cache().Contains(a) {
+			t.Fatalf("replacement line %#x was never loaded", a)
+		}
+	}
 	s := m.ProbeOnce()
 	s = m.ProbeOnce()
 	if s.Active[0] {

@@ -8,6 +8,11 @@
 // oracles. Physical addresses appear in the implementation because the
 // spy's loads must be translated eventually, but no decision is made on
 // address bits the attacker could not know (page-offset bits only).
+// Monitors and the eviction-set builder load their lines through resolved
+// line refs (cache.LineRef): the simulated hardware's translation of an
+// address, cached so a line loaded over and over skips the set hashing.
+// A ref is not attacker knowledge, and no decision here reads the set or
+// way it holds.
 //
 // The spy comes in two flavours selected by a Strategy: the paper's
 // fine-timer attacker, and a coarse-timer-resilient variant built on
@@ -52,6 +57,12 @@ type Spy struct {
 	// factor is the amplification factor K the conflict test uses, chosen
 	// adaptively from spread and the calibrated edge (1 = unamplified).
 	factor int
+
+	// refs and walk are Evicts' reused buffers: its set and victim
+	// resolved into line refs, and the identity walk over the set. The
+	// refs keep their way hints while a caller repeats the same lines.
+	refs []cache.LineRef
+	walk []int32
 }
 
 // NewSpy maps pages of spy memory and calibrates hit/miss latencies with
@@ -165,20 +176,20 @@ func (s *Spy) Touch(addr uint64) uint64 {
 	return s.tb.TimerRead(lat)
 }
 
-// load performs an untimed load: the clock advances, but no timer reading
-// is taken (the attacker primes and walks without looking at the clock).
-func (s *Spy) load(addr uint64) {
-	_, lat := s.cache.Read(addr)
-	s.clock.Advance(lat + s.OverheadPerAccess)
+// touchRef is Touch of a resolved line.
+func (s *Spy) touchRef(r *cache.LineRef) uint64 {
+	return s.tb.TimerRead(s.loadRaw(r))
 }
 
 // loadRaw performs a load and returns its TRUE latency without reading the
-// timer. It exists for block timing: the caller accumulates the true
-// elapsed work of several loads and converts the block into one observed
-// duration with a single TimerRead — two timer reads around a block of
-// work carry one quantization error regardless of the block's length.
-func (s *Spy) loadRaw(addr uint64) uint64 {
-	_, lat := s.cache.Read(addr)
+// timer. Discarding the latency makes it an untimed load (the attacker
+// primes and walks without looking at the clock). It also serves block
+// timing: the caller accumulates the true elapsed work of several loads
+// and converts the block into one observed duration with a single
+// TimerRead — two timer reads around a block of work carry one
+// quantization error regardless of the block's length.
+func (s *Spy) loadRaw(r *cache.LineRef) uint64 {
+	_, lat := s.cache.ReadRef(r)
 	s.clock.Advance(lat + s.OverheadPerAccess)
 	return lat
 }
@@ -322,18 +333,34 @@ func (s *Spy) AmplificationFactor() int {
 // while the one-sided timer jitter of the K readings averages down
 // ~sqrt(K). K comes from the calibrated noise floor (AmplificationFactor).
 func (s *Spy) Evicts(set []uint64, victim uint64) bool {
+	n := len(set)
+	for len(s.refs) <= n {
+		s.walk = append(s.walk, int32(len(s.refs)))
+		s.refs = append(s.refs, cache.LineRef{})
+	}
+	for i, a := range set {
+		s.cache.Resolve(&s.refs[i], a)
+	}
+	s.cache.Resolve(&s.refs[n], victim)
+	return s.conflict(s.refs, s.walk[:n], int32(n))
+}
+
+// conflict is the conflict test of Evicts over resolved lines: the set is
+// walk, as indices into refs, and the victim is refs[v].
+func (s *Spy) conflict(refs []cache.LineRef, walk []int32, v int32) bool {
+	victim := &refs[v]
 	pos := 0
 	for trial := 0; trial < 3; trial++ {
 		s.tb.Sync()
 		var evicted bool
 		if s.strat.Amplify {
-			evicted = s.reloadRounds(set, victim)
+			evicted = s.reloadRounds(refs, walk, victim)
 		} else {
-			s.Touch(victim)
-			for _, a := range set {
-				s.Touch(a)
+			s.touchRef(victim)
+			for _, i := range walk {
+				s.touchRef(&refs[i])
 			}
-			lat := s.Touch(victim)
+			lat := s.touchRef(victim)
 			evicted = lat > (s.hitLat+s.missLat)/2
 		}
 		if evicted {
@@ -355,15 +382,15 @@ func (s *Spy) Evicts(set []uint64, victim uint64) bool {
 // reload readings against K midpoints; the calibrated midpoint already
 // carries the jitter's mean (both levels are observed medians), so the
 // comparison is centered and the residual is the sqrt(K)-averaged noise.
-func (s *Spy) reloadRounds(set []uint64, victim uint64) bool {
+func (s *Spy) reloadRounds(refs []cache.LineRef, walk []int32, victim *cache.LineRef) bool {
 	k := s.AmplificationFactor()
-	s.load(victim)
+	s.loadRaw(victim)
 	var obs uint64
 	for r := 0; r < k; r++ {
-		for _, a := range set {
-			s.load(a)
+		for _, i := range walk {
+			s.loadRaw(&refs[i])
 		}
-		obs += s.Touch(victim)
+		obs += s.touchRef(victim)
 	}
 	return obs > uint64(k)*(s.hitLat+s.missLat)/2
 }
