@@ -212,14 +212,6 @@ func (c *Cache) Ref(addr uint64) LineRef {
 	return LineRef{set: c.globalSet(addr), key: lineKey(addr)}
 }
 
-// Resolve points r at the line containing addr, keeping r's way hint when
-// it already refers to that line.
-func (c *Cache) Resolve(r *LineRef, addr uint64) {
-	if r.key != lineKey(addr) {
-		*r = c.Ref(addr)
-	}
-}
-
 // ReadRef is Read of the line r resolves, event for event: the same
 // adaptation, counters, stamps, fills and latencies. When r's way hint
 // still holds the line it hits with one compare; otherwise it runs the

@@ -139,20 +139,3 @@ func diffSnapshots(a, b *Snapshot) string {
 	}
 	return ""
 }
-
-// TestResolve: Resolve keeps a ref's way hint while the ref already names
-// the line (at any offset within it) and re-resolves it for another line.
-func TestResolve(t *testing.T) {
-	c, _ := newTestCache(ScaledConfig(2, 64, 4))
-	a, b := uint64(0x12340), uint64(0x56780)
-	r := c.Ref(a)
-	r.way = 3
-	c.Resolve(&r, a+8)
-	if want := (LineRef{set: c.globalSet(a), way: 3, key: lineKey(a)}); r != want {
-		t.Fatalf("same line: got %+v, want %+v", r, want)
-	}
-	c.Resolve(&r, b)
-	if want := c.Ref(b); r != want {
-		t.Fatalf("other line: got %+v, want %+v", r, want)
-	}
-}

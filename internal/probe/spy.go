@@ -333,16 +333,15 @@ func (s *Spy) AmplificationFactor() int {
 // while the one-sided timer jitter of the K readings averages down
 // ~sqrt(K). K comes from the calibrated noise floor (AmplificationFactor).
 func (s *Spy) Evicts(set []uint64, victim uint64) bool {
-	n := len(set)
-	for len(s.refs) <= n {
-		s.walk = append(s.walk, int32(len(s.refs)))
-		s.refs = append(s.refs, cache.LineRef{})
+	s.refs = s.refs[:0]
+	for _, a := range set {
+		s.refs = append(s.refs, s.cache.Ref(a))
 	}
-	for i, a := range set {
-		s.cache.Resolve(&s.refs[i], a)
+	s.refs = append(s.refs, s.cache.Ref(victim))
+	for len(s.walk) < len(set) {
+		s.walk = append(s.walk, int32(len(s.walk)))
 	}
-	s.cache.Resolve(&s.refs[n], victim)
-	return s.conflict(s.refs, s.walk[:n], int32(n))
+	return s.conflict(s.refs, s.walk[:len(set)], int32(len(set)))
 }
 
 // conflict is the conflict test of Evicts over resolved lines: the set is
