@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-exp id,id,...|all] [-scale demo|paper] [-seed N]
-//	            [-trials T] [-parallel N] [-warm|-cold] [-artifact-dir dir]
+//	            [-trials T] [-parallel N] [-cold] [-artifact-dir dir]
 //	            [-artifact-max-bytes N] [-checkpoint-dir dir] [-resume]
 //	            [-trial-budget N] [-pprof addr] [-format text|json]
 //	            [-o file] [-v|-q]
@@ -19,16 +19,16 @@
 // offline-phase experiment.
 //
 // Each experiment runs as T trials with decorrelated seeds derived from
-// the root seed, fanned out over a worker pool. For phase-split
-// experiments the trials share one prepared machine (trial 0's) and
-// differ in re-derived ambient randomness — timer jitter, background
-// noise, online streams — so the reported spread is measurement
-// variance on a fixed machine, not machine-layout variance; single-shot
-// experiments still rebuild everything per trial. Metrics are
-// aggregated into mean / stddev / min-max; -format json emits a stable
-// machine-readable document whose bytes depend only on (selection,
-// scale, seed, trials) — never on -parallel or -warm/-cold — so CI can
-// diff it.
+// the root seed, fanned out over a worker pool. The trials share one
+// prepared machine (trial 0's) and differ in re-derived ambient
+// randomness — timer jitter, background noise, online streams — so the
+// reported spread is measurement variance on a fixed machine, not
+// machine-layout variance; experiments with no offline phase (fig5,
+// fig6, table2, fig14-fig16) recompute everything under each trial's
+// seed. Metrics are aggregated into mean / stddev / min-max; -format
+// json emits a stable machine-readable document whose bytes depend only
+// on (selection, scale, seed, trials) — never on -parallel or -cold — so
+// CI can diff it.
 //
 // -sweep runs one sensitivity study instead: the sweep's cartesian grid
 // of scenario axes is fanned out over the worker pool with decorrelated
@@ -109,10 +109,9 @@ func run() int {
 	sweep := flag.String("sweep", "", "run one parameter sweep by id instead of -exp (use -list)")
 	scaleFlag := flag.String("scale", "demo", "demo or paper")
 	seed := flag.Int64("seed", 1, "root random seed")
-	trials := flag.Int("trials", 1, "trials per experiment (phase-split experiments measure one prepared machine under per-trial ambient randomness; others rebuild fully per trial)")
+	trials := flag.Int("trials", 1, "trials per experiment (each trial measures the one prepared machine under per-trial ambient randomness; experiments without an offline phase recompute fully per trial)")
 	parallel := flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS)")
-	warm := flag.Bool("warm", true, "reuse offline artifacts (eviction sets, machine snapshots) across trials and sweep cells")
-	cold := flag.Bool("cold", false, "rebuild the (shared, trial-0-seeded) offline artifacts for every trial instead of caching them (overrides -warm; results are byte-identical either way)")
+	cold := flag.Bool("cold", false, "rebuild the (shared, trial-0-seeded) offline artifacts for every trial instead of caching them across trials and sweep cells (results are byte-identical either way)")
 	artifactDir := flag.String("artifact-dir", "", "persist offline artifacts to this directory, content-addressed, so repeated invocations skip offline phases (warm mode only; results are byte-identical either way)")
 	artifactMax := flag.Int64("artifact-max-bytes", 0, "cap the -artifact-dir store at N bytes, evicting least-recently-used entries (0 = unlimited; eviction only costs rebuild time)")
 	defenseFlag := flag.String("defense", "", "comma-separated defense names restricting a sweep's defense axis (requires -sweep; cell keys and seeds match the full sweep's)")
@@ -246,7 +245,7 @@ func run() int {
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	if *artifactDir != "" && (*cold || !*warm) {
+	if *artifactDir != "" && *cold {
 		fmt.Fprintf(os.Stderr, "-artifact-dir requires warm mode (drop -cold)\n")
 		return 2
 	}
@@ -260,7 +259,7 @@ func run() int {
 	}
 	cfg := runner.Config{
 		Parallel:         width,
-		Warm:             *warm && !*cold,
+		Warm:             !*cold,
 		ArtifactDir:      *artifactDir,
 		ArtifactMaxBytes: *artifactMax,
 		CheckpointDir:    *checkpointDir,

@@ -20,9 +20,9 @@ import (
 // This file is the phase-split experiment API. The paper's attack has an
 // expensive offline phase (eviction-set construction over every
 // page-aligned cache set, latency calibration) and a cheap online phase
-// (priming, probing, decoding). The historical Run(seed) interface forced
-// the runner to pay the offline cost for every trial of every experiment
-// and for every sweep cell; the split lets it pay once:
+// (priming, probing, decoding). A monolithic Run(seed) would make the
+// runner pay the offline cost for every trial of every experiment and for
+// every sweep cell; the split lets it pay once:
 //
 //	Prepare(ctx) -> *Artifact   offline: build machines, eviction sets,
 //	                            calibrations; snapshot everything
@@ -37,7 +37,9 @@ import (
 // trial. Both paths execute identical measurement code on identically
 // restored machines, so warm and cold runs produce byte-identical reports
 // — the correctness bar that forces snapshotting to be honest about RNG
-// and clock positions.
+// and clock positions. Every registry experiment and sweep has this
+// shape; the ones without offline work get an empty Prepare
+// (onlineExp).
 
 // PrepareCtx carries the inputs of an offline phase. Seed is the
 // offline-relevant seed: the runner derives it so that every trial of an
@@ -57,9 +59,8 @@ type PrepareCtx struct {
 // cloned machines' ambient random streams (timer jitter, background
 // noise, driver reallocation) are re-derived from it, decorrelating
 // trials the way repeated measurements on real hardware decorrelate. When
-// the seeds are equal — the single-shot Run path — the streams continue
-// from their exact post-offline positions, reproducing the historical
-// single-seed behavior bit for bit.
+// the seeds are equal — trial 0, and the single-seed Run form — the
+// streams continue from their exact post-offline positions, bit for bit.
 type MeasureCtx struct {
 	Scale Scale
 	Seed  int64
@@ -526,11 +527,11 @@ func (s *ArtifactStore) evict(keep string) {
 	}
 }
 
-// phasedRun composes a Prepare/Measure pair back into the single-shot
-// Run signature with one seed for both phases. Per the MeasureCtx rule
-// this path never reseeds online streams, so a phase-split experiment's
-// Run is byte-identical to its historical monolithic implementation —
-// the property the golden files pin.
+// phasedRun composes a Prepare/Measure pair into the single-seed Run
+// form with one seed for both phases. Per the MeasureCtx rule this path
+// never reseeds online streams, so Run(seed) equals the runner's trial 0
+// under OfflineSeed == seed. Kept, like Run itself, for the benchmark's
+// tracer.
 func phasedRun(p PrepareFunc, m MeasureFunc) func(Scale, int64) (Result, error) {
 	return func(scale Scale, seed int64) (Result, error) {
 		art, err := p(PrepareCtx{Scale: scale, Seed: seed})

@@ -8,7 +8,6 @@ import (
 	"repro/internal/defense"
 	"repro/internal/fingerprint"
 	"repro/internal/perfsim"
-	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/webtrace"
@@ -186,70 +185,61 @@ func candidatePerf(e perfsim.Effects, seed int64, cfg perfsim.NginxConfig) (matr
 // machine. perfSeed is shared across every candidate of one search so
 // overhead deltas are comparable (and memoized) across the whole run.
 func DefenseCandidateExperiment(id string, d defense.Defense, budget DefenseEvalBudget, perfSeed int64) Experiment {
-	return Experiment{
-		ID:    id,
-		Short: "frontier candidate: " + d.Name(),
-		Prepare: func(ctx PrepareCtx) (*Artifact, error) {
-			if err := defense.Validate(d); err != nil {
-				return nil, err
-			}
-			art := ctx.NewArtifact()
-			spec := defenseSpec(ctx.Scale, d)
-			if err := ctx.AddRig(art, "candidate", spec.Options(ctx.Seed), probe.DefaultStrategy()); err != nil {
-				return nil, err
-			}
-			if coarsensTimer(ctx.Scale, d) {
-				if err := ctx.AddRig(art, amplifiedLabel("candidate"), spec.Options(ctx.Seed), probe.AmplifiedStrategy()); err != nil {
-					return nil, err
-				}
-			}
-			return art, nil
-		},
-		Measure: func(ctx MeasureCtx, art *Artifact) (Result, error) {
-			lk, err := defenseLeakage(ctx, art, "candidate", budget.CovertSymbols, budget.FPTrials)
-			if err != nil {
-				return Result{}, err
-			}
-			if _, ok := art.Rigs[amplifiedLabel("candidate")]; ok {
-				amp, err := defenseLeakage(ctx, art, amplifiedLabel("candidate"), budget.CovertSymbols, budget.FPTrials)
-				if err != nil {
-					return Result{}, err
-				}
-				lk = strongestAttack(lk, amp)
-			}
-
-			nginxCfg := perfsim.DefaultNginxConfig()
-			nginxCfg.Requests = budget.NginxRequests
-			nginxCfg.TargetRate = 140_000
-			base, err := candidatePerf(perfsim.Effects{}, perfSeed, nginxCfg)
-			if err != nil {
-				return Result{}, err
-			}
-			perf, err := candidatePerf(d.PerfEffects(), perfSeed, nginxCfg)
-			if err != nil {
-				return Result{}, err
-			}
-			p99Delta := (perf.p99 - base.p99) / base.p99
-			tputLoss := (base.throughput - perf.throughput) / base.throughput
-
-			res := Result{
-				ID:     id,
-				Title:  "frontier candidate " + d.Name(),
-				Header: []string{"defense", "leakage", "p99 delta"},
-				Rows: [][]string{{
-					d.Name(), pct(lk.scalar()), fmt.Sprintf("%+.2f%%", 100*p99Delta),
-				}},
-			}
-			res.AddMetric("leakage", "fraction", lk.scalar())
-			res.AddMetric("chase_accuracy", "fraction", lk.chaseAcc)
-			res.AddMetric("chase_calibration_ok", "bool", boolMetric(lk.chaseCal))
-			res.AddMetric("covert_error", "fraction", lk.covertErr)
-			res.AddMetric("covert_calibration_ok", "bool", boolMetric(lk.covertCal))
-			res.AddMetric("fingerprint_accuracy", "fraction", lk.fpAcc)
-			res.AddMetric("fingerprint_calibration_ok", "bool", boolMetric(lk.fpCal))
-			res.AddMetric("p99_delta", "fraction", p99Delta)
-			res.AddMetric("throughput_loss", "fraction", tputLoss)
-			return res, nil
-		},
+	prepare := func(ctx PrepareCtx) (*Artifact, error) {
+		if err := defense.Validate(d); err != nil {
+			return nil, err
+		}
+		art := ctx.NewArtifact()
+		if err := addDefenseRigs(ctx, art, "candidate", d); err != nil {
+			return nil, err
+		}
+		return art, nil
 	}
+	measure := func(ctx MeasureCtx, art *Artifact) (Result, error) {
+		lk, err := defenseLeakage(ctx, art, "candidate", budget.CovertSymbols, budget.FPTrials)
+		if err != nil {
+			return Result{}, err
+		}
+		if _, ok := art.Rigs[amplifiedLabel("candidate")]; ok {
+			amp, err := defenseLeakage(ctx, art, amplifiedLabel("candidate"), budget.CovertSymbols, budget.FPTrials)
+			if err != nil {
+				return Result{}, err
+			}
+			lk = strongestAttack(lk, amp)
+		}
+
+		nginxCfg := perfsim.DefaultNginxConfig()
+		nginxCfg.Requests = budget.NginxRequests
+		nginxCfg.TargetRate = 140_000
+		base, err := candidatePerf(perfsim.Effects{}, perfSeed, nginxCfg)
+		if err != nil {
+			return Result{}, err
+		}
+		perf, err := candidatePerf(d.PerfEffects(), perfSeed, nginxCfg)
+		if err != nil {
+			return Result{}, err
+		}
+		p99Delta := (perf.p99 - base.p99) / base.p99
+		tputLoss := (base.throughput - perf.throughput) / base.throughput
+
+		res := Result{
+			ID:     id,
+			Title:  "frontier candidate " + d.Name(),
+			Header: []string{"defense", "leakage", "p99 delta"},
+			Rows: [][]string{{
+				d.Name(), pct(lk.scalar()), fmt.Sprintf("%+.2f%%", 100*p99Delta),
+			}},
+		}
+		res.AddMetric("leakage", "fraction", lk.scalar())
+		res.AddMetric("chase_accuracy", "fraction", lk.chaseAcc)
+		res.AddMetric("chase_calibration_ok", "bool", boolMetric(lk.chaseCal))
+		res.AddMetric("covert_error", "fraction", lk.covertErr)
+		res.AddMetric("covert_calibration_ok", "bool", boolMetric(lk.covertCal))
+		res.AddMetric("fingerprint_accuracy", "fraction", lk.fpAcc)
+		res.AddMetric("fingerprint_calibration_ok", "bool", boolMetric(lk.fpCal))
+		res.AddMetric("p99_delta", "fraction", p99Delta)
+		res.AddMetric("throughput_loss", "fraction", tputLoss)
+		return res, nil
+	}
+	return phasedExp(id, "frontier candidate: "+d.Name(), prepare, measure)
 }

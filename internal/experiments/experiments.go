@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment is a named function that runs the relevant
-// attack or defense pipeline and returns formatted rows plus structured
-// metric values; internal/runner fans the registry out over a worker
-// pool and aggregates metrics across trials, cmd/experiments prints the
-// results, and the root benchmark suite re-runs scaled versions.
+// evaluation. Each experiment is a named Prepare/Measure pair that runs
+// the relevant attack or defense pipeline and returns formatted rows plus
+// structured metric values; internal/runner fans the registry out over a
+// worker pool and aggregates metrics across trials, and cmd/experiments
+// prints the results.
 //
 // Two scales are supported. Demo scale (the default) shrinks the machine
 // so each experiment finishes in seconds on one core while keeping every
@@ -107,35 +107,47 @@ func (r Result) Format() string {
 	return b.String()
 }
 
-// Experiment is a runnable evaluation item. Run is always usable and
-// executes both phases under one seed. Experiments with an expensive
-// offline phase additionally expose it as a Prepare/Measure pair (see
-// artifact.go); the runner exploits the split to prepare once and measure
-// many times.
+// Experiment is a runnable evaluation item, split into the attack's two
+// phases (see artifact.go): Prepare builds the offline machines once and
+// Measure runs one trial on clones of them. The runner requires both and
+// exploits the split to prepare once and measure many times.
 type Experiment struct {
-	ID    string
-	Short string
-	Run   func(scale Scale, seed int64) (Result, error)
-	// Prepare and Measure, when both non-nil, are the phase-split form of
-	// Run: Run(scale, seed) is exactly Prepare followed by Measure with
-	// the same seed.
+	ID      string
+	Short   string
 	Prepare PrepareFunc
 	Measure MeasureFunc
+	// Run is Prepare followed by Measure under one seed, the single-seed
+	// reference that tests compare runner trials against. The runner
+	// never calls it; it is kept because the benchmark's tracer still
+	// wraps it.
+	Run func(scale Scale, seed int64) (Result, error)
 }
 
-// Phased reports whether the experiment supports the phase-split API.
+// Phased reports whether the experiment has both phases, the shape the
+// runner requires. Kept for the benchmark's tracer, which still branches
+// on it.
 func (e Experiment) Phased() bool { return e.Prepare != nil && e.Measure != nil }
 
-// phasedExp registers a phase-split experiment, deriving its Run form.
+// phasedExp registers an experiment, deriving its Run form.
 func phasedExp(id, short string, p PrepareFunc, m MeasureFunc) Experiment {
 	return Experiment{ID: id, Short: short, Run: phasedRun(p, m), Prepare: p, Measure: m}
+}
+
+// onlineExp registers an experiment without an offline phase (the driver
+// mapping figures and the perfsim cost model). Prepare returns an empty
+// artifact, a fresh pointer on every call; Measure runs body under the
+// trial seed, so every trial recomputes body(scale, seed) in full.
+func onlineExp(id, short string, body func(Scale, int64) (Result, error)) Experiment {
+	return phasedExp(id, short,
+		func(ctx PrepareCtx) (*Artifact, error) { return ctx.NewArtifact(), nil },
+		func(ctx MeasureCtx, _ *Artifact) (Result, error) { return body(ctx.Scale, ctx.Seed) })
 }
 
 // All returns the registry of experiments in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{ID: "fig5", Short: "ring buffers per page-aligned cache set (one driver instance)", Run: Fig5},
-		{ID: "fig6", Short: "mapping distribution over 1000 driver instances", Run: Fig6},
+		onlineExp("fig5", "ring buffers per page-aligned cache set (one driver instance)", Fig5),
+		onlineExp("fig6", "mapping distribution over 1000 driver instances", Fig6),
 		phasedExp("fig7", "page-aligned set activity: idle vs receiving", PrepareFig7, MeasureFig7),
 		phasedExp("fig8", "packet-size detection matrix (blocks 0-3)", PrepareFig8, MeasureFig8),
 		phasedExp("table1", "ring sequence recovery quality", PrepareTable1, MeasureTable1),
@@ -145,10 +157,10 @@ func All() []Experiment {
 		phasedExp("fig12cd", "full-chasing channel: out-of-sync and error vs rate", PrepareFig12cd, MeasureFig12cd),
 		phasedExp("fig13", "hotcrp login fingerprint traces", PrepareFig13, MeasureFig13),
 		phasedExp("fingerprint", "closed-world website fingerprinting accuracy", PrepareFingerprint, MeasureFingerprint),
-		{ID: "table2", Short: "baseline processor configuration", Run: Table2},
-		{ID: "fig14", Short: "Nginx throughput: adaptive partitioning vs DDIO", Run: Fig14},
-		{ID: "fig15", Short: "memory traffic and LLC miss rate by scheme", Run: Fig15},
-		{ID: "fig16", Short: "HTTP tail latency by defense scheme", Run: Fig16},
+		onlineExp("table2", "baseline processor configuration", Table2),
+		onlineExp("fig14", "Nginx throughput: adaptive partitioning vs DDIO", Fig14),
+		onlineExp("fig15", "memory traffic and LLC miss rate by scheme", Fig15),
+		onlineExp("fig16", "HTTP tail latency by defense scheme", Fig16),
 		phasedExp("matrix_defense", "attack x defense matrix: leakage vs overhead", PrepareMatrixDefense, MeasureMatrixDefense),
 		phasedExp("chase_coarse_timer", "chase accuracy vs timer jitter: fine-timer vs amplified attacker", PrepareChaseCoarseTimer, MeasureChaseCoarseTimer),
 	}

@@ -60,17 +60,27 @@ func pickHigher(a float64, calA bool, b float64, calB bool) bool {
 func PrepareMatrixDefense(ctx PrepareCtx) (*Artifact, error) {
 	art := ctx.NewArtifact()
 	for _, d := range defense.All() {
-		spec := defenseSpec(ctx.Scale, d)
-		if err := ctx.AddRig(art, d.Name(), spec.Options(ctx.Seed), probe.DefaultStrategy()); err != nil {
+		if err := addDefenseRigs(ctx, art, d.Name(), d); err != nil {
 			return nil, err
-		}
-		if coarsensTimer(ctx.Scale, d) {
-			if err := ctx.AddRig(art, amplifiedLabel(d.Name()), spec.Options(ctx.Seed), probe.AmplifiedStrategy()); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return art, nil
+}
+
+// addDefenseRigs files the rigs one defense cell measures: the fine-timer
+// attacker's machine under label and, when the defense coarsens the
+// timer, the amplified attacker's under amplifiedLabel(label). The matrix
+// and the frontier candidates both prepare through it, so they agree on
+// which attackers a defense faces.
+func addDefenseRigs(ctx PrepareCtx, art *Artifact, label string, d defense.Defense) error {
+	spec := defenseSpec(ctx.Scale, d)
+	if err := ctx.AddRig(art, label, spec.Options(ctx.Seed), probe.DefaultStrategy()); err != nil {
+		return err
+	}
+	if coarsensTimer(ctx.Scale, d) {
+		return ctx.AddRig(art, amplifiedLabel(label), spec.Options(ctx.Seed), probe.AmplifiedStrategy())
+	}
+	return nil
 }
 
 // matrixPerf is one defense's cost-axis measurement.

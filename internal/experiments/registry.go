@@ -29,9 +29,6 @@ type Entry struct {
 	Short string
 	// Kind says which of Experiment/Sweep is populated.
 	Kind EntryKind
-	// Phased reports whether the item supports the phase-split
-	// Prepare/Measure API (and therefore warm artifact reuse).
-	Phased bool
 	// Grid is the sweep's parameter grid; nil for experiments.
 	Grid scenario.Grid
 	// Golden is the repo-relative path of the item's pinned demo-scale
@@ -55,19 +52,17 @@ func Registry() []Entry {
 			ID:         e.ID,
 			Short:      e.Short,
 			Kind:       KindExperiment,
-			Phased:     e.Phased(),
 			Golden:     filepath.Join("internal", "experiments", "testdata", e.ID+".golden.json"),
 			Experiment: e,
 		})
 	}
 	for _, s := range sweeps {
 		out = append(out, Entry{
-			ID:     s.ID,
-			Short:  s.Short,
-			Kind:   KindSweep,
-			Phased: s.Phased(),
-			Grid:   s.Grid,
-			Sweep:  s,
+			ID:    s.ID,
+			Short: s.Short,
+			Kind:  KindSweep,
+			Grid:  s.Grid,
+			Sweep: s,
 		})
 	}
 	return out

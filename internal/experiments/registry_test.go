@@ -26,15 +26,15 @@ func TestRegistryMergesBothSpecies(t *testing.T) {
 			if e.Grid != nil {
 				t.Errorf("%s: experiment entry carries a grid", e.ID)
 			}
-			if e.Phased != e.Experiment.Phased() {
-				t.Errorf("%s: Phased metadata disagrees with the experiment", e.ID)
+			if !e.Experiment.Phased() {
+				t.Errorf("%s: experiment has no Prepare/Measure pair", e.ID)
 			}
 		case KindSweep:
 			if e.Sweep.ID != e.ID || len(e.Grid) == 0 {
 				t.Errorf("%s: sweep entry not populated", e.ID)
 			}
-			if e.Phased != e.Sweep.Phased() {
-				t.Errorf("%s: Phased metadata disagrees with the sweep", e.ID)
+			if !e.Sweep.Phased() {
+				t.Errorf("%s: sweep has no Prepare/Measure pair", e.ID)
 			}
 		default:
 			t.Errorf("%s: unknown kind %q", e.ID, e.Kind)
@@ -77,8 +77,8 @@ func TestRegistryGoldenPathsExist(t *testing.T) {
 // TestLookupFindsBothKinds: Lookup resolves experiments and sweeps by ID
 // through one call — what -resume and the CLI use.
 func TestLookupFindsBothKinds(t *testing.T) {
-	if e, ok := Lookup("fig10"); !ok || e.Kind != KindExperiment || !e.Phased {
-		t.Errorf("Lookup(fig10) = %+v, %v; want a phased experiment", e, ok)
+	if e, ok := Lookup("fig10"); !ok || e.Kind != KindExperiment || e.Experiment.ID != "fig10" {
+		t.Errorf("Lookup(fig10) = %+v, %v; want the fig10 experiment", e, ok)
 	}
 	if e, ok := Lookup("sens_covert_timer"); !ok || e.Kind != KindSweep || len(e.Grid) == 0 {
 		t.Errorf("Lookup(sens_covert_timer) = %+v, %v; want a sweep with a grid", e, ok)

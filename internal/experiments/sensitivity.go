@@ -30,18 +30,21 @@ type Sweep struct {
 	ID    string
 	Short string
 	Grid  scenario.Grid
-	Run   func(scale Scale, seed int64, cell scenario.Cell) (Result, error)
-	// Prepare and Measure, when both non-nil, are the phase-split form:
-	// Run(scale, seed, cell) is exactly Prepare followed by Measure with
-	// the same seed.
+	// Prepare and Measure are the cell's two phases; the runner requires
+	// both.
 	Prepare func(ctx PrepareCtx, cell scenario.Cell) (*Artifact, error)
 	Measure func(ctx MeasureCtx, art *Artifact, cell scenario.Cell) (Result, error)
+	// Run is Prepare followed by Measure under one seed, the single-seed
+	// reference that tests compare against. The runner never calls it;
+	// it is kept because the benchmark's tracer still wraps it.
+	Run func(scale Scale, seed int64, cell scenario.Cell) (Result, error)
 }
 
-// Phased reports whether the sweep supports the phase-split API.
+// Phased reports whether the sweep has both phases, the shape the runner
+// requires. Kept for the benchmark's tracer, which still branches on it.
 func (s Sweep) Phased() bool { return s.Prepare != nil && s.Measure != nil }
 
-// phasedSweep registers a phase-split sweep, deriving its Run form.
+// phasedSweep registers a sweep, deriving its Run form.
 func phasedSweep(id, short string, grid scenario.Grid,
 	p func(ctx PrepareCtx, cell scenario.Cell) (*Artifact, error),
 	m func(ctx MeasureCtx, art *Artifact, cell scenario.Cell) (Result, error)) Sweep {

@@ -2,11 +2,14 @@ package runner
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,26 +23,21 @@ import (
 // non-empty, makes that cell's trials fail — checkpointed failures must
 // replay byte-identically too.
 func ckptSweep(executed *atomic.Int64, failKey string) experiments.Sweep {
-	return experiments.Sweep{
-		ID:    "ckpt_sweep",
-		Short: "checkpoint test sweep",
-		Grid: scenario.Grid{
-			{Name: "a", Values: []float64{1, 2, 3}},
-			{Name: "b", Values: []float64{10, 20}},
-		},
-		Run: func(_ experiments.Scale, seed int64, cell scenario.Cell) (experiments.Result, error) {
-			executed.Add(1)
-			if cell.Key() == failKey {
-				return experiments.Result{}, fmt.Errorf("synthetic failure at %s", cell.Key())
-			}
-			a, _ := cell.Value("a")
-			b, _ := cell.Value("b")
-			res := experiments.Result{ID: "ckpt_sweep", Title: "ckpt", Header: []string{"k"}, Rows: [][]string{{"v"}}}
-			res.AddMetric("ab", "units", a*b)
-			res.AddMetric("seed_mod", "", float64(seed%1000))
-			return res, nil
-		},
-	}
+	return onlineSweep("ckpt_sweep", "checkpoint test sweep", scenario.Grid{
+		{Name: "a", Values: []float64{1, 2, 3}},
+		{Name: "b", Values: []float64{10, 20}},
+	}, func(_ experiments.Scale, seed int64, cell scenario.Cell) (experiments.Result, error) {
+		executed.Add(1)
+		if cell.Key() == failKey {
+			return experiments.Result{}, fmt.Errorf("synthetic failure at %s", cell.Key())
+		}
+		a, _ := cell.Value("a")
+		b, _ := cell.Value("b")
+		res := experiments.Result{ID: "ckpt_sweep", Title: "ckpt", Header: []string{"k"}, Rows: [][]string{{"v"}}}
+		res.AddMetric("ab", "units", a*b)
+		res.AddMetric("seed_mod", "", float64(seed%1000))
+		return res, nil
+	})
 }
 
 func sweepReportJSON(t *testing.T, rep *SweepReport) []byte {
@@ -438,24 +436,18 @@ func TestBudgetRequiresCheckpoint(t *testing.T) {
 func TestRunPathCheckpointResume(t *testing.T) {
 	var aCount, bCount atomic.Int64
 	exps := []experiments.Experiment{
-		{
-			ID: "ckpt_a", Short: "a",
-			Run: func(_ experiments.Scale, seed int64) (experiments.Result, error) {
-				aCount.Add(1)
-				res := experiments.Result{ID: "ckpt_a", Title: "a", Header: []string{"k"}, Rows: [][]string{{"v"}}}
-				res.AddMetric("m", "", float64(seed%97))
-				return res, nil
-			},
-		},
-		{
-			ID: "ckpt_b", Short: "b",
-			Run: func(_ experiments.Scale, seed int64) (experiments.Result, error) {
-				bCount.Add(1)
-				res := experiments.Result{ID: "ckpt_b", Title: "b", Header: []string{"k"}, Rows: [][]string{{"v"}}}
-				res.AddMetric("m", "", float64(seed%89))
-				return res, nil
-			},
-		},
+		online("ckpt_a", "a", func(_ experiments.Scale, seed int64) (experiments.Result, error) {
+			aCount.Add(1)
+			res := experiments.Result{ID: "ckpt_a", Title: "a", Header: []string{"k"}, Rows: [][]string{{"v"}}}
+			res.AddMetric("m", "", float64(seed%97))
+			return res, nil
+		}),
+		online("ckpt_b", "b", func(_ experiments.Scale, seed int64) (experiments.Result, error) {
+			bCount.Add(1)
+			res := experiments.Result{ID: "ckpt_b", Title: "b", Header: []string{"k"}, Rows: [][]string{{"v"}}}
+			res.AddMetric("m", "", float64(seed%89))
+			return res, nil
+		}),
 	}
 	dir := t.TempDir()
 	job := Job{Scale: experiments.Demo, Seed: 4, Trials: 3}
@@ -499,4 +491,82 @@ func TestCheckpointWithoutResumeTruncates(t *testing.T) {
 	if b.Load() != a.Load() {
 		t.Errorf("non-resume rerun executed %d trials, want %d (journal must not be read)", b.Load(), a.Load())
 	}
+}
+
+// FuzzJournalLoad feeds a journal with a valid header followed by
+// arbitrary bytes to loadJournal, which reads journals left on disk by
+// earlier (possibly killed or tampered-with) invocations. It must never
+// panic, and every outcome it accepts must survive a second trip through
+// the journal: checkpointSink.Put then loadJournal returns it unchanged,
+// so a resumed report cannot drift from what the first resume read.
+func FuzzJournalLoad(f *testing.F) {
+	line := func(payload string) string {
+		sum := sha256.Sum256([]byte(payload))
+		return hex.EncodeToString(sum[:8]) + " " + payload + "\n"
+	}
+	for _, seed := range []string{
+		"",
+		line(`{"unit":"fig5","trial":0,"result":{"ID":"fig5","Metrics":[{"name":"m","unit":"u","value":-0.5}]},"wall_ns":7}`),
+		line(`{"unit":"a=1","trial":1,"failed":true,"error":"boom","wall_ns":1}`) + line(`{"unit":"a=1","trial":1,"result":{},"wall_ns":2}`),
+		line(`{"unit":"x","trial":-3,"failed":true}`),
+		line(`{"unit":"","trial":0,"result":{}}`) + line(`{"unit":"y","trial":0}`),
+		line(`{"unit":"z","trial":2,"result":{"Rows":[null,["a"]],"Header":[]}}`) + "0123456789abcdef {\"unit\":\"torn",
+		"not a journal line\n\n \n",
+	} {
+		f.Add([]byte(seed))
+	}
+	ident := checkpointIdentity{Kind: "experiments", Scale: "demo", Seed: 1, Trials: 2}
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		dir := t.TempDir()
+		sink, _, err := openCheckpoint(filepath.Join(dir, "first"), ident, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The raw bytes, then the same lines again under valid checksums so
+		// the entry decoding behind the checksum is fuzzed too.
+		journal := append(append([]byte{}, tail...), '\n')
+		for _, l := range strings.Split(string(tail), "\n") {
+			journal = append(journal, line(l)...)
+		}
+		if _, err := sink.f.Write(journal); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		first, ok := loadJournal(filepath.Join(dir, "first", ident.filename()), ident)
+		if !ok {
+			t.Fatal("journal with a valid header reported unusable")
+		}
+
+		sink, _, err = openCheckpoint(filepath.Join(dir, "second"), ident, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range first {
+			if err := sink.Put(o); err != nil {
+				t.Fatalf("re-journal %s trial %d: %v", o.Unit, o.Trial, err)
+			}
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		second, ok := loadJournal(filepath.Join(dir, "second", ident.filename()), ident)
+		if !ok {
+			t.Fatal("re-journaled outcomes unusable")
+		}
+		if len(second) != len(first) {
+			t.Fatalf("%d outcomes loaded, %d after re-journaling", len(first), len(second))
+		}
+		for k, a := range first {
+			b, ok := second[k]
+			if !ok {
+				t.Fatalf("%s trial %d lost on re-journaling", k.unit, k.trial)
+			}
+			if a.Unit != b.Unit || a.Trial != b.Trial || a.Wall != b.Wall || (a.Err == nil) != (b.Err == nil) ||
+				fmt.Sprint(a.Err) != fmt.Sprint(b.Err) || !reflect.DeepEqual(a.Result, b.Result) {
+				t.Fatalf("%s trial %d changed on re-journaling:\nfirst:  %+v\nsecond: %+v", k.unit, k.trial, a, b)
+			}
+		}
+	})
 }

@@ -270,7 +270,7 @@ func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int)
 				start := time.Now()
 				res, err := u.run(s.ti, rigs)
 				// Rigs return to the pool whether the trial finished,
-				// errored, or panicked (safeCall converted it): the next
+				// errored, or panicked (runTrial converted it): the next
 				// adoption overwrites every mutable field, so a poisoned
 				// rig heals on reuse.
 				rigs.Release()
@@ -348,6 +348,11 @@ func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, jo
 	if len(selected) == 0 {
 		return nil, fmt.Errorf("runner: no experiments selected")
 	}
+	for _, e := range selected {
+		if !e.Phased() {
+			return nil, fmt.Errorf("runner: experiment %q has no Prepare/Measure pair", e.ID)
+		}
+	}
 	if job.Trials < 1 {
 		job.Trials = 1
 	}
@@ -362,7 +367,8 @@ func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, jo
 			key:   e.ID,
 			label: e.ID,
 			run: func(trial int, rigs *experiments.RigLease) (experiments.Result, error) {
-				return runTrial(e, job.Scale, job.Seed, trial, store, rigs)
+				return runTrial(e.Prepare, e.Measure, job.Scale, OfflineSeed(job.Seed, e.ID),
+					TrialSeed(job.Seed, e.ID, trial), store, rigs)
 			},
 		}
 	}
@@ -398,8 +404,8 @@ func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, jo
 // Cell failures (including panics) are recorded per cell so one broken
 // corner of the parameter space does not discard the rest of the curve.
 func (r *Runner) RunSweep(sw experiments.Sweep, job Job) (*SweepReport, error) {
-	if sw.Run == nil && !sw.Phased() {
-		return nil, fmt.Errorf("runner: sweep %q has no run function", sw.ID)
+	if !sw.Phased() {
+		return nil, fmt.Errorf("runner: sweep %q has no Prepare/Measure pair", sw.ID)
 	}
 	if err := sw.Grid.Validate(); err != nil {
 		return nil, fmt.Errorf("runner: sweep %q: %w", sw.ID, err)
@@ -413,13 +419,19 @@ func (r *Runner) RunSweep(sw experiments.Sweep, job Job) (*SweepReport, error) {
 	}
 	cells := sw.Grid.Cells()
 	units := make([]execUnit, len(cells))
+	offlineSeed := SweepOfflineSeed(job.Seed, sw.ID)
 	for i, cell := range cells {
 		cell := cell
+		prepare := func(ctx experiments.PrepareCtx) (*experiments.Artifact, error) { return sw.Prepare(ctx, cell) }
+		measure := func(ctx experiments.MeasureCtx, art *experiments.Artifact) (experiments.Result, error) {
+			return sw.Measure(ctx, art, cell)
+		}
 		units[i] = execUnit{
 			key:   cell.Key(),
 			label: sw.ID + "[" + cell.Key() + "]",
 			run: func(trial int, rigs *experiments.RigLease) (experiments.Result, error) {
-				return runSweepTrial(sw, job.Scale, job.Seed, cell, trial, store, rigs)
+				return runTrial(prepare, measure, job.Scale, offlineSeed,
+					CellSeed(job.Seed, sw.ID, cell.Key(), trial), store, rigs)
 			},
 		}
 	}

@@ -2,17 +2,20 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/defense"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
 
-// TestWarmColdByteIdenticalExperiments is the PR's acceptance criterion
-// for the experiment path: for the same (selection, scale, seed, trials),
-// a warm run (shared offline artifacts) and a cold run (rebuild per
-// trial) must serialize to byte-identical JSON. fig10 is offline-heavy
-// and cheap online; fig5 covers the non-phased path riding along.
+// TestWarmColdByteIdenticalExperiments is the warm/cold contract for the
+// experiment path: for the same (selection, scale, seed, trials), a warm
+// run (shared offline artifacts) and a cold run (rebuild per trial) must
+// serialize to byte-identical JSON. fig10 is offline-heavy and cheap
+// online; fig5, whose prepare is empty, rides along.
 func TestWarmColdByteIdenticalExperiments(t *testing.T) {
 	var sel []experiments.Experiment
 	for _, id := range []string{"fig5", "fig10"} {
@@ -69,36 +72,86 @@ func TestWarmColdByteIdenticalDefenseSweep(t *testing.T) {
 }
 
 // TestPhasedTrialZeroMatchesMonolithicRun pins the compatibility
-// contract: through the runner, trial 0 of a phase-split experiment must
-// reproduce the monolithic Run(seed) result exactly (this is what keeps
-// the historical golden files valid).
+// contract: through the runner, trial 0 must reproduce the single-seed
+// Run(seed) result exactly (this is what keeps the golden files valid).
+// A frontier candidate is built like every registry experiment, so its
+// Run is usable and holds the same contract; a timer-coarsening one also
+// exercises the amplified-attacker rig.
 func TestPhasedTrialZeroMatchesMonolithicRun(t *testing.T) {
-	e, ok := experiments.ByID("fig10")
+	const root = 11
+	fig10, ok := experiments.ByID("fig10")
 	if !ok {
 		t.Fatal("fig10 not registered")
 	}
-	if !e.Phased() {
-		t.Fatal("fig10 should be phase-split")
-	}
-	direct, err := e.Run(experiments.Demo, TrialSeed(11, e.ID, 0))
+	d, err := defense.NewTimerCoarsening(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := New(Config{Warm: true}).Run([]experiments.Experiment{e}, Job{Scale: experiments.Demo, Seed: 11, Trials: 1})
-	if err != nil {
+	budget := experiments.DefenseEvalBudget{CovertSymbols: 20, FPTrials: 2, NginxRequests: 500}
+	for _, e := range []experiments.Experiment{fig10, experiments.DefenseCandidateExperiment("cand", d, budget, 5)} {
+		want, err := e.Run(experiments.Demo, TrialSeed(root, e.ID, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := trialResults(t, Config{Warm: true}, []experiments.Experiment{e}, Job{Scale: experiments.Demo, Seed: root, Trials: 1})
+		if !reflect.DeepEqual(got[outcomeKey{unit: e.ID}], want) {
+			t.Errorf("%s: runner trial 0 differs from Run(TrialSeed(%d, %q, 0))", e.ID, root, e.ID)
+		}
+	}
+}
+
+// trialResults runs sel under cfg and returns every trial's result by
+// (experiment, trial).
+func trialResults(t *testing.T, cfg Config, sel []experiments.Experiment, job Job) map[outcomeKey]experiments.Result {
+	t.Helper()
+	got := resultSink{}
+	cfg.Sinks = append(cfg.Sinks, got)
+	if _, err := New(cfg).Run(sel, job); err != nil {
 		t.Fatal(err)
 	}
-	er := rep.Experiments[0]
-	if !er.OK {
-		t.Fatalf("trial failed: %s", er.Error)
+	return got
+}
+
+// resultSink records each outcome's result, failing the run on a trial
+// error.
+type resultSink map[outcomeKey]experiments.Result
+
+func (s resultSink) Put(o TrialOutcome) error {
+	if o.Err != nil {
+		return fmt.Errorf("%s trial %d: %w", o.Unit, o.Trial, o.Err)
 	}
-	if len(er.Metrics) != len(direct.Metrics) {
-		t.Fatalf("metric count %d vs %d", len(er.Metrics), len(direct.Metrics))
+	s[outcomeKey{unit: o.Unit, trial: o.Trial}] = o.Result
+	return nil
+}
+
+// TestOnlineExperimentsRecomputePerTrial pins the empty-prepare shape:
+// fig5 (driver mapping) and fig14 (perfsim) have no offline phase, so
+// trial t must be the whole experiment under TrialSeed(root, id, t), not
+// a re-measurement of trial 0's machine.
+func TestOnlineExperimentsRecomputePerTrial(t *testing.T) {
+	const root = 6
+	bodies := map[string]func(experiments.Scale, int64) (experiments.Result, error){
+		"fig5":  experiments.Fig5,
+		"fig14": experiments.Fig14,
 	}
-	for i, m := range direct.Metrics {
-		if er.Metrics[i].Name != m.Name || er.Metrics[i].Values[0] != m.Value {
-			t.Errorf("metric %d: runner %s=%v, direct %s=%v",
-				i, er.Metrics[i].Name, er.Metrics[i].Values[0], m.Name, m.Value)
+	var sel []experiments.Experiment
+	for _, id := range []string{"fig5", "fig14"} {
+		e, ok := experiments.ByID(id)
+		if !ok {
+			t.Fatalf("experiment %s not registered", id)
+		}
+		sel = append(sel, e)
+	}
+	got := trialResults(t, Config{Parallel: 2, Warm: true}, sel, Job{Scale: experiments.Demo, Seed: root, Trials: 3})
+	for id, body := range bodies {
+		for trial := 0; trial < 3; trial++ {
+			want, err := body(experiments.Demo, TrialSeed(root, id, trial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[outcomeKey{unit: id, trial: trial}], want) {
+				t.Errorf("%s trial %d differs from %s(Demo, TrialSeed(%d, %q, %d))", id, trial, id, root, id, trial)
+			}
 		}
 	}
 }

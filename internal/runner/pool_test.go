@@ -14,23 +14,20 @@ import (
 // number of simultaneously running trials across every job sharing the
 // counters.
 func concurrencyProbe(id string, cur, peak *atomic.Int64) experiments.Experiment {
-	return experiments.Experiment{
-		ID: id, Short: id,
-		Run: func(_ experiments.Scale, seed int64) (experiments.Result, error) {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+	return online(id, id, func(_ experiments.Scale, seed int64) (experiments.Result, error) {
+		n := cur.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
 			}
-			time.Sleep(2 * time.Millisecond)
-			cur.Add(-1)
-			res := experiments.Result{ID: id, Title: id, Header: []string{"k"}, Rows: [][]string{{"v"}}}
-			res.AddMetric("m", "", float64(seed%101))
-			return res, nil
-		},
-	}
+		}
+		time.Sleep(2 * time.Millisecond)
+		cur.Add(-1)
+		res := experiments.Result{ID: id, Title: id, Header: []string{"k"}, Rows: [][]string{{"v"}}}
+		res.AddMetric("m", "", float64(seed%101))
+		return res, nil
+	})
 }
 
 // TestPoolBoundsConcurrentJobs: two wide jobs sharing a width-1 pool

@@ -3,8 +3,8 @@
 // each experiment as T trials with decorrelated per-trial seeds
 // (sim.DeriveSeed over "expID/trialN" labels), and reduces the
 // per-trial metric values into mean / stddev / min-max summaries.
-// Phase-split experiments share one prepared machine across their
-// trials (see runTrial); single-shot experiments rebuild per trial.
+// Every experiment and sweep cell is a Prepare/Measure pair, and its
+// trials share one prepared machine (see runTrial).
 //
 // The runner's determinism contract: for a fixed (selection, scale,
 // seed, trials), the aggregated Report — and therefore its JSON encoding
@@ -37,11 +37,10 @@ func TrialSeed(root int64, expID string, trial int) int64 {
 	return sim.DeriveSeed(root, fmt.Sprintf("%s/trial%d", expID, trial))
 }
 
-// OfflineSeed derives the offline-phase seed for a phase-split
-// experiment. It is trial 0's seed: every trial prepares (or reuses) the
-// machine trial 0 would build, which keeps a single-trial run
-// byte-identical to the historical monolithic Run path — the property the
-// golden files pin.
+// OfflineSeed derives the offline-phase seed for an experiment. It is
+// trial 0's seed: every trial prepares (or reuses) the machine trial 0
+// would build, which keeps a single-trial run byte-identical to the
+// single-seed Run form — the property the golden files pin.
 func OfflineSeed(root int64, expID string) int64 {
 	return TrialSeed(root, expID, 0)
 }
@@ -53,42 +52,32 @@ type trialOutcome struct {
 	wall   time.Duration
 }
 
-// safeCall executes one trial closure, converting a panic into an
-// ordinary trial error so a single broken experiment cell fails its
-// report entry instead of taking down the whole sweep process.
-func safeCall(run func() (experiments.Result, error)) (res experiments.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return run()
-}
-
-// runTrial executes one (experiment, trial) cell. Phase-split
-// experiments go through Prepare (against the shared store when warm)
-// and Measure; single-shot experiments run monolithically. Trial 0 of a
-// phased experiment is definitionally identical to the monolithic
+// runTrial executes one (unit, trial) cell: prepare the unit's offline
+// machines under its offline seed (against the shared store when warm),
+// then measure them under the trial seed. Experiments and sweep cells
+// both come through here; RunSweep binds the cell into prepare and
+// measure. Trial 0 of an experiment is definitionally identical to
 // Run(TrialSeed(root, id, 0)) — OfflineSeed is trial 0's seed and Run is
 // Prepare∘Measure — which is what keeps the golden files valid. Trials
 // >= 1 measure trial 0's machine under re-derived ambient randomness by
 // design ("prepare once, measure many"); that is a semantic choice, not
 // an optimization, and holds in warm and cold mode alike — cold merely
-// rebuilds the same trial-0 machine each time instead of caching it.
-func runTrial(e experiments.Experiment, scale experiments.Scale, root int64, trial int, store *experiments.ArtifactStore, rigs *experiments.RigLease) (experiments.Result, error) {
-	seed := TrialSeed(root, e.ID, trial)
-	if !e.Phased() {
-		return safeCall(func() (experiments.Result, error) { return e.Run(scale, seed) })
-	}
-	return safeCall(func() (experiments.Result, error) {
-		art, err := e.Prepare(experiments.PrepareCtx{
-			Scale: scale,
-			Seed:  OfflineSeed(root, e.ID),
-			Store: store,
-		})
-		if err != nil {
-			return experiments.Result{}, err
+// rebuilds the same trial-0 machine each time instead of caching it. An
+// experiment with an empty prepare recomputes everything in Measure, so
+// each of its trials is its whole body under that trial's seed.
+//
+// A panic in either phase becomes an ordinary trial error, so one broken
+// experiment cell fails its report entry instead of taking down the
+// whole process.
+func runTrial(prepare experiments.PrepareFunc, measure experiments.MeasureFunc, scale experiments.Scale, offlineSeed, seed int64, store *experiments.ArtifactStore, rigs *experiments.RigLease) (res experiments.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
 		}
-		return e.Measure(experiments.MeasureCtx{Scale: scale, Seed: seed, Rigs: rigs}, art)
-	})
+	}()
+	art, err := prepare(experiments.PrepareCtx{Scale: scale, Seed: offlineSeed, Store: store})
+	if err != nil {
+		return experiments.Result{}, err
+	}
+	return measure(experiments.MeasureCtx{Scale: scale, Seed: seed, Rigs: rigs}, art)
 }

@@ -4,31 +4,64 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
+
+// online gives a seed-only trial body the shape the runner requires: an
+// empty prepare and a measure that runs body under the trial seed, the
+// way the registry wraps its experiments without an offline phase.
+func online(id, short string, body func(experiments.Scale, int64) (experiments.Result, error)) experiments.Experiment {
+	return experiments.Experiment{
+		ID:    id,
+		Short: short,
+		Prepare: func(ctx experiments.PrepareCtx) (*experiments.Artifact, error) {
+			return ctx.NewArtifact(), nil
+		},
+		Measure: func(ctx experiments.MeasureCtx, _ *experiments.Artifact) (experiments.Result, error) {
+			return body(ctx.Scale, ctx.Seed)
+		},
+	}
+}
+
+// onlineSweep is online for a sweep: body runs per cell under the cell's
+// trial seed.
+func onlineSweep(id, short string, grid scenario.Grid, body func(experiments.Scale, int64, scenario.Cell) (experiments.Result, error)) experiments.Sweep {
+	return experiments.Sweep{
+		ID:    id,
+		Short: short,
+		Grid:  grid,
+		Prepare: func(ctx experiments.PrepareCtx, _ scenario.Cell) (*experiments.Artifact, error) {
+			return ctx.NewArtifact(), nil
+		},
+		Measure: func(ctx experiments.MeasureCtx, _ *experiments.Artifact, cell scenario.Cell) (experiments.Result, error) {
+			return body(ctx.Scale, ctx.Seed, cell)
+		},
+	}
+}
 
 // fakeExp returns a cheap deterministic experiment whose single metric
 // is a pure function of the seed, so aggregation can be checked exactly.
 func fakeExp(id string) experiments.Experiment {
-	return experiments.Experiment{
-		ID:    id,
-		Short: "fake " + id,
-		Run: func(scale experiments.Scale, seed int64) (experiments.Result, error) {
-			res := experiments.Result{
-				ID:     id,
-				Title:  "fake " + id,
-				Header: []string{"k", "v"},
-				Rows:   [][]string{{"seed", fmt.Sprint(seed)}},
-			}
-			res.AddMetric("seed_mod", "units", float64(seed%1000))
-			res.AddMetric("constant", "", 42)
-			return res, nil
-		},
-	}
+	return online(id, "fake "+id, func(scale experiments.Scale, seed int64) (experiments.Result, error) {
+		res := experiments.Result{
+			ID:     id,
+			Title:  "fake " + id,
+			Header: []string{"k", "v"},
+			Rows:   [][]string{{"seed", fmt.Sprint(seed)}},
+		}
+		res.AddMetric("seed_mod", "units", float64(seed%1000))
+		res.AddMetric("constant", "", 42)
+		return res, nil
+	})
 }
 
 func runJSON(t *testing.T, sel []experiments.Experiment, cfg Config, job Job) []byte {
@@ -99,12 +132,9 @@ func TestAggregationExact(t *testing.T) {
 }
 
 func TestErrorPropagation(t *testing.T) {
-	boom := experiments.Experiment{
-		ID: "boom", Short: "always fails",
-		Run: func(experiments.Scale, int64) (experiments.Result, error) {
-			return experiments.Result{}, errors.New("kaput")
-		},
-	}
+	boom := online("boom", "always fails", func(experiments.Scale, int64) (experiments.Result, error) {
+		return experiments.Result{}, errors.New("kaput")
+	})
 	rep, err := New(Config{Parallel: 2}).Run([]experiments.Experiment{fakeExp("ok"), boom}, Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -132,15 +162,12 @@ func TestErrorPropagation(t *testing.T) {
 // emits two metrics with the same name, each occurrence must aggregate
 // its own values rather than both collapsing onto the first.
 func TestDuplicateMetricNamesAggregatePositionally(t *testing.T) {
-	dup := experiments.Experiment{
-		ID: "dup", Short: "duplicate metric names",
-		Run: func(_ experiments.Scale, seed int64) (experiments.Result, error) {
-			res := experiments.Result{ID: "dup", Title: "dup", Header: []string{"k"}, Rows: [][]string{{"v"}}}
-			res.AddMetric("m", "", float64(seed%100))
-			res.AddMetric("m", "", float64(seed%100)+1000)
-			return res, nil
-		},
-	}
+	dup := online("dup", "duplicate metric names", func(_ experiments.Scale, seed int64) (experiments.Result, error) {
+		res := experiments.Result{ID: "dup", Title: "dup", Header: []string{"k"}, Rows: [][]string{{"v"}}}
+		res.AddMetric("m", "", float64(seed%100))
+		res.AddMetric("m", "", float64(seed%100)+1000)
+		return res, nil
+	})
 	rep, err := New(Config{Parallel: 2}).Run([]experiments.Experiment{dup}, Job{Scale: experiments.Demo, Seed: 5, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -165,19 +192,16 @@ func TestDuplicateMetricNamesAggregatePositionally(t *testing.T) {
 // aggregate — in the report and in the text rendering.
 func TestPartialFailureKeepsSurvivingTrials(t *testing.T) {
 	failSeed := TrialSeed(1, "flaky", 0)
-	flaky := experiments.Experiment{
-		ID: "flaky", Short: "fails trial 0",
-		Run: func(_ experiments.Scale, seed int64) (experiments.Result, error) {
-			if seed == failSeed {
-				return experiments.Result{}, errors.New("boom0")
-			}
-			res := experiments.Result{
-				ID: "flaky", Title: "flaky", Header: []string{"k"}, Rows: [][]string{{"v"}},
-			}
-			res.AddMetric("m", "", 1)
-			return res, nil
-		},
-	}
+	flaky := online("flaky", "fails trial 0", func(_ experiments.Scale, seed int64) (experiments.Result, error) {
+		if seed == failSeed {
+			return experiments.Result{}, errors.New("boom0")
+		}
+		res := experiments.Result{
+			ID: "flaky", Title: "flaky", Header: []string{"k"}, Rows: [][]string{{"v"}},
+		}
+		res.AddMetric("m", "", 1)
+		return res, nil
+	})
 	rep, err := New(Config{Parallel: 2}).Run([]experiments.Experiment{flaky}, Job{Scale: experiments.Demo, Seed: 1, Trials: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +226,41 @@ func TestPartialFailureKeepsSurvivingTrials(t *testing.T) {
 func TestRunRejectsEmptySelection(t *testing.T) {
 	if _, err := New(Config{}).Run(nil, Job{}); err == nil {
 		t.Error("empty selection must error")
+	}
+}
+
+// TestRejectsUnitsWithoutPhases: an experiment or sweep with only a Run
+// function is refused up front, naming it, before any trial of the job
+// runs or any journal is opened.
+func TestRejectsUnitsWithoutPhases(t *testing.T) {
+	var calls atomic.Int64
+	count := func(experiments.Scale, int64) (experiments.Result, error) {
+		calls.Add(1)
+		return experiments.Result{}, nil
+	}
+	counted := online("counted", "counts calls", count)
+	runOnly := experiments.Experiment{ID: "run_only", Short: "no phases", Run: count}
+	sweep := experiments.Sweep{
+		ID: "run_only_sweep", Short: "no phases",
+		Grid: scenario.Grid{{Name: "x", Values: []float64{1}}},
+		Run: func(scale experiments.Scale, seed int64, _ scenario.Cell) (experiments.Result, error) {
+			return count(scale, seed)
+		},
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	rn := New(Config{CheckpointDir: dir})
+	job := Job{Scale: experiments.Demo, Seed: 1, Trials: 2}
+	if _, err := rn.Run([]experiments.Experiment{counted, runOnly}, job); err == nil || !strings.Contains(err.Error(), `"run_only"`) {
+		t.Errorf("Run error = %v, want one naming run_only", err)
+	}
+	if _, err := rn.RunSweep(sweep, job); err == nil || !strings.Contains(err.Error(), `"run_only_sweep"`) {
+		t.Errorf("RunSweep error = %v, want one naming run_only_sweep", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("%d trial(s) ran before the rejection", n)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("checkpoint dir touched before the rejection: %v", err)
 	}
 }
 

@@ -15,12 +15,9 @@ import (
 // report entry (so cmd/experiments exits non-zero) without killing the
 // worker pool or the surviving experiments.
 func TestPanicRecoveredAsFailure(t *testing.T) {
-	boom := experiments.Experiment{
-		ID: "boom", Short: "panics",
-		Run: func(experiments.Scale, int64) (experiments.Result, error) {
-			panic("synthetic failure")
-		},
-	}
+	boom := online("boom", "panics", func(experiments.Scale, int64) (experiments.Result, error) {
+		panic("synthetic failure")
+	})
 	rep, err := New(Config{Parallel: 2}).Run([]experiments.Experiment{fakeExp("ok"), boom, fakeExp("ok2")}, Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -40,18 +37,14 @@ func TestPanicRecoveredAsFailure(t *testing.T) {
 }
 
 func TestSweepPanicRecoveredAsFailure(t *testing.T) {
-	sw := experiments.Sweep{
-		ID: "panicky", Short: "panics on one cell",
-		Grid: scenario.Grid{{Name: "x", Values: []float64{1, 2, 3}}},
-		Run: func(_ experiments.Scale, _ int64, cell scenario.Cell) (experiments.Result, error) {
-			if x, _ := cell.Value("x"); x == 2 {
-				panic(fmt.Sprintf("cell %v exploded", x))
-			}
-			res := experiments.Result{ID: "panicky", Title: "p", Header: []string{"k"}, Rows: [][]string{{"v"}}}
-			res.AddMetric("m", "", 1)
-			return res, nil
-		},
-	}
+	sw := onlineSweep("panicky", "panics on one cell", scenario.Grid{{Name: "x", Values: []float64{1, 2, 3}}}, func(_ experiments.Scale, _ int64, cell scenario.Cell) (experiments.Result, error) {
+		if x, _ := cell.Value("x"); x == 2 {
+			panic(fmt.Sprintf("cell %v exploded", x))
+		}
+		res := experiments.Result{ID: "panicky", Title: "p", Header: []string{"k"}, Rows: [][]string{{"v"}}}
+		res.AddMetric("m", "", 1)
+		return res, nil
+	})
 	rep, err := New(Config{Parallel: 3}).RunSweep(sw, Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -76,19 +69,13 @@ func TestStressPoolDeterminismUnderFailures(t *testing.T) {
 			i := i
 			switch i % 4 {
 			case 1:
-				sel = append(sel, experiments.Experiment{
-					ID: fmt.Sprintf("fail%d", i), Short: "fails",
-					Run: func(experiments.Scale, int64) (experiments.Result, error) {
-						return experiments.Result{}, fmt.Errorf("err %d", i)
-					},
-				})
+				sel = append(sel, online(fmt.Sprintf("fail%d", i), "fails", func(experiments.Scale, int64) (experiments.Result, error) {
+					return experiments.Result{}, fmt.Errorf("err %d", i)
+				}))
 			case 3:
-				sel = append(sel, experiments.Experiment{
-					ID: fmt.Sprintf("panic%d", i), Short: "panics",
-					Run: func(experiments.Scale, int64) (experiments.Result, error) {
-						panic(i)
-					},
-				})
+				sel = append(sel, online(fmt.Sprintf("panic%d", i), "panics", func(experiments.Scale, int64) (experiments.Result, error) {
+					panic(i)
+				}))
 			default:
 				sel = append(sel, fakeExp(fmt.Sprintf("ok%d", i)))
 			}
@@ -112,15 +99,12 @@ func TestStressPoolDeterminismUnderFailures(t *testing.T) {
 // pool to catch double-dispatch or dropped jobs.
 func TestStressPoolRunsEveryTrialExactlyOnce(t *testing.T) {
 	var calls atomic.Int64
-	counted := experiments.Experiment{
-		ID: "counted", Short: "counts calls",
-		Run: func(_ experiments.Scale, seed int64) (experiments.Result, error) {
-			calls.Add(1)
-			res := experiments.Result{ID: "counted", Title: "c", Header: []string{"k"}, Rows: [][]string{{"v"}}}
-			res.AddMetric("m", "", 1)
-			return res, nil
-		},
-	}
+	counted := online("counted", "counts calls", func(_ experiments.Scale, seed int64) (experiments.Result, error) {
+		calls.Add(1)
+		res := experiments.Result{ID: "counted", Title: "c", Header: []string{"k"}, Rows: [][]string{{"v"}}}
+		res.AddMetric("m", "", 1)
+		return res, nil
+	})
 	const trials = 50
 	rep, err := New(Config{Parallel: 16}).Run([]experiments.Experiment{counted}, Job{Scale: experiments.Demo, Seed: 2, Trials: trials})
 	if err != nil {

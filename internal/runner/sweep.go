@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -98,27 +97,6 @@ func CellSeed(root int64, sweepID, cellKey string, trial int) int64 {
 // artifacts via the store's machine fingerprint, not via the seed.
 func SweepOfflineSeed(root int64, sweepID string) int64 {
 	return sim.DeriveSeed(root, sweepID+"/offline")
-}
-
-// runSweepTrial executes one (cell, trial). Phase-split sweeps prepare
-// their cell's machines (against the shared store when warm) and measure
-// on clones; legacy sweeps run monolithically.
-func runSweepTrial(sw experiments.Sweep, scale experiments.Scale, root int64, cell scenario.Cell, trial int, store *experiments.ArtifactStore, rigs *experiments.RigLease) (experiments.Result, error) {
-	seed := CellSeed(root, sw.ID, cell.Key(), trial)
-	if !sw.Phased() {
-		return safeCall(func() (experiments.Result, error) { return sw.Run(scale, seed, cell) })
-	}
-	return safeCall(func() (experiments.Result, error) {
-		art, err := sw.Prepare(experiments.PrepareCtx{
-			Scale: scale,
-			Seed:  SweepOfflineSeed(root, sw.ID),
-			Store: store,
-		}, cell)
-		if err != nil {
-			return experiments.Result{}, err
-		}
-		return sw.Measure(experiments.MeasureCtx{Scale: scale, Seed: seed, Rigs: rigs}, art, cell)
-	})
 }
 
 // WriteJSON serializes the sweep report as indented, newline-terminated

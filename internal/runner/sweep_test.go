@@ -14,22 +14,17 @@ import (
 // fakeSweep measures a deterministic function of (cell, seed) so the
 // sweep plumbing can be checked exactly.
 func fakeSweep() experiments.Sweep {
-	return experiments.Sweep{
-		ID:    "fake_sweep",
-		Short: "fake sensitivity curve",
-		Grid: scenario.Grid{
-			{Name: "x", Values: []float64{1, 2}},
-			{Name: "y", Values: []float64{10, 20, 30}},
-		},
-		Run: func(_ experiments.Scale, seed int64, cell scenario.Cell) (experiments.Result, error) {
-			x, _ := cell.Value("x")
-			y, _ := cell.Value("y")
-			res := experiments.Result{ID: "fake_sweep", Title: "fake", Header: []string{"k"}, Rows: [][]string{{"v"}}}
-			res.AddMetric("xy", "units", x*y)
-			res.AddMetric("seed_mod", "", float64(seed%1000))
-			return res, nil
-		},
-	}
+	return onlineSweep("fake_sweep", "fake sensitivity curve", scenario.Grid{
+		{Name: "x", Values: []float64{1, 2}},
+		{Name: "y", Values: []float64{10, 20, 30}},
+	}, func(_ experiments.Scale, seed int64, cell scenario.Cell) (experiments.Result, error) {
+		x, _ := cell.Value("x")
+		y, _ := cell.Value("y")
+		res := experiments.Result{ID: "fake_sweep", Title: "fake", Header: []string{"k"}, Rows: [][]string{{"v"}}}
+		res.AddMetric("xy", "units", x*y)
+		res.AddMetric("seed_mod", "", float64(seed%1000))
+		return res, nil
+	})
 }
 
 func sweepJSON(t *testing.T, sw experiments.Sweep, cfg Config, job Job) []byte {
@@ -150,12 +145,12 @@ func TestCellSeedsDistinct(t *testing.T) {
 
 func TestSweepCellFailureIsolated(t *testing.T) {
 	sw := fakeSweep()
-	inner := sw.Run
-	sw.Run = func(scale experiments.Scale, seed int64, cell scenario.Cell) (experiments.Result, error) {
+	inner := sw.Measure
+	sw.Measure = func(ctx experiments.MeasureCtx, art *experiments.Artifact, cell scenario.Cell) (experiments.Result, error) {
 		if x, _ := cell.Value("x"); x == 2 {
 			return experiments.Result{}, errors.New("cell kaput")
 		}
-		return inner(scale, seed, cell)
+		return inner(ctx, art, cell)
 	}
 	rep, err := New(Config{Parallel: 3}).RunSweep(sw, Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
 	if err != nil {

@@ -64,15 +64,14 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleRegistry(w http.ResponseWriter, r *http.Request) {
 	type item struct {
-		ID     string `json:"id"`
-		Kind   string `json:"kind"`
-		Short  string `json:"short"`
-		Phased bool   `json:"phased"`
-		Cells  int    `json:"cells,omitempty"`
+		ID    string `json:"id"`
+		Kind  string `json:"kind"`
+		Short string `json:"short"`
+		Cells int    `json:"cells,omitempty"`
 	}
 	var items []item
 	for _, e := range experiments.Registry() {
-		it := item{ID: e.ID, Kind: string(e.Kind), Short: e.Short, Phased: e.Phased}
+		it := item{ID: e.ID, Kind: string(e.Kind), Short: e.Short}
 		if e.Kind == experiments.KindSweep {
 			it.Cells = e.Grid.Size()
 		}
