@@ -72,13 +72,26 @@
 // split across invocations — or a CI job can deliberately stop partway
 // and prove resume correctness.
 //
-// Progress on stderr defaults to a throttled one-line summary
-// (done/total, percentage, ETA); -v restores the per-trial log and -q
-// silences both.
+// Every invocation is one service.JobSpec: -exp selects an experiments
+// job (-exp all leaves the selection empty, the whole registry), -sweep
+// a sweep job and -search a search job; the other flags fill the spec's
+// scale, seed, trials, cold, defense, budget and epsilon. The spec goes
+// through service.Resolve and Resolved.Run, the same resolver and
+// dispatch an experimentd job takes, so a solo run and a daemon job of
+// one spec emit the same bytes. A spec Resolve rejects (an unknown id,
+// -defense without -sweep, a negative -search-budget, ...) is a usage
+// error, and so is a flag combination runner.Config.Validate rejects
+// (-cold with -artifact-dir, -resume without -checkpoint-dir, ...).
 //
-// Exit status: 0 when every selected experiment (or sweep cell)
-// succeeded, 1 when any failed, 2 on usage errors, 3 when -trial-budget
-// stopped the run before completion.
+// Progress on stderr is one banner line naming the job, then a
+// throttled one-line summary (done/total, percentage, ETA); -v restores
+// the per-trial log and -q silences both.
+//
+// Exit status: 0 when every selected experiment (or sweep cell, or
+// search candidate) succeeded, 1 when any failed, 2 on usage or harness
+// errors, 3 when -trial-budget stopped the run before completion. Only
+// exits 0 and 1 write a report; on any other exit a regular -o file is
+// removed rather than left empty.
 package main
 
 import (
@@ -96,166 +109,106 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
-	"repro/internal/scenario"
-	"repro/internal/search"
+	"repro/internal/service"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	exp := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-	sweep := flag.String("sweep", "", "run one parameter sweep by id instead of -exp (use -list)")
-	scaleFlag := flag.String("scale", "demo", "demo or paper")
-	seed := flag.Int64("seed", 1, "root random seed")
-	trials := flag.Int("trials", 1, "trials per experiment (each trial measures the one prepared machine under per-trial ambient randomness; experiments without an offline phase recompute fully per trial)")
-	parallel := flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS)")
-	cold := flag.Bool("cold", false, "rebuild the (shared, trial-0-seeded) offline artifacts for every trial instead of caching them across trials and sweep cells (results are byte-identical either way)")
-	artifactDir := flag.String("artifact-dir", "", "persist offline artifacts to this directory, content-addressed, so repeated invocations skip offline phases (warm mode only; results are byte-identical either way)")
-	artifactMax := flag.Int64("artifact-max-bytes", 0, "cap the -artifact-dir store at N bytes, evicting least-recently-used entries (0 = unlimited; eviction only costs rebuild time)")
-	defenseFlag := flag.String("defense", "", "comma-separated defense names restricting a sweep's defense axis (requires -sweep; cell keys and seeds match the full sweep's)")
-	searchFlag := flag.Bool("search", false, "run the defense Pareto-frontier search instead of -exp/-sweep")
-	searchBudget := flag.Int("search-budget", 0, "total candidate evaluations for -search (0 = default 240)")
-	searchEps := flag.Float64("search-eps", 0, "overhead-axis ε-dominance slack for -search (0 = default 0.005; negative = strict dominance)")
-	checkpointDir := flag.String("checkpoint-dir", "", "journal each completed trial to this directory, keyed by the run identity (results are byte-identical either way)")
-	resume := flag.Bool("resume", false, "replay completed trials from the -checkpoint-dir journal and execute only the rest")
-	trialBudget := flag.Int("trial-budget", 0, "execute at most N trials this invocation (0 = unlimited; requires -checkpoint-dir; exit status 3 when work remains)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while the run executes")
-	format := flag.String("format", "text", "output format: text or json")
-	out := flag.String("o", "", "write results to file instead of stdout")
-	verbose := flag.Bool("v", false, "per-trial progress lines on stderr instead of the throttled summary")
-	quiet := flag.Bool("q", false, "suppress all progress on stderr")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	flag.Parse()
+// run is the whole command: it parses args, writes the report to stdout
+// (or -o) and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
+	sweep := fs.String("sweep", "", "run one parameter sweep by id instead of -exp (use -list)")
+	scaleFlag := fs.String("scale", "demo", "demo or paper")
+	seed := fs.Int64("seed", 1, "root random seed")
+	trials := fs.Int("trials", 1, "trials per experiment (each trial measures the one prepared machine under per-trial ambient randomness; experiments without an offline phase recompute fully per trial)")
+	parallel := fs.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS)")
+	cold := fs.Bool("cold", false, "rebuild the (shared, trial-0-seeded) offline artifacts for every trial instead of caching them across trials and sweep cells (results are byte-identical either way)")
+	artifactDir := fs.String("artifact-dir", "", "persist offline artifacts to this directory, content-addressed, so repeated invocations skip offline phases (warm mode only; results are byte-identical either way)")
+	artifactMax := fs.Int64("artifact-max-bytes", 0, "cap the -artifact-dir store at N bytes, evicting least-recently-used entries (0 = unlimited; eviction only costs rebuild time)")
+	defenseFlag := fs.String("defense", "", "comma-separated defense names restricting a sweep's defense axis (requires -sweep; cell keys and seeds match the full sweep's)")
+	searchFlag := fs.Bool("search", false, "run the defense Pareto-frontier search instead of -exp/-sweep")
+	searchBudget := fs.Int("search-budget", 0, "total candidate evaluations for -search (0 = default 240)")
+	searchEps := fs.Float64("search-eps", 0, "overhead-axis ε-dominance slack for -search (0 = default 0.005; negative = strict dominance)")
+	checkpointDir := fs.String("checkpoint-dir", "", "journal each completed trial to this directory, keyed by the run identity (results are byte-identical either way)")
+	resume := fs.Bool("resume", false, "replay completed trials from the -checkpoint-dir journal and execute only the rest")
+	trialBudget := fs.Int("trial-budget", 0, "execute at most N trials this invocation (0 = unlimited; requires -checkpoint-dir; exit status 3 when work remains)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while the run executes")
+	format := fs.String("format", "text", "output format: text or json")
+	out := fs.String("o", "", "write results to file instead of stdout")
+	verbose := fs.Bool("v", false, "per-trial progress lines on stderr instead of the throttled summary")
+	quiet := fs.Bool("q", false, "suppress all progress on stderr")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range experiments.Registry() {
 			if e.Kind == experiments.KindSweep {
-				fmt.Printf("%-18s [sweep, %d cells] %s\n", e.ID, e.Grid.Size(), e.Short)
+				fmt.Fprintf(stdout, "%-18s [sweep, %d cells] %s\n", e.ID, e.Grid.Size(), e.Short)
 			} else {
-				fmt.Printf("%-18s %s\n", e.ID, e.Short)
+				fmt.Fprintf(stdout, "%-18s %s\n", e.ID, e.Short)
 			}
 		}
 		return 0
 	}
-	scale := experiments.Demo
-	switch *scaleFlag {
-	case "demo":
-	case "paper":
-		scale = experiments.Paper
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want demo or paper)\n", *scaleFlag)
-		return 2
-	}
 	if *format != "text" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (want text or json)\n", *format)
+		fmt.Fprintf(stderr, "unknown format %q (want text or json)\n", *format)
 		return 2
 	}
+	// The spec reads 0 trials as 1 and an empty scale as demo; the flags
+	// do not.
 	if *trials < 1 {
-		fmt.Fprintf(os.Stderr, "-trials must be >= 1\n")
+		fmt.Fprintf(stderr, "-trials must be >= 1\n")
+		return 2
+	}
+	if *scaleFlag == "" {
+		fmt.Fprintf(stderr, "unknown scale \"\" (want demo or paper)\n")
 		return 2
 	}
 
-	if !*searchFlag && (*searchBudget != 0 || *searchEps != 0) {
-		fmt.Fprintf(os.Stderr, "-search-budget and -search-eps require -search\n")
-		return 2
+	spec := service.JobSpec{
+		Kind:    service.KindExperiments,
+		Scale:   *scaleFlag,
+		Seed:    seed,
+		Trials:  *trials,
+		Cold:    *cold,
+		Budget:  *searchBudget,
+		Epsilon: *searchEps,
 	}
-	var selected []experiments.Experiment
-	var sweepSel experiments.Sweep
+	if *exp != "all" {
+		spec.Experiments = strings.Split(*exp, ",")
+	}
+	if *sweep != "" {
+		spec.Kind, spec.Sweep = service.KindSweep, *sweep
+	}
 	if *searchFlag {
-		if *sweep != "" || *exp != "all" || *defenseFlag != "" {
-			fmt.Fprintf(os.Stderr, "-search is mutually exclusive with -exp, -sweep, and -defense\n")
-			return 2
-		}
-		if *trials != 1 {
-			// A candidate's score is already a pure function of (params,
-			// scale, seed); repeated trials would re-measure identical
-			// numbers under the search's one-trial journal identity.
-			fmt.Fprintf(os.Stderr, "-search runs one trial per candidate (drop -trials)\n")
-			return 2
-		}
-	} else if *sweep != "" {
-		if *exp != "all" {
-			fmt.Fprintf(os.Stderr, "-sweep and -exp are mutually exclusive\n")
-			return 2
-		}
-		ent, ok := experiments.Lookup(*sweep)
-		if !ok || ent.Kind != experiments.KindSweep {
-			fmt.Fprintf(os.Stderr, "unknown sweep %q (use -list)\n", *sweep)
-			return 2
-		}
-		sweepSel = ent.Sweep
-		if *defenseFlag != "" {
-			grid, err := sweepSel.Grid.Restrict(scenario.AxisDefense, strings.Split(*defenseFlag, ","))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-defense: %v\n", err)
-				return 2
-			}
-			sweepSel.Grid = grid
-		}
-	} else if *defenseFlag != "" {
-		fmt.Fprintf(os.Stderr, "-defense requires -sweep\n")
+		spec.Kind = service.KindSearch
+	}
+	if *defenseFlag != "" {
+		spec.Defense = strings.Split(*defenseFlag, ",")
+	}
+	res, err := service.Resolve(spec)
+	if err != nil {
+		fmt.Fprintf(stderr, "%v\n", err)
 		return 2
-	} else if *exp == "all" {
-		selected = experiments.All()
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			ent, ok := experiments.Lookup(strings.TrimSpace(id))
-			if !ok || ent.Kind != experiments.KindExperiment {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-				return 2
-			}
-			selected = append(selected, ent.Experiment)
-		}
-	}
-
-	if *pprofAddr != "" {
-		// Listen synchronously so a bad address fails fast, then serve in
-		// the background; the blank pprof import registered its handlers
-		// on the default mux. The listener dies with the process.
-		ln, err := net.Listen("tcp", *pprofAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-pprof: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", ln.Addr())
-		go http.Serve(ln, nil)
-	}
-
-	// Open the output file before the sweep so a bad path fails fast
-	// instead of discarding a potentially hours-long run.
-	dst := io.Writer(os.Stdout)
-	var outFile *os.File
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "open output: %v\n", err)
-			return 2
-		}
-		outFile = f
-		dst = f
 	}
 
 	var progress io.Writer
 	if !*quiet {
-		progress = os.Stderr
+		progress = stderr
 	}
 	width := *parallel
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
-	}
-	if *artifactDir != "" && *cold {
-		fmt.Fprintf(os.Stderr, "-artifact-dir requires warm mode (drop -cold)\n")
-		return 2
-	}
-	if *artifactMax > 0 && *artifactDir == "" {
-		fmt.Fprintf(os.Stderr, "-artifact-max-bytes requires -artifact-dir\n")
-		return 2
-	}
-	if (*resume || *trialBudget > 0) && *checkpointDir == "" {
-		fmt.Fprintf(os.Stderr, "-resume and -trial-budget require -checkpoint-dir\n")
-		return 2
 	}
 	cfg := runner.Config{
 		Parallel:         width,
@@ -268,69 +221,62 @@ func run() int {
 		Progress:         progress,
 		Verbose:          *verbose,
 	}
-	rn := runner.New(cfg)
-	job := runner.Job{Scale: scale, Seed: *seed, Trials: *trials}
-	// Both report kinds share the output and exit-status contract.
-	var rep interface {
-		WriteJSON(io.Writer) error
-		WriteText(io.Writer) error
-		Failed() int
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(stderr, "%v\n", err)
+		return 2
 	}
-	var total int
-	unit := "experiment"
+
+	if *pprofAddr != "" {
+		// Listen synchronously so a bad address fails fast, then serve in
+		// the background; the blank pprof import registered its handlers
+		// on the default mux. The listener dies with the process.
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fmt.Fprintf(stderr, "-pprof: %v\n", err)
+			return 2
+		}
+		fmt.Fprintf(stderr, "pprof: http://%s/debug/pprof/\n", ln.Addr())
+		go http.Serve(ln, nil)
+	}
+
+	// Open the output file before the run so a bad path fails fast
+	// instead of discarding a potentially hours-long run.
+	dst := stdout
+	var outFile *os.File
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			fmt.Fprintf(stderr, "open output: %v\n", err)
+			return 2
+		}
+		outFile = f
+		dst = f
+	}
+	// fail exits without a report. It leaves no empty or truncated
+	// document for a later consumer; only regular files are removed,
+	// since -o may point at a device or pipe.
+	fail := func(code int, format string, args ...any) int {
+		if outFile != nil {
+			outFile.Close()
+			if fi, err := os.Stat(outFile.Name()); err == nil && fi.Mode().IsRegular() {
+				os.Remove(outFile.Name())
+			}
+		}
+		fmt.Fprintf(stderr, format, args...)
+		return code
+	}
+
+	if progress != nil {
+		fmt.Fprintf(progress, "running %s job: %d unit(s) x %d trial(s) on %d worker(s), %s scale, seed %d\n",
+			res.Spec.Kind, res.Units, res.Spec.Trials, width, res.Spec.Scale, *res.Spec.Seed)
+	}
 	start := time.Now()
-	if *searchFlag {
-		budget := *searchBudget
-		if budget <= 0 {
-			budget = search.DefaultBudget
+	rep, err := res.Run(cfg)
+	if err != nil {
+		if errors.Is(err, runner.ErrBudget) {
+			return fail(3, "%v\n", err)
 		}
-		if progress != nil {
-			fmt.Fprintf(progress, "searching the defense frontier: budget %d candidate(s) on %d worker(s), %s scale, seed %d\n",
-				budget, width, scale, *seed)
-		}
-		r, err := search.Run(search.Options{
-			Scale:   scale,
-			Seed:    *seed,
-			Budget:  *searchBudget,
-			Epsilon: *searchEps,
-			Runner:  cfg,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "search: %v\n", err)
-			if errors.Is(err, runner.ErrBudget) {
-				return 3
-			}
-			return 2
-		}
-		rep, total, unit = r, r.Evaluated, "candidate"
-	} else if *sweep != "" {
-		if progress != nil {
-			fmt.Fprintf(progress, "sweeping %s: %d cell(s) x %d trial(s) on %d worker(s), %s scale, seed %d\n",
-				sweepSel.ID, sweepSel.Grid.Size(), *trials, width, scale, *seed)
-		}
-		r, err := rn.RunSweep(sweepSel, job)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "runner: %v\n", err)
-			if errors.Is(err, runner.ErrBudget) {
-				return 3
-			}
-			return 2
-		}
-		rep, total, unit = r, len(r.Cells), "cell"
-	} else {
-		if progress != nil {
-			fmt.Fprintf(progress, "running %d experiment(s) x %d trial(s) on %d worker(s), %s scale, seed %d\n",
-				len(selected), *trials, width, scale, *seed)
-		}
-		r, err := rn.Run(selected, job)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "runner: %v\n", err)
-			if errors.Is(err, runner.ErrBudget) {
-				return 3
-			}
-			return 2
-		}
-		rep, total = r, len(r.Experiments)
+		return fail(2, "%v\n", err)
 	}
 	if progress != nil {
 		fmt.Fprintf(progress, "finished in %.1fs wall\n", time.Since(start).Seconds())
@@ -348,20 +294,11 @@ func run() int {
 		werr = outFile.Close()
 	}
 	if werr != nil {
-		if outFile != nil {
-			// Don't leave a truncated document for a later consumer.
-			// Only regular files: -o may point at a device or pipe.
-			outFile.Close()
-			if fi, serr := os.Stat(outFile.Name()); serr == nil && fi.Mode().IsRegular() {
-				os.Remove(outFile.Name())
-			}
-		}
-		fmt.Fprintf(os.Stderr, "write results: %v\n", werr)
-		return 2
+		return fail(2, "write results: %v\n", werr)
 	}
 
 	if failed := rep.Failed(); failed > 0 {
-		fmt.Fprintf(os.Stderr, "%d/%d %s(s) failed\n", failed, total, unit)
+		fmt.Fprintf(stderr, "%d/%d unit(s) failed\n", failed, res.Units)
 		return 1
 	}
 	return 0

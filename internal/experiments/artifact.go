@@ -289,11 +289,7 @@ func NewArtifactStore() *ArtifactStore {
 // (rigKey: machine options and attacker strategy), hashed into a
 // filename, so a disk entry is valid for exactly the machines the
 // in-memory entry would be.
-func NewDiskArtifactStore(dir string) (*ArtifactStore, error) {
-	return NewDiskArtifactStoreCapped(dir, 0)
-}
-
-// NewDiskArtifactStoreCapped is NewDiskArtifactStore with a size cap.
+//
 // When maxBytes > 0, every persisted build is followed by an eviction
 // pass that removes least-recently-used entries (access-time order; see
 // entryATime) until the directory's *.rig.gob total fits the cap — the
@@ -302,8 +298,8 @@ func NewDiskArtifactStore(dir string) (*ArtifactStore, error) {
 // grows without limit. Eviction is safe by construction: a reader that
 // loses the race to an evicted file takes the ordinary miss path and
 // rebuilds, exactly like the corrupt-entry healing; losing an entry only
-// ever costs rebuild time.
-func NewDiskArtifactStoreCapped(dir string, maxBytes int64) (*ArtifactStore, error) {
+// ever costs rebuild time. maxBytes == 0 leaves the directory unbounded.
+func NewDiskArtifactStore(dir string, maxBytes int64) (*ArtifactStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact dir: %w", err)
 	}
@@ -467,7 +463,7 @@ func (s *ArtifactStore) Evictions() int {
 // In-flight temp files are skipped: a concurrent saveRig owns them and
 // they become entries only at rename. One pass runs at a time; scan
 // errors are ignored (eviction is best-effort bookkeeping, never a
-// correctness dependency — see NewDiskArtifactStoreCapped).
+// correctness dependency — see NewDiskArtifactStore).
 func (s *ArtifactStore) evict(keep string) {
 	if s.maxBytes <= 0 {
 		return

@@ -41,7 +41,7 @@ func measureJSON(t *testing.T, art *Artifact, seed int64) []byte {
 func TestDiskStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
-	s1, err := NewDiskArtifactStore(dir)
+	s1, err := NewDiskArtifactStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	want := measureJSON(t, art1, 7)
 
 	// A second store over the same directory models a fresh invocation.
-	s2, err := NewDiskArtifactStore(dir)
+	s2, err := NewDiskArtifactStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 // must be rebuilt (and overwritten), not wedge every later run.
 func TestDiskStoreHealsCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewDiskArtifactStore(dir)
+	s1, err := NewDiskArtifactStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDiskStoreHealsCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := NewDiskArtifactStore(dir)
+	s2, err := NewDiskArtifactStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func checkDiskStoreHeals(t *testing.T, what string, corrupt func(*machineWire)) 
 func checkDiskStoreRebuilds(t *testing.T, what string, decodes bool, corrupt func(*rigWire)) {
 	t.Helper()
 	dir := t.TempDir()
-	s1, err := NewDiskArtifactStore(dir)
+	s1, err := NewDiskArtifactStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func checkDiskStoreRebuilds(t *testing.T, what string, decodes bool, corrupt fun
 		t.Fatalf("%s: decode error %v, want decodable %v", what, err, decodes)
 	}
 
-	s2, err := NewDiskArtifactStore(dir)
+	s2, err := NewDiskArtifactStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func checkDiskStoreRebuilds(t *testing.T, what string, decodes bool, corrupt fun
 func rigFileSize(t *testing.T) int64 {
 	t.Helper()
 	dir := t.TempDir()
-	s, err := NewDiskArtifactStore(dir)
+	s, err := NewDiskArtifactStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func countRigFiles(t *testing.T, dir string) int {
 func TestDiskStoreEvictsLRU(t *testing.T) {
 	one := rigFileSize(t)
 	dir := t.TempDir()
-	s, err := NewDiskArtifactStoreCapped(dir, 2*one+one/2)
+	s, err := NewDiskArtifactStore(dir, 2*one+one/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestDiskStoreEvictsLRU(t *testing.T) {
 
 	// Touch seed 1 from a fresh store (a disk load), making seed 2 the LRU
 	// entry despite being written later.
-	s2, err := NewDiskArtifactStoreCapped(dir, 2*one+one/2)
+	s2, err := NewDiskArtifactStore(dir, 2*one+one/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestDiskStoreEvictsLRU(t *testing.T) {
 		t.Fatalf("evictions=%d, want 1", s2.Evictions())
 	}
 	// Seeds 1 and 3 must still load from disk; seed 2 must rebuild.
-	s3, err := NewDiskArtifactStoreCapped(dir, 2*one+one/2)
+	s3, err := NewDiskArtifactStore(dir, 2*one+one/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestDiskStoreEvictsLRU(t *testing.T) {
 // build that just happened is by definition the most recently used.
 func TestDiskStoreEvictionKeepsFreshBuild(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDiskArtifactStoreCapped(dir, 1)
+	s, err := NewDiskArtifactStore(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestDiskStoreEvictionNeverBreaksLoads(t *testing.T) {
 				// Each store instance models a separate client invocation
 				// sharing the directory; seeds overlap so loads and evicting
 				// builds hit the same entries.
-				s, err := NewDiskArtifactStoreCapped(dir, 1)
+				s, err := NewDiskArtifactStore(dir, 1)
 				if err != nil {
 					errs <- err
 					return
@@ -451,7 +451,7 @@ func TestDiskStoreEvictionNeverBreaksLoads(t *testing.T) {
 func TestDiskStoreCapPreservesHealing(t *testing.T) {
 	one := rigFileSize(t)
 	dir := t.TempDir()
-	s, err := NewDiskArtifactStoreCapped(dir, 4*one)
+	s, err := NewDiskArtifactStore(dir, 4*one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestDiskStoreCapPreservesHealing(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewDiskArtifactStoreCapped(dir, 4*one)
+	s2, err := NewDiskArtifactStore(dir, 4*one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestDiskStoreCapPreservesHealing(t *testing.T) {
 // entries.
 func TestDiskStoreDefenseVariantsDistinctFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewDiskArtifactStore(dir)
+	s, err := NewDiskArtifactStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,42 +111,40 @@ func New(cfg Config) *Runner { return &Runner{cfg: cfg} }
 // The completed trials are journaled; re-running with Resume continues.
 var ErrBudget = errors.New("trial budget exhausted before the job completed")
 
-// newStore builds the artifact store the config describes: nil for cold
-// runs, in-memory for plain warm runs, disk-backed when ArtifactDir is
-// set.
-func (c Config) newStore() (*experiments.ArtifactStore, error) {
-	if c.Store != nil {
-		if !c.Warm {
-			return nil, fmt.Errorf("runner: shared store requires warm mode")
-		}
-		if c.ArtifactDir != "" {
-			return nil, fmt.Errorf("runner: shared store and artifact dir are mutually exclusive")
-		}
-		return c.Store, nil
-	}
-	if !c.Warm {
-		if c.ArtifactDir != "" {
-			return nil, fmt.Errorf("runner: artifact dir requires warm mode")
-		}
-		return nil, nil
-	}
-	if c.ArtifactDir != "" {
-		return experiments.NewDiskArtifactStoreCapped(c.ArtifactDir, c.ArtifactMaxBytes)
-	}
-	return experiments.NewArtifactStore(), nil
-}
-
-func (c Config) validate() error {
-	if c.Resume && c.CheckpointDir == "" {
+// Validate reports the first pair of fields that contradict each other.
+// Run and RunSweep call it before any work; front ends call it before
+// they open any output.
+func (c Config) Validate() error {
+	switch {
+	case c.Store != nil && !c.Warm:
+		return fmt.Errorf("runner: shared store requires warm mode")
+	case c.Store != nil && c.ArtifactDir != "":
+		return fmt.Errorf("runner: shared store and artifact dir are mutually exclusive")
+	case c.ArtifactDir != "" && !c.Warm:
+		return fmt.Errorf("runner: artifact dir requires warm mode")
+	case c.Resume && c.CheckpointDir == "":
 		return fmt.Errorf("runner: resume requires a checkpoint dir")
-	}
-	if c.TrialBudget > 0 && c.CheckpointDir == "" {
+	case c.TrialBudget > 0 && c.CheckpointDir == "":
 		return fmt.Errorf("runner: trial budget requires a checkpoint dir")
-	}
-	if c.ArtifactMaxBytes > 0 && c.ArtifactDir == "" {
+	case c.ArtifactMaxBytes > 0 && c.ArtifactDir == "":
 		return fmt.Errorf("runner: artifact size cap requires an artifact dir")
 	}
 	return nil
+}
+
+// newStore builds the artifact store a validated config describes: the
+// caller's shared store, nil for cold runs, disk-backed when ArtifactDir
+// is set, in-memory otherwise.
+func (c Config) newStore() (*experiments.ArtifactStore, error) {
+	switch {
+	case c.Store != nil:
+		return c.Store, nil
+	case !c.Warm:
+		return nil, nil
+	case c.ArtifactDir != "":
+		return experiments.NewDiskArtifactStore(c.ArtifactDir, c.ArtifactMaxBytes)
+	}
+	return experiments.NewArtifactStore(), nil
 }
 
 // execUnit is one schedulable unit of a job: an experiment (key = its ID)
@@ -166,9 +164,6 @@ type execUnit struct {
 // any Config.Sinks, and the progress printer. Sinks never run
 // concurrently; workers only compute.
 func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int) ([][]trialOutcome, experiments.RigPoolStats, error) {
-	if err := r.cfg.validate(); err != nil {
-		return nil, experiments.RigPoolStats{}, err
-	}
 	parallel := r.cfg.Parallel
 	if parallel <= 0 {
 		parallel = defaultParallel()
@@ -345,6 +340,9 @@ func (r *Runner) Run(selected []experiments.Experiment, job Job) (*Report, error
 // Unit outcomes must be batch-independent for this to be sound, exactly
 // as experiment outcomes are selection-independent under Run.
 func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, job Job) (*Report, error) {
+	if err := r.cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(selected) == 0 {
 		return nil, fmt.Errorf("runner: no experiments selected")
 	}
@@ -404,6 +402,9 @@ func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, jo
 // Cell failures (including panics) are recorded per cell so one broken
 // corner of the parameter space does not discard the rest of the curve.
 func (r *Runner) RunSweep(sw experiments.Sweep, job Job) (*SweepReport, error) {
+	if err := r.cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if !sw.Phased() {
 		return nil, fmt.Errorf("runner: sweep %q has no Prepare/Measure pair", sw.ID)
 	}

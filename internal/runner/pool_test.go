@@ -89,20 +89,27 @@ func TestPoolBoundsConcurrentJobs(t *testing.T) {
 }
 
 // TestSharedStoreConfig: a caller-owned store is handed through as-is,
-// and the misuse cases fail loudly.
+// and every contradictory field combination fails Validate loudly.
 func TestSharedStoreConfig(t *testing.T) {
 	shared := experiments.NewArtifactStore()
-	got, err := Config{Warm: true, Store: shared}.newStore()
+	ok := Config{Warm: true, Store: shared}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("shared store rejected: %v", err)
+	}
+	got, err := ok.newStore()
 	if err != nil || got != shared {
 		t.Fatalf("shared store not passed through: %v, %v", got, err)
 	}
-	if _, err := (Config{Store: shared}).newStore(); err == nil {
-		t.Error("shared store without warm mode accepted")
-	}
-	if _, err := (Config{Warm: true, Store: shared, ArtifactDir: t.TempDir()}).newStore(); err == nil {
-		t.Error("shared store plus artifact dir accepted")
-	}
-	if err := (Config{Warm: true, ArtifactMaxBytes: 1}).validate(); err == nil {
-		t.Error("artifact size cap without artifact dir accepted")
+	for name, cfg := range map[string]Config{
+		"shared store without warm mode":  {Store: shared},
+		"shared store plus artifact dir":  {Warm: true, Store: shared, ArtifactDir: t.TempDir()},
+		"artifact dir in cold mode":       {ArtifactDir: t.TempDir()},
+		"artifact size cap without dir":   {Warm: true, ArtifactMaxBytes: 1},
+		"resume without checkpoint dir":   {Warm: true, Resume: true},
+		"trial budget without checkpoint": {Warm: true, TrialBudget: 1},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -35,10 +35,14 @@ const DefaultBudget = 240
 // overheads within half a percent read as a tie and leakage decides.
 const DefaultEpsilon = 0.005
 
+// maxGenerations caps the refinement rounds after the coarse grid.
+const maxGenerations = 8
+
 // Options configures one frontier search.
 type Options struct {
 	// Scale and Seed follow the runner's determinism contract: the
-	// report is a pure function of (Scale, Seed, Budget, Epsilon, Eval).
+	// report is a pure function of (Scale, Seed, Budget, Epsilon). Each
+	// candidate is measured under experiments.DefaultEvalBudget(Scale).
 	Scale experiments.Scale
 	Seed  int64
 	// Budget caps total candidate evaluations; <= 0 selects
@@ -48,9 +52,6 @@ type Options struct {
 	// Epsilon is the overhead-axis dominance slack; 0 selects
 	// DefaultEpsilon (use a tiny negative value for strict dominance).
 	Epsilon float64
-	// Eval sizes each candidate's measurement; the zero value selects
-	// experiments.DefaultEvalBudget(Scale).
-	Eval experiments.DefenseEvalBudget
 	// Runner configures execution (parallelism, warm store, rig pool,
 	// checkpointing, sinks). When CheckpointDir is set, the search
 	// journals under the identity (kind "search", id "frontier") and
@@ -58,8 +59,6 @@ type Options struct {
 	// replays completed candidates; Resume controls only whether the
 	// first batch also loads a pre-existing journal.
 	Runner runner.Config
-	// MaxGenerations caps refinement rounds; <= 0 selects 8.
-	MaxGenerations int
 }
 
 // Candidate is one evaluated design point.
@@ -147,12 +146,7 @@ func Run(opts Options) (*Report, error) {
 	} else if opts.Epsilon < 0 {
 		opts.Epsilon = 0
 	}
-	if opts.MaxGenerations <= 0 {
-		opts.MaxGenerations = 8
-	}
-	if opts.Eval == (experiments.DefenseEvalBudget{}) {
-		opts.Eval = experiments.DefaultEvalBudget(opts.Scale)
-	}
+	eval := experiments.DefaultEvalBudget(opts.Scale)
 	// One perf seed for the whole search: overhead deltas must be
 	// comparable (and memoizable) across candidates, so the performance
 	// stream is decorrelated from the per-candidate attack streams.
@@ -174,7 +168,7 @@ func Run(opts Options) (*Report, error) {
 			if err != nil {
 				return err
 			}
-			exps[i] = experiments.DefenseCandidateExperiment(p.ID(), d, opts.Eval, perfSeed)
+			exps[i] = experiments.DefenseCandidateExperiment(p.ID(), d, eval, perfSeed)
 			params[p.ID()] = p
 		}
 		cfg := opts.Runner
@@ -217,7 +211,7 @@ func Run(opts Options) (*Report, error) {
 	// subset — decorrelated from every measurement stream and fixed by
 	// (seed, generation), not by worker timing.
 	generations := 0
-	for gen := 1; gen <= opts.MaxGenerations; gen++ {
+	for gen := 1; gen <= maxGenerations; gen++ {
 		remaining := opts.Budget - len(byID)
 		if remaining <= 0 {
 			break

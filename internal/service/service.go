@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
-	"repro/internal/search"
 )
 
 // JobState is a job's lifecycle position. queued -> running -> done or
@@ -84,7 +83,7 @@ type Service struct {
 // are guarded by Service.mu.
 type job struct {
 	id  string
-	res resolved
+	res Resolved
 
 	state       JobState
 	errMsg      string
@@ -145,7 +144,7 @@ func Open(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 	}
-	store, err := experiments.NewDiskArtifactStoreCapped(artDir, cfg.ArtifactMaxBytes)
+	store, err := experiments.NewDiskArtifactStore(artDir, cfg.ArtifactMaxBytes)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
@@ -165,9 +164,12 @@ func Open(cfg Config) (*Service, error) {
 }
 
 // recover re-adopts persisted jobs after a restart. A spec file whose
-// report exists is done; one with a persisted failure is failed; the
-// rest were interrupted mid-run and re-enqueue with the checkpoint
-// journal carrying whatever they had completed.
+// report exists and decodes is done; one with a persisted failure is
+// failed; the rest were interrupted mid-run and re-enqueue with the
+// checkpoint journal carrying whatever they had completed. An
+// undecodable report is deleted and its job re-enqueued: the journal
+// replays it to the same bytes, where serving it would hand out a
+// corrupt report as done.
 func (s *Service) recover() error {
 	ents, err := os.ReadDir(s.jobsDir)
 	if err != nil {
@@ -197,21 +199,28 @@ func (s *Service) recover() error {
 		if err := json.Unmarshal(raw, &spec); err != nil {
 			return fmt.Errorf("service: job %s: corrupt spec: %w", id, err)
 		}
-		res, err := resolveSpec(spec)
+		res, err := Resolve(spec)
 		if err != nil {
 			// The registry no longer accepts this spec (version drift).
 			// Keep the record, visibly failed, rather than dropping it.
-			res = resolved{spec: spec}
+			res = Resolved{Spec: spec}
 			j := s.adopt(id, res, ent)
 			s.finish(j, StateFailed, fmt.Sprintf("spec no longer resolves: %v", err))
 			continue
 		}
 		j := s.adopt(id, res, ent)
 		if rep, err := os.ReadFile(s.reportPath(id)); err == nil {
-			j.report = rep
-			j.failedUnits = countFailedUnits(rep)
-			s.finish(j, StateDone, "")
-			continue
+			failed, err := countFailedUnits(rep)
+			if err == nil {
+				j.report = rep
+				j.failedUnits = failed
+				s.finish(j, StateDone, "")
+				continue
+			}
+			s.logf("job %s: corrupt report (%v), re-running", id, err)
+			if err := os.Remove(s.reportPath(id)); err != nil {
+				return fmt.Errorf("service: job %s: %w", id, err)
+			}
 		}
 		if msg, err := os.ReadFile(s.failPath(id)); err == nil {
 			s.finish(j, StateFailed, strings.TrimSpace(string(msg)))
@@ -224,7 +233,7 @@ func (s *Service) recover() error {
 }
 
 // adopt registers a recovered job in the queued state.
-func (s *Service) adopt(id string, res resolved, ent os.DirEntry) *job {
+func (s *Service) adopt(id string, res Resolved, ent os.DirEntry) *job {
 	created := time.Now()
 	if fi, err := ent.Info(); err == nil {
 		created = fi.ModTime()
@@ -233,7 +242,7 @@ func (s *Service) adopt(id string, res resolved, ent os.DirEntry) *job {
 		id:          id,
 		res:         res,
 		state:       StateQueued,
-		totalTrials: res.units * res.spec.Trials,
+		totalTrials: res.Units * res.Spec.Trials,
 		createdAt:   created,
 		subs:        make(map[int]chan Event),
 	}
@@ -248,7 +257,7 @@ func (s *Service) adopt(id string, res resolved, ent os.DirEntry) *job {
 // in. The spec is persisted before the job is enqueued — once Submit
 // returns, a daemon restart will finish the job.
 func (s *Service) Submit(spec JobSpec) (JobStatus, bool, error) {
-	res, err := resolveSpec(spec)
+	res, err := Resolve(spec)
 	if err != nil {
 		return JobStatus{}, false, err
 	}
@@ -257,14 +266,14 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, bool, error) {
 	if s.closed {
 		return JobStatus{}, false, errShuttingDown
 	}
-	if j, ok := s.jobs[res.id]; ok {
+	if j, ok := s.jobs[res.ID]; ok {
 		return s.statusLocked(j), false, nil
 	}
 	j := &job{
-		id:          res.id,
+		id:          res.ID,
 		res:         res,
 		state:       StateQueued,
-		totalTrials: res.units * res.spec.Trials,
+		totalTrials: res.Units * res.Spec.Trials,
 		createdAt:   time.Now(),
 		subs:        make(map[int]chan Event),
 	}
@@ -275,7 +284,7 @@ func (s *Service) Submit(spec JobSpec) (JobStatus, bool, error) {
 	s.order = append(s.order, j.id)
 	s.publishLocked(j, Event{Type: EventState, State: StateQueued, Total: j.totalTrials})
 	s.logf("job %s: accepted (%s, %d unit(s), %d trial(s))",
-		j.id, j.res.spec.Kind, j.res.units, j.totalTrials)
+		j.id, j.res.Spec.Kind, j.res.Units, j.totalTrials)
 	s.enqueue(j)
 	return s.statusLocked(j), true, nil
 }
@@ -296,8 +305,7 @@ func (s *Service) enqueue(j *job) {
 // the second job replays the first one's shared outcomes for free.
 func (s *Service) runJob(j *job) {
 	defer s.wg.Done()
-	kind, kid := j.res.journalIdentity()
-	jmu := s.journalMutex(runner.JournalName(kind, kid, j.res.runnerJob()))
+	jmu := s.journalMutex(j.res.journal)
 	jmu.Lock()
 	defer jmu.Unlock()
 
@@ -314,44 +322,17 @@ func (s *Service) runJob(j *job) {
 		Resume:        true,
 		Sinks:         []runner.CellSink{jobSink{s: s, j: j}},
 	}
-	if !j.res.spec.Cold {
+	if !j.res.Spec.Cold {
 		cfg.Warm = true
 		cfg.Store = s.store
 	}
-	run := runner.New(cfg)
 
 	var buf bytes.Buffer
 	var failedUnits int
-	var err error
-	switch j.res.spec.Kind {
-	case KindSearch:
-		// The search drives the runner itself (batched phases under one
-		// journal identity), so it takes the config rather than the
-		// Runner; the job sink still sees every candidate outcome, so
-		// SSE subscribers get per-candidate events like any other job.
-		var rep *search.Report
-		if rep, err = search.Run(search.Options{
-			Scale:   j.res.scale,
-			Seed:    *j.res.spec.Seed,
-			Budget:  j.res.spec.Budget,
-			Epsilon: j.res.spec.Epsilon,
-			Runner:  cfg,
-		}); err == nil {
-			failedUnits = rep.Failed()
-			err = rep.WriteJSON(&buf)
-		}
-	case KindSweep:
-		var rep *runner.SweepReport
-		if rep, err = run.RunSweep(j.res.sweep, j.res.runnerJob()); err == nil {
-			failedUnits = rep.Failed()
-			err = rep.WriteJSON(&buf)
-		}
-	default:
-		var rep *runner.Report
-		if rep, err = run.Run(j.res.selection, j.res.runnerJob()); err == nil {
-			failedUnits = rep.Failed()
-			err = rep.WriteJSON(&buf)
-		}
+	rep, err := j.res.Run(cfg)
+	if err == nil {
+		failedUnits = rep.Failed()
+		err = rep.WriteJSON(&buf)
 	}
 	if err != nil {
 		if werr := atomicWrite(s.failPath(j.id), []byte(err.Error()+"\n")); werr != nil {
@@ -472,9 +453,9 @@ func (s *Service) statusLocked(j *job) JobStatus {
 	st := JobStatus{
 		ID:            j.id,
 		State:         j.state,
-		Spec:          j.res.spec,
+		Spec:          j.res.Spec,
 		Error:         j.errMsg,
-		Units:         j.res.units,
+		Units:         j.res.Units,
 		TotalTrials:   j.totalTrials,
 		DoneTrials:    j.doneTrials,
 		ResumedTrials: j.resumedTrials,
@@ -500,7 +481,7 @@ func (s *Service) failPath(id string) string {
 }
 
 func (s *Service) persistSpec(j *job) error {
-	b, err := json.MarshalIndent(j.res.spec, "", "  ")
+	b, err := json.MarshalIndent(j.res.Spec, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -526,6 +507,13 @@ func atomicWrite(path string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
+	// Without the sync, a crash after the rename can leave a zero-length
+	// file in place of the data.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return err
@@ -538,8 +526,9 @@ func atomicWrite(path string, data []byte) error {
 }
 
 // countFailedUnits recounts failed experiments/cells from persisted
-// report bytes (recovery has the bytes, not the report struct).
-func countFailedUnits(raw []byte) int {
+// report bytes (recovery has the bytes, not the report struct). An error
+// means the bytes are not a report.
+func countFailedUnits(raw []byte) (int, error) {
 	var rep struct {
 		Experiments []struct {
 			OK bool `json:"ok"`
@@ -552,7 +541,7 @@ func countFailedUnits(raw []byte) int {
 		} `json:"candidates"`
 	}
 	if err := json.Unmarshal(raw, &rep); err != nil {
-		return 0
+		return 0, err
 	}
 	n := 0
 	for _, e := range rep.Experiments {
@@ -570,5 +559,5 @@ func countFailedUnits(raw []byte) int {
 			n++
 		}
 	}
-	return n
+	return n, nil
 }

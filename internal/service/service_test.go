@@ -21,18 +21,18 @@ func ptr(v int64) *int64 { return &v }
 // must reproduce byte-for-byte.
 func soloBytes(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
-	res, err := resolveSpec(spec)
+	res, err := Resolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := runner.Config{Warm: !res.spec.Cold}
+	cfg := runner.Config{Warm: !res.Spec.Cold}
 	var buf bytes.Buffer
-	if res.spec.Kind == KindSearch {
+	if res.Spec.Kind == KindSearch {
 		rep, err := search.Run(search.Options{
 			Scale:   res.scale,
-			Seed:    *res.spec.Seed,
-			Budget:  res.spec.Budget,
-			Epsilon: res.spec.Epsilon,
+			Seed:    *res.Spec.Seed,
+			Budget:  res.Spec.Budget,
+			Epsilon: res.Spec.Epsilon,
 			Runner:  cfg,
 		})
 		if err != nil {
@@ -43,7 +43,7 @@ func soloBytes(t *testing.T, spec JobSpec) []byte {
 		}
 		return buf.Bytes()
 	}
-	if res.spec.Kind == KindSweep {
+	if res.Spec.Kind == KindSweep {
 		rep, err := runner.New(cfg).RunSweep(res.sweep, res.runnerJob())
 		if err != nil {
 			t.Fatal(err)
@@ -66,58 +66,58 @@ func soloBytes(t *testing.T, spec JobSpec) []byte {
 // TestResolveSpec: normalization must make equivalent specs the same
 // job, and every malformed spec must be rejected with a client error.
 func TestResolveSpec(t *testing.T) {
-	a, err := resolveSpec(JobSpec{Kind: KindExperiments})
+	a, err := Resolve(JobSpec{Kind: KindExperiments})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := resolveSpec(JobSpec{Kind: KindExperiments, Experiments: []string{"all"}, Scale: "demo", Seed: ptr(1), Trials: 1})
+	b, err := Resolve(JobSpec{Kind: KindExperiments, Experiments: []string{"all"}, Scale: "demo", Seed: ptr(1), Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.id != b.id {
-		t.Errorf("equivalent specs got distinct ids %s / %s", a.id, b.id)
+	if a.ID != b.ID {
+		t.Errorf("equivalent specs got distinct ids %s / %s", a.ID, b.ID)
 	}
-	if a.units == 0 || a.spec.Scale != "demo" || *a.spec.Seed != 1 || a.spec.Trials != 1 {
-		t.Errorf("defaults not applied: %+v", a.spec)
+	if a.Units == 0 || a.Spec.Scale != "demo" || *a.Spec.Seed != 1 || a.Spec.Trials != 1 {
+		t.Errorf("defaults not applied: %+v", a.Spec)
 	}
-	c, err := resolveSpec(JobSpec{Kind: KindExperiments, Trials: 2})
+	c, err := Resolve(JobSpec{Kind: KindExperiments, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.id == a.id {
+	if c.ID == a.ID {
 		t.Error("different trials must be a different job")
 	}
 
 	// Search normalization: omitted budget/epsilon select the search
 	// defaults, so an explicit-default submission is the same job.
-	s1, err := resolveSpec(JobSpec{Kind: KindSearch})
+	s1, err := Resolve(JobSpec{Kind: KindSearch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := resolveSpec(JobSpec{Kind: KindSearch, Budget: search.DefaultBudget, Epsilon: search.DefaultEpsilon, Trials: 1})
+	s2, err := Resolve(JobSpec{Kind: KindSearch, Budget: search.DefaultBudget, Epsilon: search.DefaultEpsilon, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.id != s2.id {
-		t.Errorf("equivalent search specs got distinct ids %s / %s", s1.id, s2.id)
+	if s1.ID != s2.ID {
+		t.Errorf("equivalent search specs got distinct ids %s / %s", s1.ID, s2.ID)
 	}
-	if s1.units != search.DefaultBudget {
-		t.Errorf("search units = %d, want the default budget", s1.units)
+	if s1.Units != search.DefaultBudget {
+		t.Errorf("search units = %d, want the default budget", s1.Units)
 	}
-	if k, id := s1.journalIdentity(); k != "search" || id != "frontier" {
-		t.Errorf("search journal identity = (%s, %s)", k, id)
+	if want := runner.JournalName("search", "frontier", s1.runnerJob()); s1.journal != want {
+		t.Errorf("search journal = %s, want %s", s1.journal, want)
 	}
 
-	full, err := resolveSpec(JobSpec{Kind: KindSweep, Sweep: "sens_chase_defense"})
+	full, err := Resolve(JobSpec{Kind: KindSweep, Sweep: "sens_chase_defense"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restricted, err := resolveSpec(JobSpec{Kind: KindSweep, Sweep: "sens_chase_defense", Defense: []string{"none"}})
+	restricted, err := Resolve(JobSpec{Kind: KindSweep, Sweep: "sens_chase_defense", Defense: []string{"none"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restricted.units >= full.units {
-		t.Errorf("defense restriction did not shrink the grid: %d vs %d cells", restricted.units, full.units)
+	if restricted.Units >= full.Units {
+		t.Errorf("defense restriction did not shrink the grid: %d vs %d cells", restricted.Units, full.Units)
 	}
 
 	bad := []JobSpec{
@@ -140,14 +140,14 @@ func TestResolveSpec(t *testing.T) {
 		{Kind: KindSweep, Sweep: "sens_chase_noise", Epsilon: 0.1},
 	}
 	for _, spec := range bad {
-		if _, err := resolveSpec(spec); err == nil {
+		if _, err := Resolve(spec); err == nil {
 			t.Errorf("spec %+v accepted, want error", spec)
 		}
 	}
 }
 
 // FuzzJobSpecJSON feeds untrusted submission bodies through the decoder
-// handleSubmit uses (unknown fields rejected) and into resolveSpec. No
+// handleSubmit uses (unknown fields rejected) and into Resolve. No
 // input may panic either step. A spec that resolves must resolve again,
 // to the same job ID, after its normalized form goes through the JSON
 // round trip persistSpec and a restarted daemon's recover take: that ID
@@ -184,25 +184,25 @@ func FuzzJobSpecJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		first, err := resolveSpec(spec)
+		first, err := Resolve(spec)
 		if err != nil {
 			return
 		}
-		persisted, err := json.Marshal(first.spec)
+		persisted, err := json.Marshal(first.Spec)
 		if err != nil {
-			t.Fatalf("normalized spec %+v does not marshal: %v", first.spec, err)
+			t.Fatalf("normalized spec %+v does not marshal: %v", first.Spec, err)
 		}
 		again, err := decode(persisted)
 		if err != nil {
 			t.Fatalf("persisted spec %s does not decode: %v", persisted, err)
 		}
-		second, err := resolveSpec(again)
+		second, err := Resolve(again)
 		if err != nil {
 			t.Fatalf("persisted spec %s no longer resolves: %v", persisted, err)
 		}
-		if second.id != first.id || second.units != first.units {
+		if second.ID != first.ID || second.Units != first.Units {
 			t.Fatalf("spec %s resolved to job %s (%d units), its persisted form %s to job %s (%d units)",
-				body, first.id, first.units, persisted, second.id, second.units)
+				body, first.ID, first.Units, persisted, second.ID, second.Units)
 		}
 	})
 }
@@ -407,7 +407,7 @@ func TestSubmitIdempotent(t *testing.T) {
 func TestServiceRestartResumesInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
 	spec := JobSpec{Kind: KindExperiments, Experiments: []string{"fig5", "fig7"}, Trials: 2}
-	res, err := resolveSpec(spec)
+	res, err := Resolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,11 +427,11 @@ func TestServiceRestartResumesInterruptedJob(t *testing.T) {
 	if !errors.Is(err, runner.ErrBudget) {
 		t.Fatalf("budget seeding run: %v", err)
 	}
-	b, err := json.Marshal(res.spec)
+	b, err := json.Marshal(res.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(jobs, res.id+".spec.json"), b, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(jobs, res.ID+".spec.json"), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -440,7 +440,7 @@ func TestServiceRestartResumesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.WaitIdle()
-	st, ok := svc.Status(res.id)
+	st, ok := svc.Status(res.ID)
 	if !ok {
 		t.Fatal("restart did not adopt the persisted job")
 	}
@@ -453,7 +453,7 @@ func TestServiceRestartResumesInterruptedJob(t *testing.T) {
 	if st.DoneTrials != st.TotalTrials || st.TotalTrials != 4 {
 		t.Errorf("recovered job: %d/%d trials", st.DoneTrials, st.TotalTrials)
 	}
-	got, err := svc.Report(res.id)
+	got, err := svc.Report(res.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +469,11 @@ func TestServiceRestartResumesInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, ok := svc2.Status(res.id)
+	st2, ok := svc2.Status(res.ID)
 	if !ok || st2.State != StateDone {
 		t.Fatalf("second restart: %+v ok=%v", st2, ok)
 	}
-	got2, err := svc2.Report(res.id)
+	got2, err := svc2.Report(res.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,5 +530,52 @@ func TestJobEventLog(t *testing.T) {
 
 	if _, _, _, err := svc.subscribe("no-such-job"); err == nil {
 		t.Error("subscribe to unknown job must fail")
+	}
+}
+
+// TestServiceRecoveryRerunsCorruptReport: a persisted report that does
+// not decode is not served as done. The restarted service deletes it and
+// re-runs the job, and the journal replays it to the clean bytes.
+func TestServiceRecoveryRerunsCorruptReport(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Kind: KindExperiments, Experiments: []string{"fig5"}, Trials: 2}
+	svc, err := Open(Config{StateDir: dir, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	want, err := svc.Report(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(svc.reportPath(st.ID), []byte(`{"experiments": [`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, err := Open(Config{StateDir: dir, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2.WaitIdle()
+	st2, ok := svc2.Status(st.ID)
+	if !ok || st2.State != StateDone {
+		t.Fatalf("recovered job: %+v ok=%v", st2, ok)
+	}
+	if st2.ResumedTrials != st2.TotalTrials {
+		t.Errorf("re-run replayed %d of %d trials from the journal", st2.ResumedTrials, st2.TotalTrials)
+	}
+	got, err := svc2.Report(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-run report differs from the original:\n%s", got)
+	}
+	if disk, err := os.ReadFile(svc2.reportPath(st.ID)); err != nil || !bytes.Equal(disk, want) {
+		t.Errorf("persisted report not restored: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/experiments"
@@ -25,14 +26,14 @@ const (
 	KindSearch = "search"
 )
 
-// JobSpec is the wire form of one job submission: what a client POSTs to
-// /v1/jobs. It deliberately mirrors the cmd/experiments flag surface —
-// every field maps onto a flag — because the service's headline
-// correctness property is that a job's final report is byte-identical to
-// a solo CLI run of the same spec. Anything that cannot be expressed as
-// a solo run cannot be a job.
+// JobSpec is one job: what a client POSTs to /v1/jobs, and what
+// cmd/experiments builds from its flags — every field maps onto a flag.
+// Both resolve it with Resolve and execute it with Resolved.Run, which is
+// why a job's final report is byte-identical to a solo CLI run of the
+// same spec. Anything that cannot be expressed as a solo run cannot be a
+// job.
 type JobSpec struct {
-	// Kind is KindExperiments or KindSweep.
+	// Kind is KindExperiments, KindSweep or KindSearch.
 	Kind string `json:"kind"`
 	// Experiments selects registry experiments for a KindExperiments job,
 	// in report order (the CLI's -exp list). Empty or ["all"] runs the
@@ -62,23 +63,43 @@ type JobSpec struct {
 	Epsilon float64 `json:"epsilon,omitempty"`
 }
 
-// resolved is a validated, normalized spec bound to its runnable registry
+// Resolved is a validated, normalized spec bound to its runnable registry
 // entries. The normalized spec (defaults applied) is what is persisted,
 // hashed into the job ID, and echoed in status responses.
-type resolved struct {
-	id        string
-	spec      JobSpec
+type Resolved struct {
+	// ID is the content address of Spec (see specID).
+	ID string
+	// Spec is the submitted spec with every default applied.
+	Spec JobSpec
+	// Units counts the job's experiments, grid cells, or budgeted
+	// search candidates.
+	Units int
+
 	scale     experiments.Scale
 	selection []experiments.Experiment // KindExperiments
 	sweep     experiments.Sweep        // KindSweep, grid possibly restricted
-	units     int                      // experiments or cells
+	// journal names the checkpoint journal file the run will lock. Job
+	// kinds are journal kinds; experiment journals are selection-
+	// independent by design, so two jobs over different selections share
+	// one journal — the service serializes them on it rather than
+	// tripping the runner's flock.
+	journal string
 }
 
-// resolveSpec validates a submitted spec against the registry and
-// normalizes it. Every error is a client error (HTTP 400): the registry
-// is fixed at build time.
-func resolveSpec(spec JobSpec) (resolved, error) {
-	var r resolved
+// Report is a finished job's report: a *runner.Report, a
+// *runner.SweepReport or a *search.Report.
+type Report interface {
+	WriteJSON(io.Writer) error
+	WriteText(io.Writer) error
+	// Failed counts the experiments, cells or candidates that failed.
+	Failed() int
+}
+
+// Resolve validates a spec against the registry and normalizes it. Every
+// error is a usage error (HTTP 400, CLI exit 2): the registry is fixed
+// at build time.
+func Resolve(spec JobSpec) (Resolved, error) {
+	var r Resolved
 	switch spec.Scale {
 	case "", "demo":
 		r.scale = experiments.Demo
@@ -103,6 +124,7 @@ func resolveSpec(spec JobSpec) (resolved, error) {
 		return r, fmt.Errorf("budget and epsilon require a search job")
 	}
 
+	var journalID string
 	switch spec.Kind {
 	case KindExperiments:
 		if spec.Sweep != "" {
@@ -128,7 +150,7 @@ func resolveSpec(spec JobSpec) (resolved, error) {
 			}
 			spec.Experiments = norm
 		}
-		r.units = len(r.selection)
+		r.Units = len(r.selection)
 	case KindSweep:
 		if len(spec.Experiments) > 0 {
 			return r, fmt.Errorf("kind %q does not take an experiment selection", KindSweep)
@@ -148,7 +170,8 @@ func resolveSpec(spec JobSpec) (resolved, error) {
 			}
 			r.sweep.Grid = grid
 		}
-		r.units = r.sweep.Grid.Size()
+		r.Units = r.sweep.Grid.Size()
+		journalID = r.sweep.ID
 	case KindSearch:
 		if len(spec.Experiments) > 0 || spec.Sweep != "" || len(spec.Defense) > 0 {
 			return r, fmt.Errorf("kind %q takes no experiment, sweep, or defense selection", KindSearch)
@@ -167,14 +190,48 @@ func resolveSpec(spec JobSpec) (resolved, error) {
 		if spec.Epsilon == 0 {
 			spec.Epsilon = search.DefaultEpsilon
 		}
-		r.units = spec.Budget
+		r.Units = spec.Budget
+		journalID = "frontier" // the identity search.Run journals under
 	default:
 		return r, fmt.Errorf("unknown kind %q (want %q, %q, or %q)", spec.Kind, KindExperiments, KindSweep, KindSearch)
 	}
 
-	r.spec = spec
-	r.id = specID(spec)
+	r.Spec = spec
+	r.ID = specID(spec)
+	r.journal = runner.JournalName(spec.Kind, journalID, r.runnerJob())
 	return r, nil
+}
+
+// Run executes the resolved job under cfg and returns its report. It is
+// the one place a job's kind picks its driver: the CLI and the service
+// both run jobs through it. The report is non-nil exactly when the error
+// is nil.
+func (r Resolved) Run(cfg runner.Config) (Report, error) {
+	var rep Report
+	var err error
+	switch r.Spec.Kind {
+	case KindSearch:
+		// The search drives the runner itself (batched phases under one
+		// journal identity), so it takes the config rather than a Runner;
+		// cfg's sinks still see every candidate outcome.
+		rep, err = search.Run(search.Options{
+			Scale:   r.scale,
+			Seed:    *r.Spec.Seed,
+			Budget:  r.Spec.Budget,
+			Epsilon: r.Spec.Epsilon,
+			Runner:  cfg,
+		})
+	case KindSweep:
+		rep, err = runner.New(cfg).RunSweep(r.sweep, r.runnerJob())
+	default:
+		rep, err = runner.New(cfg).Run(r.selection, r.runnerJob())
+	}
+	if err != nil {
+		// A failed driver's nil pointer would otherwise become a
+		// non-nil Report.
+		return nil, err
+	}
+	return rep, nil
 }
 
 // specID content-addresses a normalized spec: identical submissions are
@@ -190,21 +247,6 @@ func specID(spec JobSpec) string {
 }
 
 // runnerJob maps the spec onto the runner's job description.
-func (r resolved) runnerJob() runner.Job {
-	return runner.Job{Scale: r.scale, Seed: *r.spec.Seed, Trials: r.spec.Trials}
-}
-
-// journalIdentity returns the (kind, id) half of the job's checkpoint
-// journal identity; with runnerJob it names the journal file the run
-// will lock. Experiment journals are selection-independent by design, so
-// two jobs over different selections share one journal — the service
-// serializes them on it rather than tripping the runner's flock.
-func (r resolved) journalIdentity() (kind, id string) {
-	switch r.spec.Kind {
-	case KindSweep:
-		return "sweep", r.sweep.ID
-	case KindSearch:
-		return "search", "frontier"
-	}
-	return "experiments", ""
+func (r Resolved) runnerJob() runner.Job {
+	return runner.Job{Scale: r.scale, Seed: *r.Spec.Seed, Trials: r.Spec.Trials}
 }
