@@ -18,6 +18,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"unknown experiment":           {"-exp", "no_such_fig"},
 		"unknown sweep":                {"-sweep", "no_such_sweep"},
 		"sweep id as experiment":       {"-exp", "sens_chase_noise"},
+		"duplicate experiment":         {"-exp", "fig5,fig5"},
 		"unknown scale":                {"-scale", "huge"},
 		"empty scale":                  {"-scale", ""},
 		"unknown format":               {"-format", "xml"},

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"sort"
 	"strings"
 )
 
@@ -115,15 +114,4 @@ func allowlisted(pkgPath string, list map[string]string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// AllowlistedPackages returns the allowlist's package suffixes in sorted
-// order, for documentation emitters and tests.
-func AllowlistedPackages() []string {
-	out := make([]string, 0, len(DetcoreAllowlist))
-	for p := range DetcoreAllowlist {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

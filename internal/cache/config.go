@@ -12,26 +12,6 @@ package cache
 
 import "fmt"
 
-// Source identifies who issued a cache access. The distinction drives both
-// DDIO allocation (I/O writes get a capped number of ways) and the defense
-// (I/O may never evict CPU lines).
-type Source int
-
-const (
-	// CPU marks accesses from cores: the spy, the driver, the kernel
-	// network stack, and application workloads.
-	CPU Source = iota
-	// IO marks DMA traffic from the NIC (and the disk model in perfsim).
-	IO
-)
-
-func (s Source) String() string {
-	if s == IO {
-		return "IO"
-	}
-	return "CPU"
-}
-
 // Config describes the cache geometry and feature set.
 type Config struct {
 	// Slices is the number of LLC slices (one per core on the paper's

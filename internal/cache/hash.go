@@ -45,24 +45,6 @@ func (c Config) GlobalSet(addr uint64) int {
 	return slice*c.SetsPerSlice + set
 }
 
-// AlignedGlobalSets enumerates, in canonical order, every global set a
-// page-aligned address can map to: for each slice, the set indices whose
-// low 6 bits are zero. The canonical index (position in this slice) is the
-// "cache block number" axis of the paper's Figs 5-7.
-func (c Config) AlignedGlobalSets() []int {
-	perSlice := c.SetsPerSlice / 64
-	if perSlice == 0 {
-		perSlice = 1
-	}
-	out := make([]int, 0, perSlice*c.Slices)
-	for slice := 0; slice < c.Slices; slice++ {
-		for k := 0; k < perSlice; k++ {
-			out = append(out, slice*c.SetsPerSlice+k*64)
-		}
-	}
-	return out
-}
-
 // AlignedIndexOf returns the canonical index of a global set among the
 // page-aligned sets, or -1 if the set is not page-aligned-reachable.
 func (c Config) AlignedIndexOf(globalSet int) int {

@@ -14,17 +14,14 @@
 //     models the same mitigation, so "what does it cost" is answered by
 //     the Figs 14-16 performance model.
 //
-// Fingerprint() canonically identifies the machine change a defense
-// makes, for scenario.Spec.Fingerprint. It feeds no warm-start artifact
-// key: a defense acts only through Apply, and the artifact store keys
-// every option Apply can write — TimerNoise included, so a
+// A defense acts on the attack only through Apply, and the artifact store
+// keys every option Apply can write — TimerNoise included, so a
 // timer-coarsening defense, which the attacker's offline phase runs
 // under, never shares a prepared machine with the stock one.
 package defense
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cache"
@@ -38,9 +35,6 @@ import (
 type Defense interface {
 	// Name is the registry identifier ("none", "adaptive-partition", ...).
 	Name() string
-	// Fingerprint canonically identifies the machine change the defense
-	// makes. Equal fingerprints mean defenses that Apply the same options.
-	Fingerprint() string
 	// Apply installs the mitigation into the machine options, before the
 	// testbed is built. It affects the offline and online phases alike: a
 	// platform defense is not something the attacker can prepare around.
@@ -70,7 +64,6 @@ func Validate(d Defense) error {
 type NoDefense struct{}
 
 func (NoDefense) Name() string                 { return "none" }
-func (NoDefense) Fingerprint() string          { return "none" }
 func (NoDefense) Apply(*testbed.Options)       {}
 func (NoDefense) PerfEffects() perfsim.Effects { return perfsim.Effects{} }
 
@@ -81,7 +74,6 @@ func (NoDefense) PerfEffects() perfsim.Effects { return perfsim.Effects{} }
 type DisableDDIO struct{}
 
 func (DisableDDIO) Name() string                 { return "no-ddio" }
-func (DisableDDIO) Fingerprint() string          { return "no-ddio" }
 func (DisableDDIO) PerfEffects() perfsim.Effects { return perfsim.Effects{DDIOOff: true} }
 
 func (DisableDDIO) Apply(o *testbed.Options) { o.Cache.DDIO = false }
@@ -118,8 +110,6 @@ func (r RingRandomization) Name() string {
 	}
 	return "ring-partial-" + compactCount(r.Interval)
 }
-
-func (r RingRandomization) Fingerprint() string { return r.Name() }
 
 func (r RingRandomization) Apply(o *testbed.Options) {
 	if r.Interval == 0 {
@@ -167,7 +157,6 @@ func (t TimerCoarsening) Validate() error {
 }
 
 func (t TimerCoarsening) Name() string                 { return fmt.Sprintf("timer-coarse-%d", t.Jitter) }
-func (t TimerCoarsening) Fingerprint() string          { return t.Name() }
 func (t TimerCoarsening) Apply(o *testbed.Options)     { o.TimerNoise = t.Jitter }
 func (t TimerCoarsening) PerfEffects() perfsim.Effects { return perfsim.Effects{} }
 
@@ -181,10 +170,6 @@ type AdaptivePartitioning struct {
 }
 
 func (AdaptivePartitioning) Name() string { return "adaptive-partition" }
-
-func (a AdaptivePartitioning) Fingerprint() string {
-	return fmt.Sprintf("adaptive-partition%+v", *a.config())
-}
 
 func (a AdaptivePartitioning) config() *cache.PartitionConfig {
 	if a.Config != nil {
@@ -230,23 +215,16 @@ func (a AdaptivePartitioning) Validate() error {
 	return nil
 }
 
-// Stack layers several defenses: Apply runs them in the given order.
-// Order is preserved for application and naming, but canonicalized in
-// Fingerprint() exactly as far as is sound: layers of *different*
-// concrete types touch disjoint option fields and commute, so their
-// order is sorted away and permuted stacks share a fingerprint;
-// layers of the *same* type write the same fields (last Apply wins), so
-// their relative order is semantic and survives canonicalization —
+// Stack layers several defenses: Apply runs them in the given order, so
+// layers that write the same option (last Apply wins) keep their order —
 // NewStack(TimerCoarsening{32}, TimerCoarsening{64}) and its reverse
-// prepare different machines and must never collide. Defense
-// implementations outside this package must follow the same contract:
-// distinct types touch disjoint fields.
+// build different machines.
 type Stack struct {
 	Layers []Defense
 }
 
-// NewStack builds a layered defense. It flattens nested stacks so
-// fingerprint canonicalization sees every leaf.
+// NewStack builds a layered defense, flattening nested stacks into one
+// list of leaf layers.
 func NewStack(layers ...Defense) Stack {
 	var flat []Defense
 	for _, d := range layers {
@@ -265,44 +243,6 @@ func (s Stack) Name() string {
 		names[i] = d.Name()
 	}
 	return strings.Join(names, "+")
-}
-
-// flatten returns the stack's leaf layers in application order,
-// expanding nested stacks. NewStack already flattens at construction,
-// but Layers is exported, so a hand-built literal may still nest — and
-// canonicalization must always group by *leaf* type, or a nested stack
-// would be treated as one opaque commuting layer and two different
-// machines could share a fingerprint.
-func (s Stack) flatten() []Defense {
-	out := make([]Defense, 0, len(s.Layers))
-	for _, d := range s.Layers {
-		if n, ok := d.(Stack); ok {
-			out = append(out, n.flatten()...)
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-func (s Stack) Fingerprint() string {
-	// Group leaves by concrete type, preserving application order within
-	// each group (see the type comment for why), then sort the groups.
-	order := []string{}
-	groups := map[string][]string{}
-	for _, d := range s.flatten() {
-		k := fmt.Sprintf("%T", d)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], d.Fingerprint())
-	}
-	parts := make([]string, len(order))
-	for i, k := range order {
-		parts[i] = strings.Join(groups[k], ">")
-	}
-	sort.Strings(parts)
-	return "stack[" + strings.Join(parts, ",") + "]"
 }
 
 func (s Stack) Apply(o *testbed.Options) {

@@ -1,7 +1,6 @@
 package defense
 
 import (
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,80 +34,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 	if got, want := len(Names()), len(All()); got != want {
 		t.Errorf("Names() has %d entries, registry %d", got, want)
-	}
-}
-
-// TestStackFingerprintCanonicalized: the fingerprint of a Stack must not
-// depend on layer order — random permutations of the same layers must
-// produce identical fingerprints (they prepare interchangeable machines),
-// while the name preserves application order.
-func TestStackFingerprintCanonicalized(t *testing.T) {
-	layers := []Defense{
-		AdaptivePartitioning{},
-		TimerCoarsening{Jitter: 64},
-		RingRandomization{Interval: 1_000},
-		DisableDDIO{},
-	}
-	want := NewStack(layers...).Fingerprint()
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		perm := make([]Defense, len(layers))
-		for i, j := range rng.Perm(len(layers)) {
-			perm[i] = layers[j]
-		}
-		s := NewStack(perm...)
-		if got := s.Fingerprint(); got != want {
-			t.Fatalf("permutation %d: fingerprint %q != %q", trial, got, want)
-		}
-	}
-	// Different layer sets must not collide.
-	if NewStack(layers[:2]...).Fingerprint() == want {
-		t.Error("subset stack collides with full stack")
-	}
-	// Nested stacks flatten to the same canonical fingerprint.
-	nested := NewStack(NewStack(layers[0], layers[1]), NewStack(layers[2], layers[3]))
-	if got := nested.Fingerprint(); got != want {
-		t.Errorf("nested stack fingerprint %q != flat %q", got, want)
-	}
-}
-
-// TestStackFingerprintPreservesConflictingOrder: two layers of the same
-// type write the same option fields (last Apply wins), so stacks that
-// differ only in their relative order prepare different machines and
-// must not share a fingerprint — canonicalization is only sound across
-// commuting (distinct-type) layers.
-func TestStackFingerprintPreservesConflictingOrder(t *testing.T) {
-	a := NewStack(TimerCoarsening{Jitter: 32}, TimerCoarsening{Jitter: 64})
-	b := NewStack(TimerCoarsening{Jitter: 64}, TimerCoarsening{Jitter: 32})
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("conflicting same-type layers in different orders must not share a fingerprint")
-	}
-	var oa, ob testbed.Options
-	a.Apply(&oa)
-	b.Apply(&ob)
-	if oa.TimerNoise == ob.TimerNoise {
-		t.Fatal("test premise broken: the two stacks should produce different machines")
-	}
-	// Commuting padding around the conflict must still canonicalize.
-	c := NewStack(DisableDDIO{}, TimerCoarsening{Jitter: 32}, TimerCoarsening{Jitter: 64})
-	d := NewStack(TimerCoarsening{Jitter: 32}, TimerCoarsening{Jitter: 64}, DisableDDIO{})
-	if c.Fingerprint() != d.Fingerprint() {
-		t.Error("distinct-type layers must still commute in the fingerprint")
-	}
-
-	// Hand-built literals bypass NewStack's flattening; Fingerprint must
-	// flatten to leaves itself, or a nested conflicting layer would hide
-	// inside an opaque "Stack" group and alias a different machine.
-	e := Stack{Layers: []Defense{TimerCoarsening{Jitter: 32}, Stack{Layers: []Defense{TimerCoarsening{Jitter: 64}}}}}
-	f := Stack{Layers: []Defense{Stack{Layers: []Defense{TimerCoarsening{Jitter: 64}}}, TimerCoarsening{Jitter: 32}}}
-	if e.Fingerprint() == f.Fingerprint() {
-		t.Error("nested conflicting layers in different orders must not share a fingerprint")
-	}
-	var oe, of testbed.Options
-	e.Apply(&oe)
-	f.Apply(&of)
-	if oe.TimerNoise == of.TimerNoise {
-		t.Fatal("test premise broken: nested stacks should produce different machines")
 	}
 }
 

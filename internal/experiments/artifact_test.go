@@ -151,6 +151,55 @@ func TestRigKeyIgnoresScaleAndRoot(t *testing.T) {
 	}
 }
 
+// TestRigKeyIdentity pins rigKey as the one machine identity: what the
+// offline phase builds separates keys, and what only the online phase
+// sees (name, background flows, the swept noise and timer that Offline()
+// resets) does not.
+func TestRigKeyIdentity(t *testing.T) {
+	const seed = 5
+	def, amp := probe.DefaultStrategy(), probe.AmplifiedStrategy()
+	key := func(s scenario.Spec, strat probe.Strategy) string {
+		return rigKey(s.Offline().Options(seed), strat)
+	}
+	base := scenario.Baseline(false)
+
+	seen := map[string]string{}
+	for _, d := range defense.All() {
+		k := key(base.WithDefense(d), def)
+		if prev, ok := seen[k]; ok {
+			t.Errorf("defenses %s and %s share rig key %q", prev, d.Name(), k)
+		}
+		seen[k] = d.Name()
+	}
+
+	online := base
+	online.Name = "renamed"
+	online.NoiseRate = 9_999_999
+	online.TimerNoise = 400
+	online.Flows = []scenario.Flow{{Kind: scenario.FlowPoisson, Sizes: []int{64}, Rate: 1000, Count: -1}}
+	tc := func(j uint64) defense.Defense { return defense.TimerCoarsening{Jitter: j} }
+	part := defense.AdaptivePartitioning{}
+	for _, c := range []struct {
+		name   string
+		a, b   scenario.Spec
+		sa, sb probe.Strategy
+		equal  bool
+	}{
+		{"online-only fields", base, online, def, def, true},
+		{"demo vs paper", base, scenario.Baseline(true), def, def, false},
+		{"default vs amplified attacker", base, base, def, amp, false},
+		{"same-type stack order", base.WithDefense(defense.NewStack(tc(32), tc(64))),
+			base.WithDefense(defense.NewStack(tc(64), tc(32))), def, def, false},
+		{"commuting stack order", base.WithDefense(defense.NewStack(part, tc(64))),
+			base.WithDefense(defense.NewStack(tc(64), part)), def, def, true},
+	} {
+		ka, kb := key(c.a, c.sa), key(c.b, c.sb)
+		if (ka == kb) != c.equal {
+			t.Errorf("%s: keys %q and %q, want equal=%v", c.name, ka, kb, c.equal)
+		}
+	}
+}
+
 // TestArtifactStoreConcurrentSingleflight: concurrent prepares of the
 // same machine must block on one build rather than racing several.
 func TestArtifactStoreConcurrentSingleflight(t *testing.T) {

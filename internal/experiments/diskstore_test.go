@@ -505,3 +505,40 @@ func TestDiskStoreDefenseVariantsDistinctFiles(t *testing.T) {
 		t.Fatalf("expected 2 distinct cache files for defense variants, got %d", len(ents))
 	}
 }
+
+// FuzzRigArtifactLoad writes untrusted bytes as the disk entry for a demo
+// rig's key. loadRig must never panic, and an artifact it accepts must
+// adopt into a rig, as captured and reseeded, without panicking.
+func FuzzRigArtifactLoad(f *testing.F) {
+	opts, strat := machineOptions(Demo, 3), probe.DefaultStrategy()
+	ra, err := buildRigArtifact(opts, strat)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ra); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("not a gob"))
+	key := rigKey(opts, strat)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := NewDiskArtifactStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.rigPath(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.loadRig(key)
+		if !ok {
+			return
+		}
+		art := &Artifact{Root: 3, Rigs: map[string]*RigArtifact{"rig": got}}
+		for _, seed := range []int64{3, 4} {
+			if _, err := art.rig("rig", MeasureCtx{Scale: Demo, Seed: seed}); err != nil {
+				t.Fatalf("accepted artifact does not adopt: %v", err)
+			}
+		}
+	})
+}

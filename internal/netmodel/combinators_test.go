@@ -51,46 +51,3 @@ func TestPoissonSourceEmptyPaletteFallsBack(t *testing.T) {
 		}
 	}
 }
-
-func TestBurstySourceInsertsGapsKeepsOrder(t *testing.T) {
-	wire := NewWire(GigabitRate)
-	// 1000 frames at 100k pps = 10ms of steady inner traffic.
-	inner := NewConstantSource(wire, 64, 100_000, 0, 1000)
-	on, off := sim.Cycles(0.001), sim.Cycles(0.004)
-	src := NewBurstySource(inner, on, off, nil)
-	frames := Collect(src, 1001)
-	if len(frames) != 1000 {
-		t.Fatalf("bursty wrapper lost frames: %d", len(frames))
-	}
-	var maxGap uint64
-	for i := 1; i < len(frames); i++ {
-		if frames[i].Arrival < frames[i-1].Arrival {
-			t.Fatalf("arrival order violated at %d", i)
-		}
-		if g := frames[i].Arrival - frames[i-1].Arrival; g > maxGap {
-			maxGap = g
-		}
-	}
-	// Off-windows must show up as gaps of at least the off duration.
-	if maxGap < off {
-		t.Errorf("no off-window gap found: max gap %d < off %d", maxGap, off)
-	}
-	// Total span stretches by roughly the inserted off time: 10ms of
-	// traffic in 1ms on-windows inserts ~9-10 off windows of 4ms.
-	span := frames[len(frames)-1].Arrival - frames[0].Arrival
-	if span < sim.Cycles(0.030) {
-		t.Errorf("span %d cycles too short for on/off gating", span)
-	}
-}
-
-func TestBurstySourceJitteredStillOrdered(t *testing.T) {
-	wire := NewWire(GigabitRate)
-	inner := NewPoissonSource(wire, []int{64, 1514}, 200_000, sim.NewRNG(2), 0, 2000)
-	src := NewBurstySource(inner, sim.Cycles(0.0005), sim.Cycles(0.002), sim.NewRNG(3))
-	frames := Collect(src, 2000)
-	for i := 1; i < len(frames); i++ {
-		if frames[i].Arrival < frames[i-1].Arrival {
-			t.Fatalf("arrival order violated at %d", i)
-		}
-	}
-}

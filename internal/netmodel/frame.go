@@ -80,14 +80,6 @@ func WireTime(size int, rateBps float64) uint64 {
 	return sim.Cycles(bits / rateBps)
 }
 
-// MaxFrameRate returns the maximum frames/second for the given frame size
-// at rateBps. For 192-byte frames at 1 GbE this is ~590 k fps — the paper
-// quotes "around 500,000", the same order; the channel-capacity bound of
-// ~1953 symbols/s at 256 packets per symbol follows either way.
-func MaxFrameRate(size int, rateBps float64) float64 {
-	return rateBps / (float64(size+wireOverhead) * 8)
-}
-
 // Wire serializes frames onto a shared link: a frame's arrival is the later
 // of the requested time and the wire becoming free, plus its wire time.
 type Wire struct {

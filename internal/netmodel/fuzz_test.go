@@ -1,10 +1,6 @@
 package netmodel
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 // sliceSource replays a fixed frame slice — the minimal Source for
 // adversarial-input tests, bypassing wire pacing entirely.
@@ -84,44 +80,6 @@ func FuzzMixSourceOrdering(f *testing.F) {
 				t.Fatalf("frame %d emitted twice", fr.Seq)
 			}
 			seen[fr.Seq] = true
-		}
-	})
-}
-
-// FuzzBurstySourceOrdering checks the on/off wrapper never reorders or
-// drops frames regardless of window geometry or input spacing.
-func FuzzBurstySourceOrdering(f *testing.F) {
-	f.Add([]byte{1, 1, 1, 1, 1}, uint64(10), uint64(100), false)
-	f.Add([]byte{0, 0, 0, 0}, uint64(1), uint64(0), true) // degenerate windows
-	f.Add([]byte{31, 31, 31, 31, 31, 31}, uint64(1000), uint64(50), true)
-	f.Fuzz(func(t *testing.T, data []byte, on, off uint64, jitter bool) {
-		if on > 1<<40 || off > 1<<40 {
-			return // absurd windows only waste time, not find bugs
-		}
-		var arrival uint64
-		src := &sliceSource{}
-		for i, b := range data {
-			arrival += uint64(b % 32)
-			src.frames = append(src.frames, Frame{Seq: uint64(i), Size: MinFrameSize, Arrival: arrival})
-		}
-		var rng *sim.RNG
-		if jitter {
-			rng = sim.NewRNG(7)
-		}
-		out := Collect(NewBurstySource(src, on, off, rng), len(src.frames)+1)
-		if len(out) != len(src.frames) {
-			t.Fatalf("conservation violated: %d in, %d out", len(src.frames), len(out))
-		}
-		for i := 1; i < len(out); i++ {
-			if out[i].Arrival < out[i-1].Arrival {
-				t.Fatalf("arrival order violated at %d", i)
-			}
-		}
-		// Gating may only delay, never accelerate.
-		for i, fr := range out {
-			if fr.Arrival < src.frames[i].Arrival {
-				t.Fatalf("frame %d accelerated: %d < %d", i, fr.Arrival, src.frames[i].Arrival)
-			}
 		}
 	})
 }

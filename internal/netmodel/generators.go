@@ -47,45 +47,6 @@ func (s *ConstantSource) Next() (Frame, bool) {
 	return f, true
 }
 
-// SymbolSource encodes a symbol stream into frame sizes: each symbol S is
-// sent as packetsPerSymbol frames of size (S+2)*64 bytes, back to back at
-// line rate (§IV-b). With the full ring this is 256 packets per symbol;
-// the multi-buffer scheme (Fig 12a,b) divides the ring into n sections and
-// sends 256/n packets per symbol.
-type SymbolSource struct {
-	wire             *Wire
-	symbols          []int
-	packetsPerSymbol int
-	idx              int
-	inSymbol         int
-	earliest         uint64
-}
-
-// NewSymbolSource builds the covert-channel trojan's frame stream.
-func NewSymbolSource(wire *Wire, symbols []int, packetsPerSymbol int, start uint64) *SymbolSource {
-	return &SymbolSource{
-		wire:             wire,
-		symbols:          symbols,
-		packetsPerSymbol: packetsPerSymbol,
-		earliest:         start,
-	}
-}
-
-// Next implements Source.
-func (s *SymbolSource) Next() (Frame, bool) {
-	if s.idx >= len(s.symbols) {
-		return Frame{}, false
-	}
-	sym := s.symbols[s.idx]
-	f := s.wire.Send(SizeForBlocks(sym+2), s.earliest, false)
-	s.inSymbol++
-	if s.inSymbol == s.packetsPerSymbol {
-		s.inSymbol = 0
-		s.idx++
-	}
-	return f, true
-}
-
 // TraceSource replays an explicit (size, gap) trace — the web-traffic
 // replays of §V. Gaps are cycles between consecutive sends.
 type TraceSource struct {
@@ -215,59 +176,6 @@ func (s *PoissonSource) Next() (Frame, bool) {
 	s.nextAt += uint64(s.rng.ExpFloat64()*s.meanGap + 0.5)
 	size := s.sizes[s.rng.Intn(len(s.sizes))]
 	return s.wire.Send(size, s.nextAt, true), true
-}
-
-// BurstySource gates an inner source into on/off windows: frames whose
-// inner-time arrival falls past the current on-window are pushed later by
-// the accumulated off time, producing the bursty shape of interactive web
-// traffic (page loads separated by think time). Relative pacing inside a
-// burst is preserved, so wire serialization still holds, and arrival order
-// is preserved because the inserted offset never decreases.
-type BurstySource struct {
-	inner   Source
-	on, off uint64
-	rng     *sim.RNG // optional: jitters window durations by +/-50%
-	started bool
-	onEnd   uint64 // end of the current on-window, in inner time
-	offset  uint64 // accumulated off time added to arrivals
-}
-
-// NewBurstySource wraps inner with on/off gating. on and off are window
-// durations in cycles; rng may be nil for strictly periodic windows.
-func NewBurstySource(inner Source, on, off uint64, rng *sim.RNG) *BurstySource {
-	if on == 0 {
-		on = 1
-	}
-	return &BurstySource{inner: inner, on: on, off: off, rng: rng}
-}
-
-func (s *BurstySource) window(d uint64) uint64 {
-	if s.rng == nil || d == 0 {
-		return d
-	}
-	w := uint64(s.rng.Jitter(float64(d), 0.5))
-	if w == 0 {
-		w = 1
-	}
-	return w
-}
-
-// Next implements Source.
-func (s *BurstySource) Next() (Frame, bool) {
-	f, ok := s.inner.Next()
-	if !ok {
-		return Frame{}, false
-	}
-	if !s.started {
-		s.started = true
-		s.onEnd = f.Arrival + s.window(s.on)
-	}
-	for f.Arrival >= s.onEnd {
-		s.offset += s.window(s.off)
-		s.onEnd += s.window(s.on)
-	}
-	f.Arrival += s.offset
-	return f, true
 }
 
 // MixSource interleaves multiple sources in arrival order (victim traffic

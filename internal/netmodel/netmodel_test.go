@@ -50,20 +50,6 @@ func TestSizeForBlocks(t *testing.T) {
 	}
 }
 
-func TestMaxFrameRateMatchesPaperOrder(t *testing.T) {
-	// Paper §IV: ~500k fps for 192-byte frames at 1 GbE; our overhead
-	// model gives ~590k. Assert the order of magnitude and the resulting
-	// symbol-rate bound of ~2k symbols/s at 256 packets per symbol.
-	rate := MaxFrameRate(192, GigabitRate)
-	if rate < 400_000 || rate > 700_000 {
-		t.Errorf("192B frame rate %.0f outside plausible 1GbE range", rate)
-	}
-	symbols := rate / 256
-	if symbols < 1500 || symbols > 2700 {
-		t.Errorf("symbol bound %.0f/s; paper reports 1953", symbols)
-	}
-}
-
 func TestWireSerializes(t *testing.T) {
 	w := NewWire(GigabitRate)
 	f1 := w.Send(1522, 0, false)
@@ -104,21 +90,6 @@ func TestConstantSourceLineRateBound(t *testing.T) {
 	for i := 1; i < len(frames); i++ {
 		if frames[i].Arrival-frames[i-1].Arrival != wt {
 			t.Error("saturated wire must space frames by wire time")
-		}
-	}
-}
-
-func TestSymbolSourceEncoding(t *testing.T) {
-	w := NewWire(GigabitRate)
-	src := NewSymbolSource(w, []int{0, 1, 2}, 4, 0)
-	frames := Collect(src, 100)
-	if len(frames) != 12 {
-		t.Fatalf("3 symbols x 4 packets = 12 frames, got %d", len(frames))
-	}
-	wantBlocks := []int{2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4}
-	for i, f := range frames {
-		if f.Blocks() != wantBlocks[i] {
-			t.Errorf("frame %d blocks=%d want %d", i, f.Blocks(), wantBlocks[i])
 		}
 	}
 }

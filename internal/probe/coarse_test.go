@@ -186,7 +186,8 @@ func TestRestoreSpyRoundTripsStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := spy.State()
-	re := RestoreSpy(tb, st)
+	re := &Spy{}
+	re.Rebind(tb, st)
 	if re.HitLatency() != spy.HitLatency() || re.MissLatency() != spy.MissLatency() ||
 		re.Calibrated() != spy.Calibrated() || re.NoiseSpread() != spy.NoiseSpread() ||
 		re.AmplificationFactor() != spy.AmplificationFactor() ||

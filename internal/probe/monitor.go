@@ -177,9 +177,6 @@ func (m *Monitor) calibrateSetAmplified(i int) (idleFloor, spreadEst uint64) {
 	return min, (max2 - min) * 5 / 4
 }
 
-// Sets returns the monitored eviction sets.
-func (m *Monitor) Sets() []EvictionSet { return m.sets }
-
 // CalibrationOK reports whether this monitor can actually separate idle
 // timer jitter from an eviction: the spy's calibration found an edge, AND
 // every set's threshold margin clears the jitter the spy calibrated

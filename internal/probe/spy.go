@@ -101,7 +101,7 @@ type SpyState struct {
 	Factor            int
 }
 
-// State captures the spy for later RestoreSpy.
+// State captures the spy for a later Rebind.
 func (s *Spy) State() SpyState {
 	return SpyState{
 		Pages:             s.region.PageAddrs(),
@@ -115,22 +115,15 @@ func (s *Spy) State() SpyState {
 	}
 }
 
-// RestoreSpy rebinds a captured spy to a testbed whose machine snapshot
+// Rebind rebinds a captured spy to a testbed whose machine snapshot
 // already accounts for the spy's pages (they are marked used in the
 // restored allocator) and calibration side effects (clock advance, timer
-// draws). No allocation or calibration happens here.
-func RestoreSpy(tb *testbed.Testbed, st SpyState) *Spy {
-	s := new(Spy)
-	s.Rebind(tb, st)
-	return s
-}
-
-// Rebind is RestoreSpy into an existing spy: the captured state is copied
-// over it, pages into the region's reused backing array (a zero Spy gets a
-// new region). It serves the rig-pool lease path, where a pooled spy is
-// rebound to a restored machine once per warm trial and must not
-// allocate. The testbed must be the machine the accompanying snapshot was
-// restored into.
+// draws); no allocation or calibration happens here. The captured state
+// is copied over the spy, pages into the region's reused backing array
+// (a zero Spy gets a new region). It serves the rig-pool lease path,
+// where a pooled spy is rebound to a restored machine once per warm
+// trial and must not allocate. The testbed must be the machine the
+// accompanying snapshot was restored into.
 func (s *Spy) Rebind(tb *testbed.Testbed, st SpyState) {
 	factor := st.Factor
 	if factor < 1 {

@@ -346,10 +346,17 @@ func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, jo
 	if len(selected) == 0 {
 		return nil, fmt.Errorf("runner: no experiments selected")
 	}
+	seen := make(map[string]bool, len(selected))
 	for _, e := range selected {
 		if !e.Phased() {
 			return nil, fmt.Errorf("runner: experiment %q has no Prepare/Measure pair", e.ID)
 		}
+		// The ID is the unit key: a repeat would share one outcome slot
+		// and leave the other entry's aggregate empty.
+		if seen[e.ID] {
+			return nil, fmt.Errorf("runner: experiment %q selected twice", e.ID)
+		}
+		seen[e.ID] = true
 	}
 	if job.Trials < 1 {
 		job.Trials = 1

@@ -264,6 +264,30 @@ func TestRejectsUnitsWithoutPhases(t *testing.T) {
 	}
 }
 
+// TestRejectsDuplicateExperiments: an experiment selected twice would
+// share one unit key, so one outcome slot would never be filled. The
+// runner refuses the selection before any trial runs or any journal is
+// opened.
+func TestRejectsDuplicateExperiments(t *testing.T) {
+	var calls atomic.Int64
+	counted := online("counted", "counts calls", func(experiments.Scale, int64) (experiments.Result, error) {
+		calls.Add(1)
+		return experiments.Result{}, nil
+	})
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	sel := []experiments.Experiment{counted, fakeExp("other"), counted}
+	_, err := New(Config{CheckpointDir: dir}).Run(sel, Job{Scale: experiments.Demo, Seed: 1, Trials: 2})
+	if err == nil || !strings.Contains(err.Error(), `"counted"`) {
+		t.Errorf("Run error = %v, want one naming counted", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("%d trial(s) ran before the rejection", n)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("checkpoint dir touched before the rejection: %v", err)
+	}
+}
+
 // TestTrialSeedsDistinct checks the derived seeds are pairwise distinct
 // across the whole registry at a realistic trial count — a collision
 // would silently correlate two trials.

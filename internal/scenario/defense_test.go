@@ -33,27 +33,6 @@ func TestDefenseInOptions(t *testing.T) {
 	}
 }
 
-// TestDefenseFingerprint: specs differing only in a defense must have
-// different fingerprints — even when the defense changes nothing the
-// option fingerprint covers (timer coarsening).
-func TestDefenseFingerprint(t *testing.T) {
-	base := Baseline(false)
-	for _, d := range defense.All() {
-		if _, ok := d.(defense.NoDefense); ok {
-			continue
-		}
-		if got := base.WithDefense(d).Fingerprint(); got == base.Fingerprint() {
-			t.Errorf("defense %s: fingerprint matches the undefended spec", d.Name())
-		}
-	}
-	if strings.Contains(base.Fingerprint(), "defense=") {
-		t.Error("undefended spec must not carry a defense fingerprint")
-	}
-}
-
-// TestDefenseAxis: the categorical axis must carry registry indices with
-// name labels, render labeled cell keys, and map back onto Spec.Defense
-// through WithCell.
 // TestGridRestrict: a restriction picks exactly the requested labeled
 // values, preserving their full-grid coordinates (cell keys and seeds
 // must match the unrestricted sweep's cells), and rejects everything
@@ -108,6 +87,9 @@ func TestGridRestrict(t *testing.T) {
 	}
 }
 
+// TestDefenseAxis: the categorical axis must carry registry indices with
+// name labels, render labeled cell keys, and map back onto Spec.Defense
+// through WithCell.
 func TestDefenseAxis(t *testing.T) {
 	ax := DefenseAxis()
 	if len(ax.Values) != len(defense.All()) || len(ax.Labels) != len(ax.Values) {
@@ -143,65 +125,6 @@ func TestDefenseAxis(t *testing.T) {
 		}
 	}()
 	DefenseAxis("not-a-defense")
-}
-
-// TestParameterizedDefenseAxis: the axis carries arbitrary defense
-// values (parameterized stacks, off-registry configs) with canonical
-// name labels, and WithCellDefenses resolves a cell back onto the exact
-// value the axis was built from — the path the frontier search and any
-// future parameterized sweep use for defenses no registry entry names.
-func TestParameterizedDefenseAxis(t *testing.T) {
-	ring, err := defense.NewRingRandomization(2_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defs := []defense.Defense{
-		defense.NoDefense{},
-		defense.NewStack(defense.AdaptivePartitioning{}, ring),
-	}
-	ax := ParameterizedDefenseAxis(defs...)
-	g := Grid{ax, {Name: AxisNoiseRate, Values: []float64{1_000}}}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cells := g.Cells()
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells", len(cells))
-	}
-	wantKey := "defense=adaptive-partition+ring-partial-2k,noise_rate=1000"
-	if cells[1].Key() != wantKey {
-		t.Errorf("stack cell key %q, want %q", cells[1].Key(), wantKey)
-	}
-	for i, c := range cells {
-		s := Baseline(false).WithCellDefenses(c, defs)
-		if s.Defense == nil || s.Defense.Name() != defs[i].Name() {
-			t.Errorf("cell %d: WithCellDefenses installed %v, want %s", i, s.Defense, defs[i].Name())
-		}
-		if s.NoiseRate != 1_000 {
-			t.Errorf("cell %d: numeric axis dropped (noise %v)", i, s.NoiseRate)
-		}
-	}
-	// The stacked cell's spec must build and fingerprint distinctly.
-	s := Baseline(false).WithCellDefenses(cells[1], defs)
-	if s.Fingerprint() == Baseline(false).Fingerprint() {
-		t.Error("parameterized stack did not reach the spec fingerprint")
-	}
-
-	// Invalid defenses and duplicate names are programming errors.
-	for name, bad := range map[string]func(){
-		"empty":     func() { ParameterizedDefenseAxis() },
-		"invalid":   func() { ParameterizedDefenseAxis(defense.TimerCoarsening{}) },
-		"duplicate": func() { ParameterizedDefenseAxis(defense.NoDefense{}, defense.NoDefense{}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s axis must panic", name)
-				}
-			}()
-			bad()
-		}()
-	}
 }
 
 // TestLabeledGridValidation: labels must be all-or-nothing per axis.

@@ -116,12 +116,6 @@ func NewCell(axes []string, values []float64) Cell {
 	return Cell{axes: axes, values: values}
 }
 
-// NewLabeledCell builds a cell with per-coordinate labels ("" entries
-// render numerically).
-func NewLabeledCell(axes []string, values []float64, labels []string) Cell {
-	return Cell{axes: axes, values: values, labels: labels}
-}
-
 // Key renders the cell as a stable coordinate string, e.g.
 // "noise_rate=20000,timer_noise=4" or "defense=adaptive-partition". Axis
 // order follows the grid; numeric values use the shortest exact float
@@ -235,37 +229,6 @@ func DefenseAxis(names ...string) Axis {
 	return ax
 }
 
-// ParameterizedDefenseAxis builds the categorical defense axis over
-// arbitrary defense values — parameterized stacks, custom partition
-// configs, off-registry interval choices — rather than registry members.
-// Values are indices into defs, labels are the defenses' canonical
-// names; resolve a cell back to its defense with WithCellDefenses,
-// passing the same slice. Every defense must validate and names must be
-// unique (labels are the cell key, the report key, and the RNG
-// derivation label — a duplicate would alias two machines). The axis is
-// always assembled from values the caller just constructed, so an
-// invalid defense panics like DefenseAxis's unknown name does.
-func ParameterizedDefenseAxis(defs ...defense.Defense) Axis {
-	if len(defs) == 0 {
-		panic("scenario: parameterized defense axis with no defenses")
-	}
-	ax := Axis{Name: AxisDefense}
-	seen := map[string]bool{}
-	for i, d := range defs {
-		if err := defense.Validate(d); err != nil {
-			panic(fmt.Sprintf("scenario: invalid defense in axis: %v", err))
-		}
-		n := d.Name()
-		if seen[n] {
-			panic(fmt.Sprintf("scenario: duplicate defense %q in parameterized axis", n))
-		}
-		seen[n] = true
-		ax.Values = append(ax.Values, float64(i))
-		ax.Labels = append(ax.Labels, n)
-	}
-	return ax
-}
-
 // Restrict returns a copy of the grid with the named labeled axis
 // narrowed to the given labels, in the given order. This is how a sweep
 // override (the CLI's -defense flag, a service job's defense field)
@@ -324,20 +287,8 @@ func (g Grid) Restrict(axisName string, labels []string) (Grid, error) {
 // WithCell returns a copy of the spec with the cell's well-known axes
 // applied. Axes the spec does not model (e.g. a sweep-private packet-rate
 // axis) are left for the sweep's own Run to read via Value. A defense
-// coordinate is resolved against the registry; cells built from a
-// ParameterizedDefenseAxis must go through WithCellDefenses instead.
+// coordinate is resolved against the registry.
 func (s Spec) WithCell(c Cell) Spec {
-	return s.withCell(c, nil)
-}
-
-// WithCellDefenses is WithCell for grids carrying a
-// ParameterizedDefenseAxis: the cell's defense coordinate indexes defs
-// (the same slice the axis was built from) instead of the registry.
-func (s Spec) WithCellDefenses(c Cell, defs []defense.Defense) Spec {
-	return s.withCell(c, defs)
-}
-
-func (s Spec) withCell(c Cell, defs []defense.Defense) Spec {
 	if v, ok := c.Value(AxisNoiseRate); ok {
 		s.NoiseRate = v
 	}
@@ -348,15 +299,12 @@ func (s Spec) withCell(c Cell, defs []defense.Defense) Spec {
 		s.RingSize = int(v)
 	}
 	if v, ok := c.Value(AxisDefense); ok {
-		pool := defs
-		if pool == nil {
-			pool = defense.All()
-		}
+		all := defense.All()
 		i := int(v)
-		if i < 0 || i >= len(pool) {
-			panic(fmt.Sprintf("scenario: defense axis index %d outside its %d defenses", i, len(pool)))
+		if i < 0 || i >= len(all) {
+			panic(fmt.Sprintf("scenario: defense axis index %d outside its %d defenses", i, len(all)))
 		}
-		s.Defense = pool[i]
+		s.Defense = all[i]
 	}
 	return s
 }

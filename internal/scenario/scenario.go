@@ -3,9 +3,6 @@
 // the world an attack runs in — cache and NIC geometry, background-noise
 // level, timer granularity, and a composable traffic mix — so sensitivity
 // studies sweep structured values instead of hand-editing option structs.
-// Named presets model the paper's deployment situations (§VI): an idle
-// server, a busy multi-tenant box, bursty interactive web traffic, and the
-// paced environment a covert channel prefers.
 //
 // The companion Grid type (grid.go) enumerates cartesian products of
 // scenario axes for the runner's sweep mode.
@@ -13,7 +10,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/defense"
@@ -45,10 +41,6 @@ type Flow struct {
 	Rate float64
 	// Count bounds the stream length; < 0 means unbounded.
 	Count int
-	// BurstOn and BurstOff, when BurstOff > 0, gate the flow into on/off
-	// windows of the given durations in seconds of simulated time (web
-	// page loads separated by think time). Window lengths are jittered.
-	BurstOn, BurstOff float64
 }
 
 // Spec is a declarative experiment condition. The zero value of every
@@ -76,17 +68,15 @@ type Spec struct {
 	// over-reports). 0 = perfect timer.
 	TimerNoise uint64
 
-	// Flows is the scenario's background traffic mix. Experiments add
-	// their own attack stream on top (see BuildTraffic / MixWith).
+	// Flows is the scenario's background traffic mix (see BuildTraffic).
 	Flows []Flow
 
 	// Defense is the platform mitigation the machine runs under; nil is
 	// the vulnerable stock machine. The defense is applied to the built
 	// Options after every other field — it reshapes the machine for the
 	// offline and online phases alike (a platform defense cannot be
-	// prepared around), survives Offline() normalization, and
-	// participates in Fingerprint(), so warm-start clones never cross a
-	// defense boundary.
+	// prepared around), and survives Offline() normalization, so
+	// warm-start clones never cross a defense boundary.
 	Defense defense.Defense
 }
 
@@ -107,98 +97,6 @@ func Baseline(paper bool) Spec {
 		s.Name = "baseline-demo"
 		s.CacheSlices, s.CacheSetsPerSlice, s.CacheWays = 2, 2048, 8
 		s.RingSize = 64
-	}
-	return s
-}
-
-// Preset returns a named scenario, ok=false for unknown names. The presets
-// model the deployment situations the paper's sensitivity discussion
-// spans. Each exists at two scales: the bare name selects the demo
-// machine; the "-paper" suffix (e.g. "busy-multi-tenant-paper") selects
-// the full 20 MB / 8-slice / 256-descriptor paper machine, so sweeps can
-// run at paper scale without hand-built Specs.
-func Preset(name string) (Spec, bool) {
-	base, paper := name, false
-	if n, ok := strings.CutSuffix(name, "-paper"); ok {
-		base, paper = n, true
-	}
-	s, ok := presetDemo(base)
-	if !ok {
-		return Spec{}, false
-	}
-	s.Name = name
-	if paper {
-		s = s.AtPaperScale()
-		s.Name = name
-	}
-	return s, true
-}
-
-// presetDemo builds the demo-geometry body of a preset.
-func presetDemo(name string) (Spec, bool) {
-	s := Baseline(false)
-	s.Name = name
-	switch name {
-	case "idle-server":
-		// A mostly quiet machine: sparse keepalive traffic, little cache
-		// churn, a tight timer — the attack's best case.
-		s.NoiseRate = 2_000
-		s.TimerNoise = 2
-		s.Flows = []Flow{
-			{Kind: FlowPoisson, Sizes: []int{64, 128}, Rate: 1_000, Count: -1},
-		}
-	case "busy-multi-tenant":
-		// Heavy co-tenant cache pressure plus three independent traffic
-		// classes competing for the rx ring.
-		s.NoiseRate = 400_000
-		s.TimerNoise = 8
-		s.Flows = []Flow{
-			{Kind: FlowPoisson, Sizes: []int{64, 128, 256}, Rate: 40_000, Count: -1},
-			{Kind: FlowPoisson, Sizes: []int{512, 1024, 1514}, Rate: 15_000, Count: -1},
-			{Kind: FlowConstant, Sizes: []int{64}, Rate: 5_000, Count: -1},
-		}
-	case "bursty-web":
-		// Interactive web serving: MTU-heavy bursts (page loads) separated
-		// by idle think time, plus a trickle of small control packets.
-		s.NoiseRate = 50_000
-		s.Flows = []Flow{
-			{Kind: FlowPoisson, Sizes: []int{1514, 1514, 512, 256}, Rate: 30_000,
-				Count: -1, BurstOn: 0.002, BurstOff: 0.008},
-			{Kind: FlowPoisson, Sizes: []int{64}, Rate: 2_000, Count: -1},
-		}
-	case "paced-covert":
-		// The covert channel's preferred environment: no competing flows,
-		// low ambient noise, a clean timer. The trojan's paced stream is
-		// installed by the covert experiment itself.
-		s.NoiseRate = 5_000
-		s.TimerNoise = 2
-	default:
-		return Spec{}, false
-	}
-	return s, true
-}
-
-// PresetNames lists the preset names in a stable order: every demo preset
-// followed by its paper-scale variant.
-func PresetNames() []string {
-	demo := []string{"idle-server", "busy-multi-tenant", "bursty-web", "paced-covert"}
-	out := append([]string(nil), demo...)
-	for _, n := range demo {
-		out = append(out, n+"-paper")
-	}
-	return out
-}
-
-// AtPaperScale lifts a spec onto the full paper machine: the 20 MB
-// 8x2048x20 LLC, the 256-descriptor IGB ring, and default memory. All
-// zero-value geometry fields mean exactly that (see Spec), so lifting is
-// clearing the demo overrides. Environment and traffic are preserved.
-func (s Spec) AtPaperScale() Spec {
-	s.CacheSlices, s.CacheSetsPerSlice, s.CacheWays = 0, 0, 0
-	s.RingSize = 0
-	s.MemBytes = 0
-	if !strings.HasSuffix(s.Name, "-paper") {
-		s.Name += "-paper"
 	}
 	return s
 }
@@ -242,9 +140,6 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("scenario %q: flow %d size %d outside [%d,%d]",
 					s.Name, i, sz, netmodel.MinFrameSize, netmodel.MaxFrameSize)
 			}
-		}
-		if f.BurstOff > 0 && f.BurstOn <= 0 {
-			return fmt.Errorf("scenario %q: flow %d bursty with zero on-window", s.Name, i)
 		}
 	}
 	return nil
@@ -299,28 +194,13 @@ const (
 
 // Offline returns the spec the offline phase runs at: same machine
 // geometry, but the reference noise/timer environment and no background
-// flows. Two scenario cells whose Offline specs have equal Fingerprints
-// (and equal offline seeds) share one prepared machine.
+// flows. Two scenario cells whose Offline specs build the same options
+// (under equal offline seeds) share one prepared machine.
 func (s Spec) Offline() Spec {
 	s.NoiseRate = OfflineNoiseRate
 	s.TimerNoise = OfflineTimerNoise
 	s.Flows = nil
 	return s
-}
-
-// Fingerprint canonically identifies the offline-relevant machine shape
-// this spec describes — geometry, driver configuration, memory size, and
-// the platform defense, with defaults resolved — and deliberately ignores
-// the name, the environment knobs (NoiseRate, TimerNoise), and the
-// traffic mix. The defense's own fingerprint rides alongside the option
-// fingerprint because a defense may change knobs the option fingerprint
-// excludes (timer coarsening changes only TimerNoise).
-func (s Spec) Fingerprint() string {
-	fp := s.Options(0).OfflineFingerprint()
-	if s.Defense != nil {
-		fp += "|defense=" + s.Defense.Fingerprint()
-	}
-	return fp
 }
 
 // NewTestbed validates the spec, builds its machine, and installs the
@@ -359,28 +239,10 @@ func (s Spec) BuildTraffic(seed int64, start uint64) netmodel.Source {
 	return netmodel.NewMixSource(sources...)
 }
 
-// MixWith combines an experiment's own stream with the scenario's
-// background mix. With no background flows the stream passes through
-// untouched.
-func (s Spec) MixWith(src netmodel.Source, seed int64, start uint64) netmodel.Source {
-	bg := s.BuildTraffic(seed, start)
-	if bg == nil {
-		return src
-	}
-	return netmodel.NewMixSource(src, bg)
-}
-
 // build assembles one flow on the shared wire.
 func (f Flow) build(wire *netmodel.Wire, rng *sim.RNG, start uint64) netmodel.Source {
-	var src netmodel.Source
-	switch f.Kind {
-	case FlowPoisson:
-		src = netmodel.NewPoissonSource(wire, f.Sizes, f.Rate, rng, start, f.Count)
-	default:
-		src = netmodel.NewConstantSource(wire, f.Sizes[0], f.Rate, start, f.Count)
+	if f.Kind == FlowPoisson {
+		return netmodel.NewPoissonSource(wire, f.Sizes, f.Rate, rng, start, f.Count)
 	}
-	if f.BurstOff > 0 {
-		src = netmodel.NewBurstySource(src, sim.Cycles(f.BurstOn), sim.Cycles(f.BurstOff), rng)
-	}
-	return src
+	return netmodel.NewConstantSource(wire, f.Sizes[0], f.Rate, start, f.Count)
 }

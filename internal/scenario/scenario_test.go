@@ -6,27 +6,19 @@ import (
 	"repro/internal/netmodel"
 )
 
-func TestPresetsValidateAndDiffer(t *testing.T) {
-	seen := map[string]bool{}
-	for _, name := range PresetNames() {
-		s, ok := Preset(name)
-		if !ok {
-			t.Fatalf("preset %q missing", name)
-		}
-		if s.Name != name {
-			t.Errorf("preset %q reports name %q", name, s.Name)
-		}
-		if err := s.Validate(); err != nil {
-			t.Errorf("preset %q invalid: %v", name, err)
-		}
-		if seen[name] {
-			t.Errorf("duplicate preset %q", name)
-		}
-		seen[name] = true
+// busyMix is a demo machine under heavy co-tenant cache pressure with
+// three independent traffic classes competing for the rx ring.
+func busyMix() Spec {
+	s := Baseline(false)
+	s.Name = "busy-multi-tenant"
+	s.NoiseRate = 400_000
+	s.TimerNoise = 8
+	s.Flows = []Flow{
+		{Kind: FlowPoisson, Sizes: []int{64, 128, 256}, Rate: 40_000, Count: -1},
+		{Kind: FlowPoisson, Sizes: []int{512, 1024, 1514}, Rate: 15_000, Count: -1},
+		{Kind: FlowConstant, Sizes: []int{64}, Rate: 5_000, Count: -1},
 	}
-	if _, ok := Preset("nope"); ok {
-		t.Error("unknown preset must not resolve")
-	}
+	return s
 }
 
 func TestValidateRejectsBadSpecs(t *testing.T) {
@@ -41,7 +33,6 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"flow without rate", Spec{Flows: []Flow{{Sizes: []int{64}}}}},
 		{"flow bad kind", Spec{Flows: []Flow{{Kind: "warp", Sizes: []int{64}, Rate: 1}}}},
 		{"flow bad size", Spec{Flows: []Flow{{Sizes: []int{12}, Rate: 1}}}},
-		{"bursty without on-window", Spec{Flows: []Flow{{Sizes: []int{64}, Rate: 1, BurstOff: 0.1}}}},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); err == nil {
@@ -64,12 +55,14 @@ func TestBaselineOptionsMatchLegacyShapes(t *testing.T) {
 	}
 }
 
-// TestBuildTrafficOrderedAndDeterministic: every preset's mix must emit
-// frames in nondecreasing arrival order, valid frame sizes, and the exact
-// same stream for the same seed.
+// TestBuildTrafficOrderedAndDeterministic: a traffic mix must emit frames
+// in nondecreasing arrival order, valid frame sizes, and the exact same
+// stream for the same seed; a spec without flows has no traffic.
 func TestBuildTrafficOrderedAndDeterministic(t *testing.T) {
-	for _, name := range PresetNames() {
-		s, _ := Preset(name)
+	single := busyMix()
+	single.Name, single.Flows = "single-flow", single.Flows[:1]
+	for _, s := range []Spec{Baseline(false), single, busyMix()} {
+		name := s.Name
 		if len(s.Flows) == 0 {
 			if src := s.BuildTraffic(1, 0); src != nil {
 				t.Errorf("%s: no flows but non-nil traffic", name)
@@ -101,23 +94,8 @@ func TestBuildTrafficOrderedAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestMixWithPassthrough(t *testing.T) {
-	s := Baseline(false) // no flows
-	wire := netmodel.NewWire(netmodel.GigabitRate)
-	src := netmodel.NewConstantSource(wire, 64, 1000, 0, 5)
-	if got := s.MixWith(src, 1, 0); got != netmodel.Source(src) {
-		t.Error("MixWith must pass through when the scenario has no flows")
-	}
-	s.Flows = []Flow{{Kind: FlowPoisson, Sizes: []int{64}, Rate: 1000, Count: 5}}
-	mixed := s.MixWith(netmodel.NewConstantSource(wire, 64, 1000, 0, 5), 1, 0)
-	frames := netmodel.Collect(mixed, 20)
-	if len(frames) != 10 {
-		t.Errorf("mixed stream has %d frames want 10", len(frames))
-	}
-}
-
 func TestNewTestbedInstallsMix(t *testing.T) {
-	s, _ := Preset("busy-multi-tenant")
+	s := busyMix()
 	for i := range s.Flows {
 		s.Flows[i].Count = 50
 	}
@@ -195,56 +173,10 @@ func TestWithCell(t *testing.T) {
 	}
 }
 
-// TestPaperPresets: each preset's "-paper" variant must resolve, validate,
-// run on the full paper machine, and keep the demo variant's environment
-// and traffic mix.
-func TestPaperPresets(t *testing.T) {
-	for _, base := range []string{"idle-server", "busy-multi-tenant", "bursty-web", "paced-covert"} {
-		demo, ok := Preset(base)
-		if !ok {
-			t.Fatalf("preset %q missing", base)
-		}
-		paper, ok := Preset(base + "-paper")
-		if !ok {
-			t.Fatalf("preset %q missing", base+"-paper")
-		}
-		if err := paper.Validate(); err != nil {
-			t.Errorf("%s-paper invalid: %v", base, err)
-		}
-		opts := paper.Options(1)
-		if opts.Cache.SizeBytes() != 20<<20 || opts.NIC.RingSize != 256 {
-			t.Errorf("%s-paper not at paper scale: %d bytes LLC, ring %d",
-				base, opts.Cache.SizeBytes(), opts.NIC.RingSize)
-		}
-		if paper.NoiseRate != demo.NoiseRate || paper.TimerNoise != demo.TimerNoise {
-			t.Errorf("%s-paper environment drifted from demo preset", base)
-		}
-		if len(paper.Flows) != len(demo.Flows) {
-			t.Errorf("%s-paper traffic mix drifted: %d flows vs %d", base, len(paper.Flows), len(demo.Flows))
-		}
-	}
-}
-
-// TestAtPaperScaleIdempotent: lifting twice is lifting once, and every
-// machine override — geometry, ring, memory — is cleared to the paper
-// defaults.
-func TestAtPaperScaleIdempotent(t *testing.T) {
-	s, _ := Preset("bursty-web")
-	s.MemBytes = 64 << 20
-	once := s.AtPaperScale()
-	twice := once.AtPaperScale()
-	if once.Name != "bursty-web-paper" || twice.Name != once.Name {
-		t.Errorf("names: %q then %q", once.Name, twice.Name)
-	}
-	if twice.CacheSlices != 0 || twice.RingSize != 0 || twice.MemBytes != 0 {
-		t.Errorf("machine overrides survived lifting: %+v", twice)
-	}
-}
-
 // TestOfflineSpec: the offline view keeps geometry, resets environment to
 // the reference, and drops flows.
 func TestOfflineSpec(t *testing.T) {
-	s, _ := Preset("busy-multi-tenant")
+	s := busyMix()
 	s.RingSize = 32
 	off := s.Offline()
 	if off.NoiseRate != OfflineNoiseRate || off.TimerNoise != OfflineTimerNoise {
@@ -255,27 +187,5 @@ func TestOfflineSpec(t *testing.T) {
 	}
 	if off.RingSize != 32 || off.CacheSlices != s.CacheSlices {
 		t.Error("offline spec must preserve geometry")
-	}
-}
-
-// TestFingerprintContract: equal machine shapes fingerprint equally no
-// matter the environment; geometry changes alter the fingerprint.
-func TestFingerprintContract(t *testing.T) {
-	a := Baseline(false)
-	b := Baseline(false)
-	b.Name = "renamed"
-	b.NoiseRate = 9_999_999
-	b.TimerNoise = 400
-	b.Flows = []Flow{{Kind: FlowPoisson, Sizes: []int{64}, Rate: 1000, Count: -1}}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("environment and naming must not affect the fingerprint")
-	}
-	c := Baseline(false)
-	c.RingSize = 128
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("ring size is offline-relevant and must alter the fingerprint")
-	}
-	if Baseline(false).Fingerprint() == Baseline(true).Fingerprint() {
-		t.Error("demo and paper machines must fingerprint differently")
 	}
 }

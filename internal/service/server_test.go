@@ -186,6 +186,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	for _, body := range []string{
 		`not json`,
 		`{"kind":"experiments","experiments":["no_such_fig"]}`,
+		`{"kind":"experiments","experiments":["fig5","fig5"]}`,
 		`{"kind":"experiments","bogus_field":1}`,
 	} {
 		var e struct {

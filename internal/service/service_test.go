@@ -123,6 +123,7 @@ func TestResolveSpec(t *testing.T) {
 	bad := []JobSpec{
 		{Kind: "nope"},
 		{Kind: KindExperiments, Experiments: []string{"no_such_fig"}},
+		{Kind: KindExperiments, Experiments: []string{"fig5", " fig5"}},
 		{Kind: KindExperiments, Sweep: "sens_chase_noise"},
 		{Kind: KindExperiments, Defense: []string{"none"}},
 		{Kind: KindExperiments, Trials: -1},

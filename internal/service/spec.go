@@ -139,12 +139,17 @@ func Resolve(spec JobSpec) (Resolved, error) {
 			r.selection = experiments.All()
 		} else {
 			norm := make([]string, 0, len(ids))
+			seen := make(map[string]bool, len(ids))
 			for _, id := range ids {
 				id = strings.TrimSpace(id)
 				ent, ok := experiments.Lookup(id)
 				if !ok || ent.Kind != experiments.KindExperiment {
 					return r, fmt.Errorf("unknown experiment %q", id)
 				}
+				if seen[id] {
+					return r, fmt.Errorf("duplicate experiment %q", id)
+				}
+				seen[id] = true
 				norm = append(norm, id)
 				r.selection = append(r.selection, ent.Experiment)
 			}

@@ -1,7 +1,6 @@
 // Package sim provides the deterministic simulation substrate for the
 // Packet Chasing reproduction: a global cycle clock standing in for the
-// processor's time-stamp counter, seeded random-number fan-out, and a small
-// discrete-event scheduler used by the NIC and performance models.
+// processor's time-stamp counter and seeded random-number fan-out.
 //
 // The paper's attack measures everything in CPU cycles (rdtsc). Real cycle
 // timing is unobtainable from Go — garbage collection and scheduler jitter

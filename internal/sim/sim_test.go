@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -122,82 +121,5 @@ func TestBernoulliEdges(t *testing.T) {
 	}
 	if !r.Bernoulli(1) {
 		t.Error("p=1 must be true")
-	}
-}
-
-func TestSchedulerOrdering(t *testing.T) {
-	clock := NewClock()
-	s := NewScheduler(clock)
-	var order []int
-	s.At(30, func() { order = append(order, 3) })
-	s.At(10, func() { order = append(order, 1) })
-	s.At(20, func() { order = append(order, 2) })
-	// Same-time events fire in insertion order.
-	s.At(20, func() { order = append(order, 4) })
-	s.Drain(100)
-	want := []int{1, 2, 4, 3}
-	if len(order) != len(want) {
-		t.Fatalf("ran %d events want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v want %v", order, want)
-		}
-	}
-	if clock.Now() != 30 {
-		t.Errorf("clock=%d want 30", clock.Now())
-	}
-}
-
-func TestSchedulerRunUntil(t *testing.T) {
-	clock := NewClock()
-	s := NewScheduler(clock)
-	ran := 0
-	s.At(5, func() { ran++ })
-	s.At(15, func() { ran++ })
-	s.RunUntil(10)
-	if ran != 1 {
-		t.Errorf("ran=%d want 1", ran)
-	}
-	if clock.Now() != 10 {
-		t.Errorf("clock=%d want 10", clock.Now())
-	}
-	s.RunUntil(20)
-	if ran != 2 {
-		t.Errorf("ran=%d want 2", ran)
-	}
-}
-
-func TestSchedulerSelfRescheduleLimit(t *testing.T) {
-	clock := NewClock()
-	s := NewScheduler(clock)
-	var tick func()
-	tick = func() { s.After(10, tick) }
-	s.After(0, tick)
-	n := s.Drain(50)
-	if n != 50 {
-		t.Errorf("drain should stop at limit, ran %d", n)
-	}
-}
-
-func TestSchedulerHeapProperty(t *testing.T) {
-	f := func(times []uint16) bool {
-		clock := NewClock()
-		s := NewScheduler(clock)
-		var fired []uint64
-		for _, tt := range times {
-			at := uint64(tt)
-			s.At(at, func() { fired = append(fired, at) })
-		}
-		s.Drain(len(times) + 1)
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				return false
-			}
-		}
-		return len(fired) == len(times)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

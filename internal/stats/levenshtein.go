@@ -1,8 +1,9 @@
 // Package stats provides the statistical primitives used throughout the
 // Packet Chasing reproduction: edit distance for sequence-recovery and
-// covert-channel error measurement, cross-correlation for the fingerprint
-// classifier, pseudo-random bit sequences for channel-capacity tests, and
-// summary statistics (means, confidence intervals, percentiles).
+// covert-channel error measurement, banded alignment distance for the
+// fingerprint classifier, pseudo-random bit sequences for
+// channel-capacity tests, and summary statistics (means, confidence
+// intervals, percentiles).
 package stats
 
 // Levenshtein returns the minimum number of single-element insertions,
@@ -35,20 +36,6 @@ func Levenshtein(a, b []int) int {
 		prev, curr = curr, prev
 	}
 	return prev[len(b)]
-}
-
-// LevenshteinBytes is Levenshtein on byte slices; used for symbol streams
-// that are naturally represented as bytes (covert-channel symbols).
-func LevenshteinBytes(a, b []byte) int {
-	ai := make([]int, len(a))
-	bi := make([]int, len(b))
-	for i, v := range a {
-		ai[i] = int(v)
-	}
-	for i, v := range b {
-		bi[i] = int(v)
-	}
-	return Levenshtein(ai, bi)
 }
 
 // ErrorRate returns the Levenshtein distance between sent and received

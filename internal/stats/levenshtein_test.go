@@ -38,15 +38,15 @@ func TestLevenshteinBasics(t *testing.T) {
 }
 
 func TestLevenshteinSymmetryAndBounds(t *testing.T) {
-	f := func(a, b []byte) bool {
+	f := func(a, b []int) bool {
 		if len(a) > 40 {
 			a = a[:40]
 		}
 		if len(b) > 40 {
 			b = b[:40]
 		}
-		d1 := LevenshteinBytes(a, b)
-		d2 := LevenshteinBytes(b, a)
+		d1 := Levenshtein(a, b)
+		d2 := Levenshtein(b, a)
 		if d1 != d2 {
 			return false
 		}

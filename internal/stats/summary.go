@@ -114,21 +114,3 @@ func Histogram(xs []int) map[int]int {
 	}
 	return h
 }
-
-// HistogramSeries converts a histogram into a dense series from 0 to max
-// observed key, suitable for printing figure rows.
-func HistogramSeries(h map[int]int) []int {
-	maxKey := 0
-	for k := range h {
-		if k > maxKey {
-			maxKey = k
-		}
-	}
-	out := make([]int, maxKey+1)
-	for k, v := range h {
-		if k >= 0 {
-			out[k] = v
-		}
-	}
-	return out
-}

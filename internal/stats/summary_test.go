@@ -105,8 +105,4 @@ func TestHistogram(t *testing.T) {
 	if h[0] != 1 || h[1] != 2 || h[2] != 3 {
 		t.Errorf("histogram wrong: %v", h)
 	}
-	series := HistogramSeries(h)
-	if len(series) != 3 || series[2] != 3 {
-		t.Errorf("series wrong: %v", series)
-	}
 }

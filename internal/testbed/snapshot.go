@@ -63,38 +63,6 @@ func (tb *Testbed) Snapshot() (*Snapshot, error) {
 	}, nil
 }
 
-// SnapshotInto captures the machine state into a caller-owned scratch
-// snapshot, reusing the component snapshots' backing slices. It exists for
-// paths that snapshot repeatedly (offline builds, benchmarks); a snapshot
-// filed in an artifact must be a fresh Snapshot(), since artifacts rely on
-// snapshot immutability. The traffic restriction matches Snapshot.
-func (tb *Testbed) SnapshotInto(s *Snapshot) error {
-	if tb.traffic != nil || tb.nextFrame != nil {
-		return fmt.Errorf("testbed: cannot snapshot with a traffic source installed")
-	}
-	if s.cache == nil {
-		s.cache = &cache.Snapshot{}
-	}
-	if s.alloc == nil {
-		s.alloc = &mem.AllocatorState{}
-	}
-	if s.nic == nil {
-		s.nic = &nic.Snapshot{}
-	}
-	s.clock = tb.clock.Snapshot()
-	tb.cache.SnapshotInto(s.cache)
-	tb.alloc.SnapshotInto(s.alloc)
-	tb.nic.SnapshotInto(s.nic)
-	tb.noiseRNG.SnapshotInto(&s.noiseRNG)
-	tb.timerRNG.SnapshotInto(&s.timerRNG)
-	s.noiseRate = tb.opts.NoiseRate
-	s.timerNoise = tb.opts.TimerNoise
-	s.noisePeriod = tb.noisePeriod
-	s.noiseNextAt = tb.noiseNextAt
-	s.noiseSpace = tb.noiseSpace
-	return nil
-}
-
 // NewShell assembles a machine with no free-list shuffle, no ring/skb page
 // allocation, and no RNG warm-up — a restore target. A shell that is never
 // restored has an empty allocator and a zeroed ring and must not be used;
