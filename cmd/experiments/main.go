@@ -80,8 +80,9 @@
 // dispatch an experimentd job takes, so a solo run and a daemon job of
 // one spec emit the same bytes. A spec Resolve rejects (an unknown id,
 // -defense without -sweep, a negative -search-budget, ...) is a usage
-// error, and so is a flag combination runner.Config.Validate rejects
-// (-cold with -artifact-dir, -resume without -checkpoint-dir, ...).
+// error, and so is a contradictory flag combination (-cold with
+// -artifact-dir, -resume without -checkpoint-dir, ...). Usage errors are
+// caught before the artifact directory is created.
 //
 // Progress on stderr is one banner line naming the job, then a
 // throttled one-line summary (done/total, percentage, ETA); -v restores
@@ -174,6 +175,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown scale \"\" (want demo or paper)\n")
 		return 2
 	}
+	if *artifactDir != "" && *cold {
+		fmt.Fprintf(stderr, "-artifact-dir requires warm mode (drop -cold)\n")
+		return 2
+	}
+	if *artifactMax > 0 && *artifactDir == "" {
+		fmt.Fprintf(stderr, "-artifact-max-bytes requires -artifact-dir\n")
+		return 2
+	}
 
 	spec := service.JobSpec{
 		Kind:    service.KindExperiments,
@@ -211,15 +220,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		width = runtime.GOMAXPROCS(0)
 	}
 	cfg := runner.Config{
-		Parallel:         width,
-		Warm:             !*cold,
-		ArtifactDir:      *artifactDir,
-		ArtifactMaxBytes: *artifactMax,
-		CheckpointDir:    *checkpointDir,
-		Resume:           *resume,
-		TrialBudget:      *trialBudget,
-		Progress:         progress,
-		Verbose:          *verbose,
+		Parallel:      width,
+		Warm:          !*cold,
+		CheckpointDir: *checkpointDir,
+		Resume:        *resume,
+		TrialBudget:   *trialBudget,
+		Progress:      progress,
+		Verbose:       *verbose,
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "%v\n", err)
@@ -264,6 +271,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, format, args...)
 		return code
+	}
+
+	if *artifactDir != "" {
+		store, err := experiments.NewDiskArtifactStore(*artifactDir, *artifactMax)
+		if err != nil {
+			return fail(2, "%v\n", err)
+		}
+		cfg.Store = store
 	}
 
 	if progress != nil {

@@ -11,7 +11,8 @@ import (
 )
 
 // TestUsageErrorsExit2 runs every flag combination the CLI rejects: each
-// must exit 2 before any work and leave no -o file behind.
+// must exit 2 before any work and leave no -o file or artifact directory
+// behind.
 func TestUsageErrorsExit2(t *testing.T) {
 	cases := map[string][]string{
 		"unknown flag":                 {"-nope"},
@@ -55,6 +56,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 				t.Error("no diagnostic on stderr")
 			}
 			assertNoFile(t, out)
+			assertNoFile(t, filepath.Join(dir, "art"))
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/testbed"
@@ -290,15 +292,19 @@ func NewArtifactStore() *ArtifactStore {
 // filename, so a disk entry is valid for exactly the machines the
 // in-memory entry would be.
 //
+// Entries are published with durable.WriteFile (synced, then renamed
+// into place), so a crash never leaves a torn entry under its final name.
+//
 // When maxBytes > 0, every persisted build is followed by an eviction
-// pass that removes least-recently-used entries (access-time order; see
-// entryATime) until the directory's *.rig.gob total fits the cap — the
-// bound a shared long-running store needs, since its key space (every
-// machine option set x attacker any client ever submits)
-// grows without limit. Eviction is safe by construction: a reader that
-// loses the race to an evicted file takes the ordinary miss path and
-// rebuilds, exactly like the corrupt-entry healing; losing an entry only
-// ever costs rebuild time. maxBytes == 0 leaves the directory unbounded.
+// pass that removes least-recently-used entries (mtime order; loadRig
+// stamps the mtime on every hit) until the directory's *.rig.gob total
+// fits the cap — the bound a shared long-running store needs, since its
+// key space (every machine option set x attacker any client ever
+// submits) grows without limit. Eviction is safe by construction: a
+// reader that loses the race to an evicted file takes the ordinary miss
+// path and rebuilds, exactly like the corrupt-entry healing; losing an
+// entry only ever costs rebuild time. maxBytes == 0 leaves the directory
+// unbounded.
 func NewDiskArtifactStore(dir string, maxBytes int64) (*ArtifactStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact dir: %w", err)
@@ -344,10 +350,10 @@ func (s *ArtifactStore) loadRig(key string) (*RigArtifact, bool) {
 	if err := gob.NewDecoder(f).Decode(&ra); err != nil || !ra.servesKey(key) {
 		return nil, false
 	}
-	// Touch the entry so LRU eviction sees the hit. Reading alone is not
-	// enough — relatime/noatime mounts defer or drop atime updates — so
-	// recency is stamped explicitly; failures (entry already evicted by a
-	// concurrent pass) are harmless, the bytes are decoded.
+	// Stamp the entry's mtime so LRU eviction sees the hit: mtime is the
+	// eviction order, and nothing else moves it once the entry is
+	// written. Failures (entry already evicted by a concurrent pass) are
+	// harmless, the bytes are decoded.
 	now := time.Now() //packetlint:allow disk-cache LRU recency stamp; never mixes into simulated time or report bytes
 	_ = os.Chtimes(path, now, now)
 	return &ra, true
@@ -368,32 +374,6 @@ func (ra *RigArtifact) servesKey(key string) bool {
 		}
 	}
 	return true
-}
-
-// saveRig persists an artifact atomically (temp file + rename), so a
-// crashed or concurrent run never leaves a half-written entry behind.
-// Write failures surface as errors: a user who asked for persistence
-// should not silently lose it.
-func (s *ArtifactStore) saveRig(key string, ra *RigArtifact) error {
-	f, err := os.CreateTemp(s.dir, ".rig-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := gob.NewEncoder(f).Encode(ra); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, s.rigPath(key)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // rig returns the artifact for key, building it at most once per process
@@ -418,7 +398,11 @@ func (s *ArtifactStore) rig(key string, build func() (*RigArtifact, error)) (*Ri
 		}
 		e.rig, e.err = build()
 		if e.err == nil && s.dir != "" {
-			if err := s.saveRig(key, e.rig); err != nil {
+			// Streamed, not buffered: a paper-scale artifact is ~20 MB.
+			err := durable.WriteFile(s.rigPath(key), func(w io.Writer) error {
+				return gob.NewEncoder(w).Encode(e.rig)
+			})
+			if err != nil {
 				e.rig, e.err = nil, fmt.Errorf("persist artifact: %w", err)
 			} else {
 				s.evict(s.rigPath(key))
@@ -460,9 +444,9 @@ func (s *ArtifactStore) Evictions() int {
 // directory's *.rig.gob total exceeds maxBytes, the least-recently-used
 // entry goes — except keep (the entry just written, which justified the
 // pass and must survive it even under a cap smaller than one artifact).
-// In-flight temp files are skipped: a concurrent saveRig owns them and
-// they become entries only at rename. One pass runs at a time; scan
-// errors are ignored (eviction is best-effort bookkeeping, never a
+// In-flight temp files are skipped: a concurrent durable.WriteFile owns
+// them and they become entries only at rename. One pass runs at a time;
+// scan errors are ignored (eviction is best-effort bookkeeping, never a
 // correctness dependency — see NewDiskArtifactStore).
 func (s *ArtifactStore) evict(keep string) {
 	if s.maxBytes <= 0 {
@@ -495,7 +479,7 @@ func (s *ArtifactStore) evict(keep string) {
 		if path == keep {
 			continue
 		}
-		ents = append(ents, entry{path: path, size: fi.Size(), used: entryATime(fi)})
+		ents = append(ents, entry{path: path, size: fi.Size(), used: fi.ModTime()})
 	}
 	if total <= s.maxBytes {
 		return

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +125,33 @@ func TestDiskStoreHealsCorruptEntries(t *testing.T) {
 	var ra RigArtifact
 	if err := gob.NewDecoder(f).Decode(&ra); err != nil {
 		t.Errorf("healed cache file still corrupt: %v", err)
+	}
+}
+
+// TestDiskStorePersistFailureIsNotABuildError: when the entry cannot be
+// published (its path is occupied by a directory, so the rename fails),
+// Prepare fails with a persistence error that is not a *BuildError, so
+// an experiment scoring attacker collapse (chase_coarse_timer) cannot
+// count it as a defense outcome, and the store counts no build.
+func TestDiskStorePersistFailureIsNotABuildError(t *testing.T) {
+	s, err := NewDiskArtifactStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.rigPath(rigKey(machineOptions(Demo, 3), probe.DefaultStrategy()))
+	if err := os.MkdirAll(filepath.Join(path, "occupant"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, err = PrepareFig10(PrepareCtx{Scale: Demo, Seed: 3, Store: s})
+	if err == nil || !strings.Contains(err.Error(), "persist artifact") {
+		t.Fatalf("err = %v, want a persist artifact error", err)
+	}
+	var be *BuildError
+	if errors.As(err, &be) {
+		t.Errorf("persist failure reported as a build error: %v", err)
+	}
+	if s.Builds() != 0 {
+		t.Errorf("builds=%d, want 0 for an unpersisted build", s.Builds())
 	}
 }
 

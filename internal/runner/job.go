@@ -26,20 +26,13 @@ type Config struct {
 	// same job produce byte-identical reports; warm is purely a wall-clock
 	// optimization.
 	Warm bool
-	// ArtifactDir, when non-empty (warm mode only), backs the artifact
-	// store with a directory so repeated invocations skip offline phases
-	// entirely. Never changes report bytes.
-	ArtifactDir string
-	// ArtifactMaxBytes, when > 0 (requires ArtifactDir), caps the disk
-	// artifact store: after every persisted build, least-recently-used
-	// entries are evicted until the directory fits the cap. Eviction only
-	// costs rebuild time on a later miss — never changes report bytes.
-	ArtifactMaxBytes int64
-	// Store, when non-nil, is a caller-owned artifact store shared across
-	// runners — the experiment service hands every warm job the same
-	// store so concurrent jobs deduplicate offline work. Requires Warm;
-	// mutually exclusive with ArtifactDir (the caller already chose the
-	// store's backing when it built it).
+	// Store, when non-nil, is a caller-owned artifact store: the
+	// experiment service hands every warm job the same store so
+	// concurrent jobs deduplicate offline work, and cmd/experiments
+	// passes a disk-backed store (experiments.NewDiskArtifactStore) for
+	// -artifact-dir so repeated invocations skip offline phases
+	// entirely. Requires Warm; nil means a private in-memory store. Never
+	// changes report bytes.
 	Store *experiments.ArtifactStore
 	// Pool, when non-nil, bounds concurrent trial execution across every
 	// runner sharing it (see Pool). Parallel still sizes this job's
@@ -118,33 +111,24 @@ func (c Config) Validate() error {
 	switch {
 	case c.Store != nil && !c.Warm:
 		return fmt.Errorf("runner: shared store requires warm mode")
-	case c.Store != nil && c.ArtifactDir != "":
-		return fmt.Errorf("runner: shared store and artifact dir are mutually exclusive")
-	case c.ArtifactDir != "" && !c.Warm:
-		return fmt.Errorf("runner: artifact dir requires warm mode")
 	case c.Resume && c.CheckpointDir == "":
 		return fmt.Errorf("runner: resume requires a checkpoint dir")
 	case c.TrialBudget > 0 && c.CheckpointDir == "":
 		return fmt.Errorf("runner: trial budget requires a checkpoint dir")
-	case c.ArtifactMaxBytes > 0 && c.ArtifactDir == "":
-		return fmt.Errorf("runner: artifact size cap requires an artifact dir")
 	}
 	return nil
 }
 
 // newStore builds the artifact store a validated config describes: the
-// caller's shared store, nil for cold runs, disk-backed when ArtifactDir
-// is set, in-memory otherwise.
-func (c Config) newStore() (*experiments.ArtifactStore, error) {
+// caller's store, nil for cold runs, in-memory otherwise.
+func (c Config) newStore() *experiments.ArtifactStore {
 	switch {
 	case c.Store != nil:
-		return c.Store, nil
+		return c.Store
 	case !c.Warm:
-		return nil, nil
-	case c.ArtifactDir != "":
-		return experiments.NewDiskArtifactStore(c.ArtifactDir, c.ArtifactMaxBytes)
+		return nil
 	}
-	return experiments.NewArtifactStore(), nil
+	return experiments.NewArtifactStore()
 }
 
 // execUnit is one schedulable unit of a job: an experiment (key = its ID)
@@ -361,10 +345,7 @@ func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, jo
 	if job.Trials < 1 {
 		job.Trials = 1
 	}
-	store, err := r.cfg.newStore()
-	if err != nil {
-		return nil, err
-	}
+	store := r.cfg.newStore()
 	units := make([]execUnit, len(selected))
 	for i, e := range selected {
 		e := e
@@ -421,10 +402,7 @@ func (r *Runner) RunSweep(sw experiments.Sweep, job Job) (*SweepReport, error) {
 	if job.Trials < 1 {
 		job.Trials = 1
 	}
-	store, err := r.cfg.newStore()
-	if err != nil {
-		return nil, err
-	}
+	store := r.cfg.newStore()
 	cells := sw.Grid.Cells()
 	units := make([]execUnit, len(cells))
 	offlineSeed := SweepOfflineSeed(job.Seed, sw.ID)

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/runner"
 )
@@ -335,7 +337,11 @@ func (s *Service) runJob(j *job) {
 		err = rep.WriteJSON(&buf)
 	}
 	if err != nil {
-		if werr := atomicWrite(s.failPath(j.id), []byte(err.Error()+"\n")); werr != nil {
+		werr := durable.WriteFile(s.failPath(j.id), func(w io.Writer) error {
+			_, werr := fmt.Fprintln(w, err)
+			return werr
+		})
+		if werr != nil {
 			s.logf("job %s: persisting failure: %v", j.id, werr)
 		}
 		s.mu.Lock()
@@ -344,7 +350,11 @@ func (s *Service) runJob(j *job) {
 		s.logf("job %s: failed: %v", j.id, err)
 		return
 	}
-	if werr := atomicWrite(s.reportPath(j.id), buf.Bytes()); werr != nil {
+	werr := durable.WriteFile(s.reportPath(j.id), func(w io.Writer) error {
+		_, werr := w.Write(buf.Bytes())
+		return werr
+	})
+	if werr != nil {
 		// The run succeeded but its result cannot be persisted; the job
 		// fails loudly rather than pretending the report is durable.
 		s.mu.Lock()
@@ -481,48 +491,17 @@ func (s *Service) failPath(id string) string {
 }
 
 func (s *Service) persistSpec(j *job) error {
-	b, err := json.MarshalIndent(j.res.Spec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicWrite(s.specPath(j.id), append(b, '\n'))
+	return durable.WriteFile(s.specPath(j.id), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(j.res.Spec)
+	})
 }
 
 func (s *Service) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-// atomicWrite writes via a temp file + rename so a crash mid-write
-// never leaves a torn spec or report (a torn report would make a done
-// job unrecoverable — worse, silently wrong).
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	// Without the sync, a crash after the rename can leave a zero-length
-	// file in place of the data.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }
 
 // countFailedUnits recounts failed experiments/cells from persisted

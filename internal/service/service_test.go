@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -579,4 +580,87 @@ func TestServiceRecoveryRerunsCorruptReport(t *testing.T) {
 	if disk, err := os.ReadFile(svc2.reportPath(st.ID)); err != nil || !bytes.Equal(disk, want) {
 		t.Errorf("persisted report not restored: %v", err)
 	}
+}
+
+// TestReportWriteFailureFailsJob: a run whose report cannot be persisted
+// (its path is occupied by a directory, so the rename fails) ends failed
+// with the write error, and Report refuses rather than serving bytes
+// that are not durable.
+func TestReportWriteFailureFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := Open(Config{StateDir: dir, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Kind: KindExperiments, Experiments: []string{"fig5"}}
+	res, err := Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(svc.reportPath(res.ID), "occupant"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.WaitIdle()
+	st, _ = svc.Status(st.ID)
+	if st.State != StateFailed || !strings.Contains(st.Error, "rename") {
+		t.Fatalf("job %s: state %s, error %q; want failed with the rename error", st.ID, st.State, st.Error)
+	}
+	if b, err := svc.Report(st.ID); err == nil {
+		t.Errorf("Report served %d bytes for a job whose report was never persisted", len(b))
+	}
+}
+
+// FuzzCountFailedUnits feeds arbitrary bytes to the recovery decoder that
+// reads persisted reports back. It must never panic, and on every seed —
+// a real experiments, sweep and search report, each also with one entry
+// failed — it must count exactly what the report's own Failed() does.
+func FuzzCountFailedUnits(f *testing.F) {
+	want := map[string]int{}
+	add := func(rep Report) {
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		want[buf.String()] = rep.Failed()
+		f.Add(buf.Bytes())
+	}
+	for _, spec := range []JobSpec{
+		{Kind: KindExperiments, Experiments: []string{"fig5", "fig7"}},
+		{Kind: KindSweep, Sweep: "sens_chase_defense", Defense: []string{"none", "adaptive-partition"}},
+		{Kind: KindSearch, Budget: 4},
+	} {
+		res, err := Resolve(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		rep, err := res.Run(runner.Config{Warm: true})
+		if err != nil {
+			f.Fatal(err)
+		}
+		add(rep)
+		switch r := rep.(type) {
+		case *runner.Report:
+			r.Experiments[0].OK = false
+		case *runner.SweepReport:
+			r.Cells[0].OK = false
+		case *search.Report:
+			r.Candidates[0].OK = false
+		default:
+			f.Fatalf("unknown report type %T", rep)
+		}
+		add(rep)
+	}
+	f.Add([]byte(`{"experiments": [`))
+	f.Add([]byte(`{"cells": [{"ok": false}], "candidates": null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := countFailedUnits(data)
+		w, seeded := want[string(data)]
+		if seeded && (err != nil || n != w) {
+			t.Errorf("seed report counted %d (err %v), its Failed() is %d", n, err, w)
+		}
+	})
 }
