@@ -54,6 +54,11 @@ type PrepareCtx struct {
 	// sweep cells (the warm path). A nil store rebuilds from scratch (the
 	// cold path). Results are identical either way.
 	Store *ArtifactStore
+	// Holder, when non-nil, claims every Store entry this Prepare fetches
+	// until Holder.Release (see ArtifactHolder). It must come from
+	// Store.NewHolder. A nil holder claims nothing, and the entries it
+	// fetches stay in memory for the store's lifetime.
+	Holder *ArtifactHolder
 }
 
 // MeasureCtx carries the inputs of an online phase. Seed is the per-trial
@@ -144,7 +149,7 @@ func (ctx PrepareCtx) AddRig(a *Artifact, label string, opts testbed.Options, st
 	var ra *RigArtifact
 	var err error
 	if ctx.Store != nil {
-		ra, err = ctx.Store.rig(rigKey(opts, strat), build)
+		ra, err = ctx.Store.rig(rigKey(opts, strat), build, ctx.Holder)
 	} else {
 		ra, err = build()
 	}
@@ -259,10 +264,21 @@ func (a *Artifact) rig(label string, ctx MeasureCtx) (*attackRig, error) {
 // ArtifactStore is the content-addressed cache of prepared machines a
 // warm runner shares across trials and sweep cells. Concurrent requests
 // for the same key build once; the losers block until the build finishes.
-// In-memory entries live for the store's lifetime (one runner
-// invocation); a store opened with NewDiskArtifactStore additionally
-// persists every entry to disk, content-addressed by the same key, so
-// repeated CLI invocations and CI runs skip offline phases entirely.
+//
+// Memory holds an entry only while a trial can use it. A fetch made
+// through an ArtifactHolder claims the entry; when the last claiming
+// holder releases, the entry leaves memory. The runner makes each
+// experiment (and each search candidate) a holder until its last trial
+// has been measured, and each sweep one holder until the sweep ends, so
+// a store holds the machines of the units in flight, not of every unit
+// it ever served. An entry fetched with no holder, and never claimed by
+// one, stays for the store's lifetime. A store opened with
+// NewDiskArtifactStore additionally persists every entry to disk,
+// content-addressed by the same key, so a released entry is reloaded
+// rather than rebuilt, and repeated CLI invocations and CI runs skip
+// offline phases entirely. An in-memory store rebuilds a released
+// entry; the runner never asks for one again within a job, because
+// every experiment's machines are seeded from its own offline seed.
 type ArtifactStore struct {
 	mu       sync.Mutex
 	entries  map[string]*storeEntry
@@ -275,9 +291,63 @@ type ArtifactStore struct {
 }
 
 type storeEntry struct {
-	once sync.Once
-	rig  *RigArtifact
-	err  error
+	once    sync.Once
+	rig     *RigArtifact
+	err     error
+	holders int // guarded by ArtifactStore.mu
+}
+
+// ArtifactHolder is one claim on the store entries fetched through it
+// (PrepareCtx.Holder): a runner unit, or a whole sweep. Safe for
+// concurrent Prepares, as a unit's trials run on several workers.
+type ArtifactHolder struct {
+	s    *ArtifactStore
+	held []heldEntry // guarded by s.mu
+}
+
+type heldEntry struct {
+	key string
+	e   *storeEntry
+}
+
+// NewHolder returns a holder with no claims; a nil store returns a nil
+// holder, which claims nothing.
+func (s *ArtifactStore) NewHolder() *ArtifactHolder {
+	if s == nil {
+		return nil
+	}
+	return &ArtifactHolder{s: s}
+}
+
+// claim records h as a holder of e, once per entry. Callers hold s.mu.
+func (h *ArtifactHolder) claim(key string, e *storeEntry) {
+	for _, he := range h.held {
+		if he.e == e {
+			return
+		}
+	}
+	h.held = append(h.held, heldEntry{key, e})
+	e.holders++
+}
+
+// Release drops every claim h holds. An entry whose last holder this was
+// leaves memory: the next request for its key loads it from disk, or
+// rebuilds it in an in-memory store. Release is idempotent and a no-op
+// on a nil holder.
+func (h *ArtifactHolder) Release() {
+	if h == nil {
+		return
+	}
+	s := h.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, he := range h.held {
+		he.e.holders--
+		if he.e.holders == 0 && s.entries[he.key] == he.e {
+			delete(s.entries, he.key)
+		}
+	}
+	h.held = nil
 }
 
 // NewArtifactStore returns an empty in-memory store.
@@ -376,14 +446,22 @@ func (ra *RigArtifact) servesKey(key string) bool {
 	return true
 }
 
-// rig returns the artifact for key, building it at most once per process
-// (and, with a disk directory, at most once across processes).
-func (s *ArtifactStore) rig(key string, build func() (*RigArtifact, error)) (*RigArtifact, error) {
+// rig returns the artifact for key, building it at most once while the
+// entry is resident (and, with a disk directory, at most once across
+// processes). A non-nil h claims the entry before it is filled, so a
+// concurrent release by another holder cannot drop it mid-build.
+func (s *ArtifactStore) rig(key string, build func() (*RigArtifact, error), h *ArtifactHolder) (*RigArtifact, error) {
+	if h != nil && h.s != s {
+		panic("experiments: artifact holder from another store")
+	}
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if !ok {
 		e = &storeEntry{}
 		s.entries[key] = e
+	}
+	if h != nil {
+		h.claim(key, e)
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
@@ -423,6 +501,14 @@ func (s *ArtifactStore) Builds() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.builds
+}
+
+// Resident reports how many entries the store holds in memory: loaded or
+// built machines, builds in flight, and remembered build failures.
+func (s *ArtifactStore) Resident() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
 }
 
 // DiskLoads reports how many artifacts were served from the disk cache

@@ -230,6 +230,56 @@ func TestArtifactStoreConcurrentSingleflight(t *testing.T) {
 	}
 }
 
+// TestArtifactHolderRelease: holders claim what they fetch, from
+// several goroutines at once and overlapping on one key. The entry stays
+// resident while any holder remains and leaves with the last; the next
+// fetch builds it again. An entry no holder claimed stays for the
+// store's lifetime.
+func TestArtifactHolderRelease(t *testing.T) {
+	store := NewArtifactStore()
+	if _, err := PrepareFig10(PrepareCtx{Scale: Demo, Seed: 4, Store: store}); err != nil {
+		t.Fatal(err)
+	}
+	holders := []*ArtifactHolder{store.NewHolder(), store.NewHolder()}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = PrepareFig10(PrepareCtx{Scale: Demo, Seed: 5, Store: store, Holder: holders[i%2]})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("prepare %d: %v", i, err)
+		}
+	}
+	resident := func(step string, want int) {
+		t.Helper()
+		if got := store.Resident(); got != want {
+			t.Fatalf("%s: %d entries resident, want %d", step, got, want)
+		}
+	}
+	if got := store.Builds(); got != 2 {
+		t.Fatalf("builds = %d, want 2", got)
+	}
+	resident("both holders", 2)
+	holders[0].Release()
+	resident("one holder released", 2)
+	holders[1].Release()
+	resident("both released", 1)
+	holders[1].Release()
+	resident("released twice", 1)
+	if _, err := PrepareFig10(PrepareCtx{Scale: Demo, Seed: 5, Store: store}); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Builds(); got != 3 {
+		t.Fatalf("builds = %d after fetching a released entry, want 3", got)
+	}
+}
+
 // TestArtifactStorePanicDoesNotPoison: an offline build that panics must
 // surface as an error on every warm trial — not report the panic once
 // and then hand later trials a nil artifact from the poisoned cache

@@ -145,36 +145,58 @@ func DefaultEvalBudget(scale Scale) DefenseEvalBudget {
 // candidatePerf memoizes perfsim Nginx runs across candidates: the
 // machine configuration (Effects fingerprint), seed, and workload size
 // fully determine the deterministic result, and a 200-candidate search
-// visits only a few dozen distinct machines. Guarded globally because
-// the runner measures candidates from parallel workers.
+// visits only a few dozen distinct machines. The runner measures
+// candidates from parallel workers, so each key is a once-entry, as in
+// ArtifactStore: the global lock guards only the map, one worker pricing
+// a new machine never blocks another worker's hit on a priced one, and
+// concurrent requests for one key run perfsim once.
 //
 // The seed comes from the job, so a long-running service would grow the
 // memo without limit; it is emptied when it reaches candidatePerfCap
 // entries. Results are pure, so emptying it changes no report byte.
 var (
 	candidatePerfMu    sync.Mutex
-	candidatePerfCache = map[string]matrixPerf{}
+	candidatePerfCache = map[string]*perfEntry{}
 )
 
 const candidatePerfCap = 256
 
+type perfEntry struct {
+	once sync.Once
+	perf matrixPerf
+	err  error
+}
+
 func candidatePerf(e perfsim.Effects, seed int64, cfg perfsim.NginxConfig) (matrixPerf, error) {
 	key := fmt.Sprintf("%s|seed=%d|req=%d|rate=%g", e.Fingerprint(), seed, cfg.Requests, cfg.TargetRate)
 	candidatePerfMu.Lock()
-	defer candidatePerfMu.Unlock()
-	if p, ok := candidatePerfCache[key]; ok {
-		return p, nil
+	ent, ok := candidatePerfCache[key]
+	if !ok {
+		if len(candidatePerfCache) >= candidatePerfCap {
+			clear(candidatePerfCache)
+		}
+		ent = &perfEntry{}
+		candidatePerfCache[key] = ent
 	}
-	m, err := perfsim.RunNginx(e, figLLC, seed, cfg)
-	if err != nil {
-		return matrixPerf{}, err
-	}
-	p := matrixPerf{p99: m.LatencyPercentile(99), throughput: m.Throughput()}
-	if len(candidatePerfCache) >= candidatePerfCap {
-		clear(candidatePerfCache)
-	}
-	candidatePerfCache[key] = p
-	return p, nil
+	candidatePerfMu.Unlock()
+	ent.once.Do(func() {
+		// A panic still reaches the caller whose run raised it, and the
+		// later callers get the same text runTrial gives that caller's
+		// trial, rather than a zero result.
+		defer func() {
+			if r := recover(); r != nil {
+				ent.err = fmt.Errorf("panic: %v", r)
+				panic(r)
+			}
+		}()
+		m, err := perfsim.RunNginx(e, figLLC, seed, cfg)
+		if err != nil {
+			ent.err = err
+			return
+		}
+		ent.perf, ent.err = matrixPerf{p99: m.LatencyPercentile(99), throughput: m.Throughput()}, nil
+	})
+	return ent.perf, ent.err
 }
 
 // DefenseCandidateExperiment wraps one candidate defense as a phased

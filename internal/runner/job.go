@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
@@ -133,11 +134,14 @@ func (c Config) newStore() *experiments.ArtifactStore {
 
 // execUnit is one schedulable unit of a job: an experiment (key = its ID)
 // or a sweep cell (key = the cell's canonical coordinate string). The
-// label is what progress output calls it.
+// label is what progress output calls it. holder, when non-nil, is the
+// unit's claim on the artifacts its trials prepare; execute releases it
+// once the unit's last trial has been measured.
 type execUnit struct {
-	key   string
-	label string
-	run   func(trial int, rigs *experiments.RigLease) (experiments.Result, error)
+	key    string
+	label  string
+	holder *experiments.ArtifactHolder
+	run    func(trial int, rigs *experiments.RigLease) (experiments.Result, error)
 }
 
 // execute is the streaming executor both Run and RunSweep share. It
@@ -160,6 +164,13 @@ func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int)
 		labels[u.key] = u.label
 	}
 	coll := newCollector(keys, trials)
+	// Units the run stops short of (a spent budget, a sink error) still
+	// let go of their artifacts; releasing a released holder is a no-op.
+	defer func() {
+		for _, u := range units {
+			u.holder.Release()
+		}
+	}()
 
 	sinks := multiSink{coll}
 	var replay map[outcomeKey]TrialOutcome
@@ -216,6 +227,14 @@ func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int)
 		pending = pending[:r.cfg.TrialBudget]
 	}
 
+	// left counts each unit's trials still to measure in this run; the
+	// worker that measures the last one releases the unit's holder, so the
+	// store keeps only the machines of units in flight.
+	left := make([]atomic.Int32, len(units))
+	for _, s := range pending {
+		left[s.ui].Add(1)
+	}
+
 	jobs := make(chan slot)
 	outcomes := make(chan TrialOutcome, parallel)
 	stop := make(chan struct{})
@@ -253,6 +272,9 @@ func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int)
 				// adoption overwrites every mutable field, so a poisoned
 				// rig heals on reuse.
 				rigs.Release()
+				if left[s.ui].Add(-1) == 0 {
+					u.holder.Release()
+				}
 				wall := time.Since(start)
 				if r.cfg.Pool != nil {
 					r.cfg.Pool.release()
@@ -349,12 +371,16 @@ func (r *Runner) RunNamed(kind, id string, selected []experiments.Experiment, jo
 	units := make([]execUnit, len(selected))
 	for i, e := range selected {
 		e := e
+		// Each experiment holds its own machines: its offline seed is its
+		// own, so no other unit of the job can use them.
+		holder := store.NewHolder()
+		pctx := experiments.PrepareCtx{Scale: job.Scale, Seed: OfflineSeed(job.Seed, e.ID), Store: store, Holder: holder}
 		units[i] = execUnit{
-			key:   e.ID,
-			label: e.ID,
+			key:    e.ID,
+			label:  e.ID,
+			holder: holder,
 			run: func(trial int, rigs *experiments.RigLease) (experiments.Result, error) {
-				return runTrial(e.Prepare, e.Measure, job.Scale, OfflineSeed(job.Seed, e.ID),
-					TrialSeed(job.Seed, e.ID, trial), store, rigs)
+				return runTrial(e.Prepare, e.Measure, pctx, TrialSeed(job.Seed, e.ID, trial), rigs)
 			},
 		}
 	}
@@ -403,9 +429,13 @@ func (r *Runner) RunSweep(sw experiments.Sweep, job Job) (*SweepReport, error) {
 		job.Trials = 1
 	}
 	store := r.cfg.newStore()
+	// The cells share machines by design (one SweepOfflineSeed for the
+	// whole grid), so the sweep, not a cell, holds them until it ends.
+	holder := store.NewHolder()
+	defer holder.Release()
+	pctx := experiments.PrepareCtx{Scale: job.Scale, Seed: SweepOfflineSeed(job.Seed, sw.ID), Store: store, Holder: holder}
 	cells := sw.Grid.Cells()
 	units := make([]execUnit, len(cells))
-	offlineSeed := SweepOfflineSeed(job.Seed, sw.ID)
 	for i, cell := range cells {
 		cell := cell
 		prepare := func(ctx experiments.PrepareCtx) (*experiments.Artifact, error) { return sw.Prepare(ctx, cell) }
@@ -416,8 +446,7 @@ func (r *Runner) RunSweep(sw experiments.Sweep, job Job) (*SweepReport, error) {
 			key:   cell.Key(),
 			label: sw.ID + "[" + cell.Key() + "]",
 			run: func(trial int, rigs *experiments.RigLease) (experiments.Result, error) {
-				return runTrial(prepare, measure, job.Scale, offlineSeed,
-					CellSeed(job.Seed, sw.ID, cell.Key(), trial), store, rigs)
+				return runTrial(prepare, measure, pctx, CellSeed(job.Seed, sw.ID, cell.Key(), trial), rigs)
 			},
 		}
 	}

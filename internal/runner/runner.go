@@ -53,10 +53,10 @@ type trialOutcome struct {
 }
 
 // runTrial executes one (unit, trial) cell: prepare the unit's offline
-// machines under its offline seed (against the shared store when warm),
-// then measure them under the trial seed. Experiments and sweep cells
-// both come through here; RunSweep binds the cell into prepare and
-// measure. Trial 0 of an experiment is definitionally identical to
+// machines under pctx — the unit's offline seed, and the shared store and
+// the unit's holder when warm — then measure them under the trial seed.
+// Experiments and sweep cells both come through here; RunSweep binds the
+// cell into prepare and measure. Trial 0 of an experiment is definitionally identical to
 // Run(TrialSeed(root, id, 0)) — OfflineSeed is trial 0's seed and Run is
 // Prepare∘Measure — which is what keeps the golden files valid. Trials
 // >= 1 measure trial 0's machine under re-derived ambient randomness by
@@ -69,15 +69,15 @@ type trialOutcome struct {
 // A panic in either phase becomes an ordinary trial error, so one broken
 // experiment cell fails its report entry instead of taking down the
 // whole process.
-func runTrial(prepare experiments.PrepareFunc, measure experiments.MeasureFunc, scale experiments.Scale, offlineSeed, seed int64, store *experiments.ArtifactStore, rigs *experiments.RigLease) (res experiments.Result, err error) {
+func runTrial(prepare experiments.PrepareFunc, measure experiments.MeasureFunc, pctx experiments.PrepareCtx, seed int64, rigs *experiments.RigLease) (res experiments.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	art, err := prepare(experiments.PrepareCtx{Scale: scale, Seed: offlineSeed, Store: store})
+	art, err := prepare(pctx)
 	if err != nil {
 		return experiments.Result{}, err
 	}
-	return measure(experiments.MeasureCtx{Scale: scale, Seed: seed, Rigs: rigs}, art)
+	return measure(experiments.MeasureCtx{Scale: pctx.Scale, Seed: seed, Rigs: rigs}, art)
 }

@@ -125,6 +125,52 @@ func TestSearchAnchors(t *testing.T) {
 	}
 }
 
+// TestSearchArtifactResidency is the store's memory gate: a search
+// holds each candidate's machines only while the candidate is measured.
+// Every candidate prepares at most two rigs (the defended machine and,
+// under a coarse timer, the amplified attacker's), and each worker
+// measures one candidate at a time, so a budget-16 search on two workers
+// never has more than 2 x Parallel entries resident, and none once Run
+// returns. Residency is sampled as each outcome arrives.
+func TestSearchArtifactResidency(t *testing.T) {
+	const parallel = 2
+	store := experiments.NewArtifactStore()
+	peak := &residencySink{store: store}
+	rep, err := Run(Options{
+		Scale:  experiments.Demo,
+		Seed:   1,
+		Budget: 16,
+		Runner: runner.Config{Parallel: parallel, Warm: true, Store: store, Sinks: []runner.CellSink{peak}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d candidates, %d builds, peak resident %d over %d samples",
+		rep.Evaluated, store.Builds(), peak.max, peak.samples)
+	if peak.samples != rep.Evaluated {
+		t.Errorf("sampled %d outcomes, want one per candidate (%d)", peak.samples, rep.Evaluated)
+	}
+	if peak.max > 2*parallel {
+		t.Errorf("peak resident artifacts = %d, want <= %d (2 x Parallel)", peak.max, 2*parallel)
+	}
+	if got := store.Resident(); got != 0 {
+		t.Errorf("%d artifacts resident after Run returned, want 0", got)
+	}
+}
+
+// residencySink records the most store entries resident at any outcome.
+type residencySink struct {
+	store   *experiments.ArtifactStore
+	max     int
+	samples int
+}
+
+func (s *residencySink) Put(runner.TrialOutcome) error {
+	s.samples++
+	s.max = max(s.max, s.store.Resident())
+	return nil
+}
+
 // TestSearchRigPoolCounts pins how a one-worker budget-16 search at seed 1
 // recycles rigs and how many offline builds it makes. The adopted and
 // fresh counts are those the pool had when its cap applied per key;

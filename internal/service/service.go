@@ -58,8 +58,11 @@ type Config struct {
 	// Parallel bounds concurrent trial execution across ALL jobs
 	// (the shared pool's width); <= 0 means GOMAXPROCS.
 	Parallel int
-	// ArtifactMaxBytes, when > 0, caps the shared disk artifact store
-	// with LRU eviction.
+	// ArtifactMaxBytes, when > 0, caps the shared disk artifact store's
+	// files with LRU eviction. It does not bound memory, which needs no
+	// cap: the store keeps a machine in memory only while a running job's
+	// trials can use it (see experiments.ArtifactStore), and a later job
+	// loads it back from its file.
 	ArtifactMaxBytes int64
 	// Logf, when non-nil, receives one line per job lifecycle edge.
 	Logf func(format string, args ...any)

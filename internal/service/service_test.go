@@ -664,3 +664,54 @@ func FuzzCountFailedUnits(f *testing.F) {
 		}
 	})
 }
+
+// TestServiceReleasesArtifactsBetweenJobs: the shared store holds a
+// machine only while a job can use it. Two jobs that need the same fig10
+// machine under different journals (one and two trials: the offline seed
+// is trial 0's either way) run in sequence. Once the first is terminal
+// no machine is resident, and the second is served from disk — a disk
+// load, no build — with report bytes identical to a solo run.
+func TestServiceReleasesArtifactsBetweenJobs(t *testing.T) {
+	svc, err := Open(Config{StateDir: t.TempDir(), Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(spec JobSpec) {
+		t.Helper()
+		st, _, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.WaitIdle()
+		if st, _ = svc.Status(st.ID); st.State != StateDone {
+			t.Fatalf("job %s: state %s (%s), want done", st.ID, st.State, st.Error)
+		}
+		got, err := svc.Report(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, soloBytes(t, spec)) {
+			t.Errorf("job %s (%d trials): service report differs from the solo run", st.ID, spec.Trials)
+		}
+	}
+
+	run(JobSpec{Kind: KindExperiments, Experiments: []string{"fig10"}, Trials: 1})
+	if got := svc.store.Resident(); got != 0 {
+		t.Fatalf("%d artifacts resident after the first job ended, want 0", got)
+	}
+	builds, loads := svc.store.Builds(), svc.store.DiskLoads()
+	if builds == 0 {
+		t.Fatal("the first job built nothing")
+	}
+
+	run(JobSpec{Kind: KindExperiments, Experiments: []string{"fig10"}, Trials: 2})
+	if got := svc.store.Builds(); got != builds {
+		t.Errorf("second job built %d machine(s), want 0: its machine is on disk", got-builds)
+	}
+	if got := svc.store.DiskLoads(); got <= loads {
+		t.Errorf("disk loads %d -> %d: the second job did not load its machine from disk", loads, got)
+	}
+	if got := svc.store.Resident(); got != 0 {
+		t.Errorf("%d artifacts resident after the second job ended, want 0", got)
+	}
+}
