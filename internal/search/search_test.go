@@ -2,6 +2,9 @@ package search
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/experiments"
@@ -19,6 +22,42 @@ func reportBytes(t *testing.T, opts Options) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// -update regenerates the frontier golden:
+//
+//	go test ./internal/search -run TestSearchGolden -update
+var update = flag.Bool("update", false, "rewrite the frontier golden under testdata/")
+
+// TestSearchGolden pins the bytes of a small demo search: every
+// candidate's leakage, overhead and per-family metrics, the frontier
+// and the hypervolume. It is the search-side twin of the experiments'
+// TestGoldenReports, so a refactor of the defense scorer that moves a
+// candidate byte fails here, not only in the benchmark digest.
+func TestSearchGolden(t *testing.T) {
+	got := reportBytes(t, Options{
+		Scale:  experiments.Demo,
+		Seed:   1,
+		Budget: 12,
+		Runner: runner.Config{Parallel: 2, Warm: true},
+	})
+	path := filepath.Join("testdata", "frontier.golden.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frontier report differs from %s (rerun with -update only for an intended change):\n%s", path, got)
+	}
 }
 
 // TestSearchDeterministicAcrossParallel: the full frontier report is
