@@ -35,6 +35,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"negative search budget":       {"-search", "-search-budget", "-1"},
 		"artifact dir in cold mode":    {"-exp", "fig5", "-cold", "-artifact-dir", "art"},
 		"size cap without dir":         {"-exp", "fig5", "-artifact-max-bytes", "5"},
+		"negative size cap":            {"-exp", "fig5", "-artifact-dir", "art", "-artifact-max-bytes", "-1"},
 		"resume without checkpoint":    {"-exp", "fig5", "-resume"},
 		"budget without checkpoint":    {"-exp", "fig5", "-trial-budget", "1"},
 	}

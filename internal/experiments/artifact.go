@@ -376,11 +376,11 @@ func NewArtifactStore() *ArtifactStore {
 // entry only ever costs rebuild time. maxBytes == 0 leaves the directory
 // unbounded.
 func NewDiskArtifactStore(dir string, maxBytes int64) (*ArtifactStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("artifact dir: %w", err)
-	}
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("artifact dir: negative size cap %d", maxBytes)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("artifact dir: %w", err)
 	}
 	s := NewArtifactStore()
 	s.dir = dir

@@ -13,12 +13,11 @@ import (
 	"repro/internal/webtrace"
 )
 
-// This file is the shared defense evaluator: the attack-family leakage
-// measurement the matrix_defense experiment always ran, factored out so
-// the frontier search (internal/search) can score arbitrary candidate
-// defenses with exactly the matrix's semantics — same attack batteries,
-// same calibration gating, same strongest-attack merge — at a
-// configurable per-candidate budget.
+// This file is the shared defense evaluator. scoreDefense is the one
+// scorer behind the matrix_defense experiment and every frontier search
+// candidate (internal/search): same attack batteries, same calibration
+// gating, same strongest-attack merge, same cost model, at a budget the
+// caller chooses.
 
 // attackLeakage is one rig's three-family attack outcome. Each family
 // carries its calibration-health signal so a blind attacker's numbers
@@ -70,9 +69,8 @@ func strongestAttack(fine, amp attackLeakage) attackLeakage {
 }
 
 // defenseLeakage runs the three attack families against one prepared
-// rig (each family on its own fresh clone) at the given measurement
-// budget.
-func defenseLeakage(ctx MeasureCtx, art *Artifact, label string, covertSymbols, fpTrials int) (attackLeakage, error) {
+// rig (each family on its own fresh clone) at budget b.
+func defenseLeakage(ctx MeasureCtx, art *Artifact, label string, b DefenseEvalBudget) (attackLeakage, error) {
 	out := attackLeakage{covertErr: 1, covertCal: true}
 
 	chaseRig, err := art.rig(label, ctx)
@@ -97,7 +95,7 @@ func defenseLeakage(ctx MeasureCtx, art *Artifact, label string, covertSymbols, 
 	}
 	ring := covertRig.groundTruthRing()
 	if gid, ok := covert.ChooseIsolatedBuffer(ring); ok {
-		symbols := stats.NewLFSR15(uint16(ctx.Seed%0x7fff)|1).Symbols(covertSymbols, covert.Ternary.Base())
+		symbols := stats.NewLFSR15(uint16(ctx.Seed%0x7fff)|1).Symbols(b.CovertSymbols, covert.Ternary.Base())
 		r0, err := covert.RunSingleBuffer(covertRig.spy, covertRig.groups[gid],
 			symbols, covert.Ternary, len(ring), 16_500)
 		if err != nil {
@@ -118,7 +116,7 @@ func defenseLeakage(ctx MeasureCtx, art *Artifact, label string, covertSymbols, 
 		Spy: fpRig.spy, Groups: fpRig.groups, Ring: fpRig.groundTruthRing(), TraceLen: 100,
 	}
 	ev := fingerprint.EvaluateClosedWorld(atk, webtrace.ClosedWorld(), webtrace.DefaultNoise(),
-		fpTrials, sim.Derive(ctx.Seed, "matrix/"+label))
+		b.FPTrials, sim.Derive(ctx.Seed, "matrix/"+label))
 	out.fpAcc, out.fpCal = ev.Accuracy(), atk.CalibrationOK()
 	return out, nil
 }
@@ -142,12 +140,13 @@ func DefaultEvalBudget(scale Scale) DefenseEvalBudget {
 	return DefenseEvalBudget{CovertSymbols: 60, FPTrials: 5, NginxRequests: 3_000}
 }
 
-// candidatePerf memoizes perfsim Nginx runs across candidates: the
+// candidatePerf memoizes perfsim Nginx runs across defense cells: the
 // machine configuration (Effects fingerprint), seed, and workload size
-// fully determine the deterministic result, and a 200-candidate search
-// visits only a few dozen distinct machines. The runner measures
-// candidates from parallel workers, so each key is a once-entry, as in
-// ArtifactStore: the global lock guards only the map, one worker pricing
+// fully determine the deterministic result, a 200-candidate search
+// visits only a few dozen distinct machines, and the matrix's timer
+// coarsening shares the baseline's run (a client-side mitigation costs
+// the server nothing). The runner measures cells from parallel workers,
+// so each key is a once-entry, as in ArtifactStore: the global lock guards only the map, one worker pricing
 // a new machine never blocks another worker's hit on a priced one, and
 // concurrent requests for one key run perfsim once.
 //
@@ -160,6 +159,12 @@ var (
 )
 
 const candidatePerfCap = 256
+
+// matrixPerf is one machine's cost-axis measurement.
+type matrixPerf struct {
+	p99        float64
+	throughput float64
+}
 
 type perfEntry struct {
 	once sync.Once
@@ -199,6 +204,70 @@ func candidatePerf(e perfsim.Effects, seed int64, cfg perfsim.NginxConfig) (matr
 	return ent.perf, ent.err
 }
 
+// defenseScore is one defense cell. fine is the fine-timer attacker's
+// outcome and, when amplified, amp is the amplified attacker's; leakage
+// is the strongest attack per family. The deltas price the composed
+// machine against the undefended one.
+type defenseScore struct {
+	fine, amp, leakage attackLeakage
+	amplified          bool
+	p99Delta, tputLoss float64
+}
+
+// scoreDefense measures and prices one defense, and is what a defense
+// cell means in both the matrix_defense experiment and the frontier
+// search. Leakage is the strongest known attack: the fine-timer attacker
+// on the rig under label and, where the artifact holds one, the
+// amplified coarse-timer attacker under amplifiedLabel(label). A defense
+// is only as strong as the best attack against it, and scoring timer
+// coarsening against an attacker whose calibration it silently broke
+// would make it look stronger than the threat model justifies. The
+// artifact, not a re-derived predicate, says which cells carry an
+// amplified rig, so Measure cannot diverge from what Prepare built.
+// Overhead is the perfsim Nginx p99 and throughput deltas, priced
+// through candidatePerf at perfSeed.
+func scoreDefense(ctx MeasureCtx, art *Artifact, label string, d defense.Defense, b DefenseEvalBudget, perfSeed int64) (defenseScore, error) {
+	fine, err := defenseLeakage(ctx, art, label, b)
+	if err != nil {
+		return defenseScore{}, err
+	}
+	s := defenseScore{fine: fine, leakage: fine}
+	if _, ok := art.Rigs[amplifiedLabel(label)]; ok {
+		s.amp, err = defenseLeakage(ctx, art, amplifiedLabel(label), b)
+		if err != nil {
+			return defenseScore{}, err
+		}
+		s.amplified = true
+		s.leakage = strongestAttack(fine, s.amp)
+	}
+
+	cfg := perfsim.DefaultNginxConfig()
+	cfg.Requests = b.NginxRequests
+	cfg.TargetRate = 140_000
+	base, err := candidatePerf(perfsim.Effects{}, perfSeed, cfg)
+	if err != nil {
+		return defenseScore{}, err
+	}
+	perf, err := candidatePerf(d.PerfEffects(), perfSeed, cfg)
+	if err != nil {
+		return defenseScore{}, err
+	}
+	s.p99Delta = (perf.p99 - base.p99) / base.p99
+	s.tputLoss = (base.throughput - perf.throughput) / base.throughput
+	return s, nil
+}
+
+// addLeakageMetrics emits one attack outcome's six per-family metrics
+// (value and calibration health) under prefix.
+func addLeakageMetrics(res *Result, prefix string, lk attackLeakage) {
+	res.AddMetric(prefix+"chase_accuracy", "fraction", lk.chaseAcc)
+	res.AddMetric(prefix+"chase_calibration_ok", "bool", boolMetric(lk.chaseCal))
+	res.AddMetric(prefix+"covert_error", "fraction", lk.covertErr)
+	res.AddMetric(prefix+"covert_calibration_ok", "bool", boolMetric(lk.covertCal))
+	res.AddMetric(prefix+"fingerprint_accuracy", "fraction", lk.fpAcc)
+	res.AddMetric(prefix+"fingerprint_calibration_ok", "bool", boolMetric(lk.fpCal))
+}
+
 // DefenseCandidateExperiment wraps one candidate defense as a phased
 // experiment the runner can execute: Prepare builds the defended
 // machine (plus the amplified-attacker variant when the candidate
@@ -218,49 +287,22 @@ func DefenseCandidateExperiment(id string, d defense.Defense, budget DefenseEval
 		return art, nil
 	}
 	measure := func(ctx MeasureCtx, art *Artifact) (Result, error) {
-		lk, err := defenseLeakage(ctx, art, "candidate", budget.CovertSymbols, budget.FPTrials)
+		s, err := scoreDefense(ctx, art, "candidate", d, budget, perfSeed)
 		if err != nil {
 			return Result{}, err
 		}
-		if _, ok := art.Rigs[amplifiedLabel("candidate")]; ok {
-			amp, err := defenseLeakage(ctx, art, amplifiedLabel("candidate"), budget.CovertSymbols, budget.FPTrials)
-			if err != nil {
-				return Result{}, err
-			}
-			lk = strongestAttack(lk, amp)
-		}
-
-		nginxCfg := perfsim.DefaultNginxConfig()
-		nginxCfg.Requests = budget.NginxRequests
-		nginxCfg.TargetRate = 140_000
-		base, err := candidatePerf(perfsim.Effects{}, perfSeed, nginxCfg)
-		if err != nil {
-			return Result{}, err
-		}
-		perf, err := candidatePerf(d.PerfEffects(), perfSeed, nginxCfg)
-		if err != nil {
-			return Result{}, err
-		}
-		p99Delta := (perf.p99 - base.p99) / base.p99
-		tputLoss := (base.throughput - perf.throughput) / base.throughput
-
 		res := Result{
 			ID:     id,
 			Title:  "frontier candidate " + d.Name(),
 			Header: []string{"defense", "leakage", "p99 delta"},
 			Rows: [][]string{{
-				d.Name(), pct(lk.scalar()), fmt.Sprintf("%+.2f%%", 100*p99Delta),
+				d.Name(), pct(s.leakage.scalar()), fmt.Sprintf("%+.2f%%", 100*s.p99Delta),
 			}},
 		}
-		res.AddMetric("leakage", "fraction", lk.scalar())
-		res.AddMetric("chase_accuracy", "fraction", lk.chaseAcc)
-		res.AddMetric("chase_calibration_ok", "bool", boolMetric(lk.chaseCal))
-		res.AddMetric("covert_error", "fraction", lk.covertErr)
-		res.AddMetric("covert_calibration_ok", "bool", boolMetric(lk.covertCal))
-		res.AddMetric("fingerprint_accuracy", "fraction", lk.fpAcc)
-		res.AddMetric("fingerprint_calibration_ok", "bool", boolMetric(lk.fpCal))
-		res.AddMetric("p99_delta", "fraction", p99Delta)
-		res.AddMetric("throughput_loss", "fraction", tputLoss)
+		res.AddMetric("leakage", "fraction", s.leakage.scalar())
+		addLeakageMetrics(&res, "", s.leakage)
+		res.AddMetric("p99_delta", "fraction", s.p99Delta)
+		res.AddMetric("throughput_loss", "fraction", s.tputLoss)
 		return res, nil
 	}
 	return phasedExp(id, "frontier candidate: "+d.Name(), prepare, measure)

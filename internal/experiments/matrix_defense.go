@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/defense"
-	"repro/internal/perfsim"
 	"repro/internal/probe"
 	"repro/internal/scenario"
 )
@@ -83,53 +82,13 @@ func addDefenseRigs(ctx PrepareCtx, art *Artifact, label string, d defense.Defen
 	return nil
 }
 
-// matrixPerf is one defense's cost-axis measurement.
-type matrixPerf struct {
-	p99        float64
-	throughput float64
-}
-
-// MeasureMatrixDefense measures the grid. Each attack measures on its own
-// clone of the defense's machine; the perfsim Nginx workload runs once
-// per distinct composed machine (timer coarsening shares the baseline's
-// cost run — a client-side mitigation costs the server nothing).
+// MeasureMatrixDefense measures the grid: one scoreDefense cell per
+// registered defense, which reports the strongest known attack and the
+// composed machine's cost.
 func MeasureMatrixDefense(ctx MeasureCtx, art *Artifact) (Result, error) {
-	covertSymbols, fpTrials, nginxRequests := 100, 10, 6_000
+	budget := DefenseEvalBudget{CovertSymbols: 100, FPTrials: 10, NginxRequests: 6_000}
 	if ctx.Scale == Paper {
-		covertSymbols, fpTrials, nginxRequests = 250, 100, 30_000
-	}
-
-	nginxCfg := perfsim.DefaultNginxConfig()
-	nginxCfg.Requests = nginxRequests
-	nginxCfg.TargetRate = 140_000
-	// The cost cache is keyed by the composed machine configuration: two
-	// defenses share a perf run exactly when their Effects build
-	// interchangeable machines.
-	perfBy := map[string]matrixPerf{}
-	perfFor := func(e perfsim.Effects) (matrixPerf, error) {
-		key := e.Fingerprint()
-		if p, ok := perfBy[key]; ok {
-			return p, nil
-		}
-		m, err := perfsim.RunNginx(e, figLLC, ctx.Seed, nginxCfg)
-		if err != nil {
-			return matrixPerf{}, err
-		}
-		p := matrixPerf{p99: m.LatencyPercentile(99), throughput: m.Throughput()}
-		perfBy[key] = p
-		return p, nil
-	}
-	base, err := perfFor(defense.NoDefense{}.PerfEffects())
-	if err != nil {
-		return Result{}, err
-	}
-
-	// defenseLeakage (defense_eval.go) runs the three attack families
-	// against one prepared rig, each on its own fresh clone, carrying
-	// calibration-health signals so a blind attacker's numbers can never
-	// read as a defense outcome (see the *_calibration_ok metrics).
-	leakageOf := func(label string) (attackLeakage, error) {
-		return defenseLeakage(ctx, art, label, covertSymbols, fpTrials)
+		budget = DefenseEvalBudget{CovertSymbols: 250, FPTrials: 100, NginxRequests: 30_000}
 	}
 
 	res := Result{
@@ -141,79 +100,30 @@ func MeasureMatrixDefense(ctx MeasureCtx, art *Artifact) (Result, error) {
 	for _, d := range defense.All() {
 		name := d.Name()
 		key := slug(name)
-
-		// Leakage axis, strongest known attack per cell: the fine-timer
-		// attacker everywhere, and additionally the amplified coarse-timer
-		// attacker wherever the defense coarsens the timer — a defense is
-		// only as strong as the best attack against it, and scoring
-		// timer coarsening against an attacker whose calibration it
-		// silently broke made the defense look stronger than the threat
-		// model justifies.
-		lk, err := leakageOf(name)
+		s, err := scoreDefense(ctx, art, name, d, budget, ctx.Seed)
 		if err != nil {
 			return Result{}, err
 		}
 		attacker := "fine-timer"
-		// The artifact is the source of truth for which cells carry an
-		// amplified rig (Prepare decided via coarsensTimer); re-deriving
-		// the predicate here could silently diverge from what was built.
-		if _, ok := art.Rigs[amplifiedLabel(name)]; ok {
-			fine := lk
-			amp, err := leakageOf(amplifiedLabel(name))
-			if err != nil {
-				return Result{}, err
-			}
-			// Per family, take the stronger attack AND carry that
-			// attacker's health signal. "Stronger" is gated on
-			// calibration: a blind attacker's chance-level noise must
-			// never outrank a calibrated attacker's true measurement
-			// (under the partition+coarse stack the blind fine-timer
-			// chaser scores the two-class coin-flip ~0.5 while the
-			// calibrated amplified chaser truly measures ~0 — the cell
-			// must report the real leakage, not the noise). Raw numbers
-			// compare only between equally calibrated measurements.
-			lk = strongestAttack(fine, amp)
+		if s.amplified {
 			attacker = "strongest(fine,amplified)"
-			res.AddMetric(key+"_fine_timer_chase_accuracy", "fraction", fine.chaseAcc)
-			res.AddMetric(key+"_fine_timer_chase_calibration_ok", "bool", boolMetric(fine.chaseCal))
-			res.AddMetric(key+"_fine_timer_covert_error", "fraction", fine.covertErr)
-			res.AddMetric(key+"_fine_timer_covert_calibration_ok", "bool", boolMetric(fine.covertCal))
-			res.AddMetric(key+"_fine_timer_fingerprint_accuracy", "fraction", fine.fpAcc)
-			res.AddMetric(key+"_fine_timer_fingerprint_calibration_ok", "bool", boolMetric(fine.fpCal))
-			res.AddMetric(key+"_amplified_chase_accuracy", "fraction", amp.chaseAcc)
-			res.AddMetric(key+"_amplified_chase_calibration_ok", "bool", boolMetric(amp.chaseCal))
-			res.AddMetric(key+"_amplified_covert_error", "fraction", amp.covertErr)
-			res.AddMetric(key+"_amplified_covert_calibration_ok", "bool", boolMetric(amp.covertCal))
-			res.AddMetric(key+"_amplified_fingerprint_accuracy", "fraction", amp.fpAcc)
-			res.AddMetric(key+"_amplified_fingerprint_calibration_ok", "bool", boolMetric(amp.fpCal))
+			addLeakageMetrics(&res, key+"_fine_timer_", s.fine)
+			addLeakageMetrics(&res, key+"_amplified_", s.amp)
 		}
-
-		// Overhead axis: the composed machine, every mechanism installed.
-		perf, err := perfFor(d.PerfEffects())
-		if err != nil {
-			return Result{}, err
-		}
-		p99Delta := (perf.p99 - base.p99) / base.p99
-		tputLoss := (base.throughput - perf.throughput) / base.throughput
-
+		lk := s.leakage
 		res.Rows = append(res.Rows, []string{
 			name, attacker, pct(lk.chaseAcc), pct(lk.covertErr), pct(lk.fpAcc),
-			fmt.Sprintf("%+.1f%%", 100*p99Delta), fmt.Sprintf("%+.1f%%", 100*tputLoss),
+			fmt.Sprintf("%+.1f%%", 100*s.p99Delta), fmt.Sprintf("%+.1f%%", 100*s.tputLoss),
 		})
-		res.AddMetric(key+"_chase_accuracy", "fraction", lk.chaseAcc)
-		res.AddMetric(key+"_chase_calibration_ok", "bool", boolMetric(lk.chaseCal))
-		res.AddMetric(key+"_covert_error", "fraction", lk.covertErr)
-		res.AddMetric(key+"_covert_calibration_ok", "bool", boolMetric(lk.covertCal))
-		res.AddMetric(key+"_fingerprint_accuracy", "fraction", lk.fpAcc)
-		res.AddMetric(key+"_fingerprint_calibration_ok", "bool", boolMetric(lk.fpCal))
-		res.AddMetric(key+"_p99_delta", "fraction", p99Delta)
-		res.AddMetric(key+"_throughput_loss", "fraction", tputLoss)
+		addLeakageMetrics(&res, key+"_", lk)
+		res.AddMetric(key+"_p99_delta", "fraction", s.p99Delta)
+		res.AddMetric(key+"_throughput_loss", "fraction", s.tputLoss)
 		// The *_dominant_* names stay because the registry digest in
 		// bench/testdata/digests.json pins them, and only a change to the
 		// benchmark may re-pin it. For every registered defense they
 		// equal the composed values.
-		res.AddMetric(key+"_dominant_p99_delta", "fraction", p99Delta)
-		res.AddMetric(key+"_dominant_throughput_loss", "fraction", tputLoss)
+		res.AddMetric(key+"_dominant_p99_delta", "fraction", s.p99Delta)
+		res.AddMetric(key+"_dominant_throughput_loss", "fraction", s.tputLoss)
 	}
 	res.AddMetric("defenses", "count", float64(len(defense.All())))
 	res.Notes = append(res.Notes,

@@ -11,15 +11,15 @@ import (
 // a report entry. Metric order follows the first successful trial (every
 // trial runs the same code, so the set and order of metric names match);
 // the values slice is ordered by trial index.
-func aggregate(id, title string, trials []trialOutcome) ExperimentReport {
+func aggregate(id, title string, trials []TrialOutcome) ExperimentReport {
 	er := ExperimentReport{ID: id, Title: title, OK: true}
 	first := -1
 	for ti, t := range trials {
-		er.Wall += t.wall
-		if t.err != nil {
+		er.Wall += t.Wall
+		if t.Err != nil {
 			if er.OK {
 				er.OK = false
-				er.Error = fmt.Sprintf("trial %d: %v", ti, t.err)
+				er.Error = fmt.Sprintf("trial %d: %v", ti, t.Err)
 			}
 			continue
 		}
@@ -30,8 +30,8 @@ func aggregate(id, title string, trials []trialOutcome) ExperimentReport {
 	if first < 0 {
 		return er
 	}
-	er.Table = trials[first].result
-	if title := trials[first].result.Title; title != "" {
+	er.Table = trials[first].Result
+	if title := trials[first].Result.Title; title != "" {
 		er.Title = title
 	}
 	// Metrics are matched across trials by (name, occurrence ordinal) so
@@ -52,12 +52,12 @@ func aggregate(id, title string, trials []trialOutcome) ExperimentReport {
 	}
 	trialValues := make([]map[key]float64, len(trials))
 	for ti, t := range trials {
-		if t.err == nil {
-			trialValues[ti] = byKey(t.result.Metrics)
+		if t.Err == nil {
+			trialValues[ti] = byKey(t.Result.Metrics)
 		}
 	}
 	ord := map[string]int{}
-	for _, m := range trials[first].result.Metrics {
+	for _, m := range trials[first].Result.Metrics {
 		k := key{m.Name, ord[m.Name]}
 		ord[m.Name]++
 		values := make([]float64, 0, len(trials))

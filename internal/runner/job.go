@@ -151,7 +151,7 @@ type execUnit struct {
 // reassembles the deterministic result matrix), the checkpoint journal,
 // any Config.Sinks, and the progress printer. Sinks never run
 // concurrently; workers only compute.
-func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int) ([][]trialOutcome, experiments.RigPoolStats, error) {
+func (r *Runner) execute(ident checkpointIdentity, units []execUnit, trials int) ([][]TrialOutcome, experiments.RigPoolStats, error) {
 	parallel := r.cfg.Parallel
 	if parallel <= 0 {
 		parallel = defaultParallel()

@@ -21,7 +21,6 @@ package runner
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -43,13 +42,6 @@ func TrialSeed(root int64, expID string, trial int) int64 {
 // single-seed Run form — the property the golden files pin.
 func OfflineSeed(root int64, expID string) int64 {
 	return TrialSeed(root, expID, 0)
-}
-
-// trialOutcome is one (experiment, trial) slot of the result matrix.
-type trialOutcome struct {
-	result experiments.Result
-	err    error
-	wall   time.Duration
 }
 
 // runTrial executes one (unit, trial) cell: prepare the unit's offline

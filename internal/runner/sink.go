@@ -47,17 +47,17 @@ type CellSink interface {
 // width.
 type collector struct {
 	index    map[string]int
-	outcomes [][]trialOutcome
+	outcomes [][]TrialOutcome
 }
 
 func newCollector(units []string, trials int) *collector {
 	c := &collector{
 		index:    make(map[string]int, len(units)),
-		outcomes: make([][]trialOutcome, len(units)),
+		outcomes: make([][]TrialOutcome, len(units)),
 	}
 	for i, u := range units {
 		c.index[u] = i
-		c.outcomes[i] = make([]trialOutcome, trials)
+		c.outcomes[i] = make([]TrialOutcome, trials)
 	}
 	return c
 }
@@ -70,7 +70,7 @@ func (c *collector) Put(o TrialOutcome) error {
 		// run.
 		return nil
 	}
-	c.outcomes[ui][o.Trial] = trialOutcome{result: o.Result, err: o.Err, wall: o.Wall}
+	c.outcomes[ui][o.Trial] = o
 	return nil
 }
 

@@ -35,6 +35,14 @@ const DefaultBudget = 240
 // overheads within half a percent read as a tie and leakage decides.
 const DefaultEpsilon = 0.005
 
+// JournalKind and JournalID are the identity Run journals its candidates
+// under (runner.RunNamed). Anything that must name a search's checkpoint
+// journal, such as the service's per-journal lock, names it with these.
+const (
+	JournalKind = "search"
+	JournalID   = "frontier"
+)
+
 // maxGenerations caps the refinement rounds after the coarse grid.
 const maxGenerations = 8
 
@@ -54,7 +62,7 @@ type Options struct {
 	Epsilon float64
 	// Runner configures execution (parallelism, warm store, rig pool,
 	// checkpointing, sinks). When CheckpointDir is set, the search
-	// journals under the identity (kind "search", id "frontier") and
+	// journals under the identity (JournalKind, JournalID) and
 	// every batch after the first resumes, so an interrupted search
 	// replays completed candidates; Resume controls only whether the
 	// first batch also loads a pre-existing journal.
@@ -173,7 +181,7 @@ func Run(opts Options) (*Report, error) {
 		}
 		cfg := opts.Runner
 		cfg.Resume = resume
-		rep, err := runner.New(cfg).RunNamed("search", "frontier", exps,
+		rep, err := runner.New(cfg).RunNamed(JournalKind, JournalID, exps,
 			runner.Job{Scale: opts.Scale, Seed: opts.Seed, Trials: 1})
 		if err != nil {
 			return err

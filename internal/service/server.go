@@ -14,7 +14,9 @@ import (
 //	GET  /v1/healthz          liveness + pool/job counters
 //	GET  /v1/registry         runnable experiments and sweeps
 //	POST /v1/jobs             submit a JobSpec; 201 created / 200 existing,
-//	                          413 when the body exceeds maxSubmitBytes
+//	                          400 for a rejected spec, 413 when the body
+//	                          exceeds maxSubmitBytes, 503 while shutting
+//	                          down, 500 when the spec cannot be persisted
 //	GET  /v1/jobs             list jobs in submission order
 //	GET  /v1/jobs/{id}        one job's status
 //	GET  /v1/jobs/{id}/report the finished report, verbatim bytes
@@ -106,8 +108,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, created, err := s.Submit(spec)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, errShuttingDown) {
+		code := http.StatusInternalServerError
+		switch {
+		case errors.As(err, new(specError)):
+			code = http.StatusBadRequest
+		case errors.Is(err, errShuttingDown):
 			code = http.StatusServiceUnavailable
 		}
 		writeErr(w, code, "%v", err)

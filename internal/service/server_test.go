@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -224,6 +226,40 @@ func TestHTTPSubmitBodyCapped(t *testing.T) {
 	var sub submitResponse
 	if code := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"experiments","experiments":["fig5"]}`, &sub); code != http.StatusCreated || !sub.Created {
 		t.Fatalf("normal spec after an oversized one: code %d, %+v", code, sub)
+	}
+	svc.WaitIdle()
+}
+
+// TestHTTPSubmitPersistFailure: a submission the daemon cannot persist
+// (a directory occupies the job's spec path, so the rename fails) is the
+// daemon's fault, not the client's: 500, not 400, and no job is listed.
+func TestHTTPSubmitPersistFailure(t *testing.T) {
+	svc, err := Open(Config{StateDir: t.TempDir(), Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	spec := JobSpec{Kind: KindExperiments, Experiments: []string{"fig5"}}
+	res, err := Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(svc.specPath(res.ID), "occupant"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if code := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"experiments","experiments":["fig5"]}`, &e); code != http.StatusInternalServerError || e.Error == "" {
+		t.Fatalf("unpersistable spec: code %d, error %q (want 500 with message)", code, e.Error)
+	}
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs", &list); code != http.StatusOK || len(list.Jobs) != 0 {
+		t.Fatalf("GET /v1/jobs: code %d, %d job(s); want 200 and none", code, len(list.Jobs))
 	}
 	svc.WaitIdle()
 }

@@ -49,6 +49,14 @@ func (s JobState) terminal() bool { return s == StateDone || s == StateFailed }
 // not 400: the spec may be fine).
 var errShuttingDown = errors.New("service: shutting down")
 
+// specError is a Submit error that Resolve raised: the client's spec,
+// not the daemon, is at fault (HTTP 400). Any other Submit error but
+// errShuttingDown is the daemon's own (HTTP 500).
+type specError struct{ err error }
+
+func (e specError) Error() string { return e.err.Error() }
+func (e specError) Unwrap() error { return e.err }
+
 // Config configures a Service.
 type Config struct {
 	// StateDir is the service's persistent root. It gains three
@@ -144,14 +152,16 @@ func Open(cfg Config) (*Service, error) {
 	jobsDir := filepath.Join(cfg.StateDir, "jobs")
 	ckptDir := filepath.Join(cfg.StateDir, "checkpoints")
 	artDir := filepath.Join(cfg.StateDir, "artifacts")
-	for _, d := range []string{jobsDir, ckptDir, artDir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-	}
+	// The store checks its size cap before it creates artifacts/ (and
+	// with it the state dir), so a rejected config leaves no directory.
 	store, err := experiments.NewDiskArtifactStore(artDir, cfg.ArtifactMaxBytes)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
+	}
+	for _, d := range []string{jobsDir, ckptDir} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			return nil, fmt.Errorf("service: %w", err)
+		}
 	}
 	s := &Service{
 		cfg:      cfg,
@@ -264,7 +274,7 @@ func (s *Service) adopt(id string, res Resolved, ent os.DirEntry) *job {
 func (s *Service) Submit(spec JobSpec) (JobStatus, bool, error) {
 	res, err := Resolve(spec)
 	if err != nil {
-		return JobStatus{}, false, err
+		return JobStatus{}, false, specError{err}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -582,6 +582,18 @@ func TestServiceRecoveryRerunsCorruptReport(t *testing.T) {
 	}
 }
 
+// TestOpenNegativeCapCreatesNothing: a negative artifact size cap is a
+// config error Open reports before it creates any state directory.
+func TestOpenNegativeCapCreatesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	if _, err := Open(Config{StateDir: dir, ArtifactMaxBytes: -1}); err == nil {
+		t.Fatal("Open accepted a negative artifact size cap")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("rejected Open left %s behind (stat err %v)", dir, err)
+	}
+}
+
 // TestReportWriteFailureFailsJob: a run whose report cannot be persisted
 // (its path is occupied by a directory, so the rename fails) ends failed
 // with the write error, and Report refuses rather than serving bytes

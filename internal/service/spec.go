@@ -23,7 +23,7 @@ const (
 	// KindSweep runs one parameter sweep.
 	KindSweep = "sweep"
 	// KindSearch runs the defense Pareto-frontier search.
-	KindSearch = "search"
+	KindSearch = search.JournalKind
 )
 
 // JobSpec is one job: what a client POSTs to /v1/jobs, and what
@@ -196,7 +196,7 @@ func Resolve(spec JobSpec) (Resolved, error) {
 			spec.Epsilon = search.DefaultEpsilon
 		}
 		r.Units = spec.Budget
-		journalID = "frontier" // the identity search.Run journals under
+		journalID = search.JournalID
 	default:
 		return r, fmt.Errorf("unknown kind %q (want %q, %q, or %q)", spec.Kind, KindExperiments, KindSweep, KindSearch)
 	}
