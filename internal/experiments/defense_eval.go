@@ -146,9 +146,10 @@ func DefaultEvalBudget(scale Scale) DefenseEvalBudget {
 // visits only a few dozen distinct machines, and the matrix's timer
 // coarsening shares the baseline's run (a client-side mitigation costs
 // the server nothing). The runner measures cells from parallel workers,
-// so each key is a once-entry, as in ArtifactStore: the global lock guards only the map, one worker pricing
-// a new machine never blocks another worker's hit on a priced one, and
-// concurrent requests for one key run perfsim once.
+// so each key is a once-entry, as in ArtifactStore: the global lock
+// guards only the map, one worker pricing a new machine never blocks
+// another worker's hit on a priced one, and concurrent requests for one
+// key run perfsim once.
 //
 // The seed comes from the job, so a long-running service would grow the
 // memo without limit; it is emptied when it reaches candidatePerfCap
@@ -160,19 +161,19 @@ var (
 
 const candidatePerfCap = 256
 
-// matrixPerf is one machine's cost-axis measurement.
-type matrixPerf struct {
+// nginxPerf is one machine's cost-axis measurement.
+type nginxPerf struct {
 	p99        float64
 	throughput float64
 }
 
 type perfEntry struct {
 	once sync.Once
-	perf matrixPerf
+	perf nginxPerf
 	err  error
 }
 
-func candidatePerf(e perfsim.Effects, seed int64, cfg perfsim.NginxConfig) (matrixPerf, error) {
+func candidatePerf(e perfsim.Effects, seed int64, cfg perfsim.NginxConfig) (nginxPerf, error) {
 	key := fmt.Sprintf("%s|seed=%d|req=%d|rate=%g", e.Fingerprint(), seed, cfg.Requests, cfg.TargetRate)
 	candidatePerfMu.Lock()
 	ent, ok := candidatePerfCache[key]
@@ -199,7 +200,7 @@ func candidatePerf(e perfsim.Effects, seed int64, cfg perfsim.NginxConfig) (matr
 			ent.err = err
 			return
 		}
-		ent.perf, ent.err = matrixPerf{p99: m.LatencyPercentile(99), throughput: m.Throughput()}, nil
+		ent.perf, ent.err = nginxPerf{p99: m.LatencyPercentile(99), throughput: m.Throughput()}, nil
 	})
 	return ent.perf, ent.err
 }

@@ -15,7 +15,7 @@ func TestCandidatePerfMemoIsBounded(t *testing.T) {
 	cfg := perfsim.DefaultNginxConfig()
 	cfg.Requests = 4
 	cfg.TargetRate = 140_000
-	price := func(seed int64) matrixPerf {
+	price := func(seed int64) nginxPerf {
 		t.Helper()
 		p, err := candidatePerf(perfsim.Effects{}, seed, cfg)
 		if err != nil {
@@ -53,7 +53,7 @@ func TestCandidatePerfConcurrentMatchesSerial(t *testing.T) {
 		candidatePerfMu.Unlock()
 	}
 	reset()
-	serial := make([]matrixPerf, len(seeds))
+	serial := make([]nginxPerf, len(seeds))
 	for i, seed := range seeds {
 		p, err := candidatePerf(perfsim.Effects{}, seed, cfg)
 		if err != nil {
@@ -63,14 +63,14 @@ func TestCandidatePerfConcurrentMatchesSerial(t *testing.T) {
 	}
 	reset()
 	const workers = 8
-	got := make([][]matrixPerf, workers)
+	got := make([][]nginxPerf, workers)
 	errs := make(chan error, workers*len(seeds))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			got[w] = make([]matrixPerf, len(seeds))
+			got[w] = make([]nginxPerf, len(seeds))
 			for j := range seeds {
 				i := (w + j) % len(seeds) // every worker starts on a different key
 				p, err := candidatePerf(perfsim.Effects{}, seeds[i], cfg)
