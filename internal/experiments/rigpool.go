@@ -7,14 +7,15 @@ import (
 	"repro/internal/probe"
 )
 
-// RigPool recycles cloned machines across trials. Artifact.rig used to
-// build every clone from scratch — fresh cache line array, allocator
-// bitmap, NIC ring, deep-copied eviction sets, roughly 12 MB and dozens of
-// allocations per trial — even though consecutive trials on a worker
-// almost always measure machines of identical geometry. The pool keeps
-// finished rigs, keyed by their options' OfflineFingerprint, and a later
-// lease with a matching fingerprint adopts one in place: every buffer is
-// reused and the restore is pure memcpy (see testbed.AdoptSnapshot).
+// RigPool recycles cloned machines across trials. A fresh clone builds a
+// shell — cache line arrays, allocator bitset, NIC ring, eviction-set
+// buffers — and restores into it, even though consecutive trials on a
+// worker almost always measure machines of identical geometry. The pool
+// keeps finished rigs, keyed by their options' OfflineFingerprint, and a
+// later lease with a matching fingerprint adopts one in place: every
+// buffer is reused, the restore allocates nothing (see
+// testbed.AdoptSnapshot), and the page free list is shared with the
+// snapshot until the trial writes it (see mem.Allocator).
 //
 // The fingerprint key is what makes cross-artifact reuse safe. It covers
 // everything that shapes a machine's buffers — cache geometry and
@@ -110,10 +111,15 @@ func (p *RigPool) unlist(key string) {
 
 // put returns a rig to the idle set and marks its key the most recently
 // released. Over the cap, the least recently released key loses idle rigs
-// first: its geometry is the least likely to be leased again.
+// first: its geometry is the least likely to be leased again. An idle rig
+// holds no page free list, neither a snapshot's nor its own copy: the
+// next adopt restores one anyway.
 func (p *RigPool) put(r *attackRig) {
 	if r == nil || r.poolKey == "" {
 		return
+	}
+	if r.tb != nil {
+		r.tb.Alloc().DropFreeList()
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

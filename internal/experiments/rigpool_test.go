@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -355,5 +357,152 @@ func TestRigPoolCapBounds(t *testing.T) {
 	pool.put(&attackRig{})
 	if n := len(pool.idle[""]); n != 0 {
 		t.Fatalf("rig with empty key pooled: %d", n)
+	}
+}
+
+// randomizedOutcome runs a chase on a ring-randomizing rig — every
+// delivered frame moves its buffer to a freshly allocated page and frees
+// the old one — and serializes the result together with the allocator
+// state the trial left behind. Two rigs with equal outcomes took the same
+// pages in the same order.
+func randomizedOutcome(r *attackRig) (string, error) {
+	c := chaseAccuracy(r, nil, chaseFrames(r))
+	al := r.tb.Alloc()
+	if al.SharesFreeList() {
+		return "", fmt.Errorf("a ring-randomizing trial left the snapshot's free list unwritten")
+	}
+	st, err := al.Snapshot().GobEncode()
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("acc=%v sync=%v cal=%v nic=%+v free=%d alloc=%x",
+		c.acc, c.outOfSync, c.calOK, r.tb.NIC().Stats(), al.FreePages(), sha256.Sum256(st)), nil
+}
+
+// TestRigCopyOnWriteSnapshotIntact: clones share their snapshot's page
+// free list until they write it, so concurrent ring-randomizing trials —
+// pooled and fresh, reseeded and trial-0 — must each copy before they
+// allocate. The artifact's bytes, free-list order included, are the same
+// after the trials as before, and every pooled clone reproduces the fresh
+// clone of its seed. Under -race a write into the shared list is a data
+// race between the trials.
+func TestRigCopyOnWriteSnapshotIntact(t *testing.T) {
+	ctx := PrepareCtx{Scale: Demo, Seed: 5}
+	art := ctx.NewArtifact()
+	spec := baselineSpec(Demo).WithDefense(defense.RingRandomization{})
+	if err := ctx.AddRig(art, "rig", spec.Options(ctx.Seed), probe.DefaultStrategy()); err != nil {
+		t.Fatal(err)
+	}
+	before := sha256.Sum256(gobRig(t, art.Rigs["rig"]))
+
+	// Trial 0 restores without reseeding; the others reseed.
+	seeds := []int64{art.Root, art.Root + 1, art.Root + 2}
+	want := map[int64]string{}
+	for _, seed := range seeds {
+		r, err := art.rig("rig", MeasureCtx{Scale: Demo, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[seed], err = randomizedOutcome(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	const workers = 4 // even workers pool their rigs, odd ones clone fresh
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var lease *RigLease
+			if w%2 == 0 {
+				lease = NewRigPool().Lease()
+			}
+			for pass := 0; pass < 2; pass++ {
+				for i := range seeds {
+					seed := seeds[(i+w)%len(seeds)]
+					r, err := art.rig("rig", MeasureCtx{Scale: Demo, Seed: seed, Rigs: lease})
+					if err != nil {
+						errs <- err
+						return
+					}
+					got, err := randomizedOutcome(r)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got != want[seed] {
+						errs <- fmt.Errorf("worker %d pass %d seed %d: %s, want %s", w, pass, seed, got, want[seed])
+						return
+					}
+					lease.Release()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if after := sha256.Sum256(gobRig(t, art.Rigs["rig"])); after != before {
+		t.Errorf("rig artifact changed under concurrent randomizing trials: sha256 %x, was %x", after, before)
+	}
+}
+
+// TestRigCloneFreeListMemory is the deterministic memory gate on clones:
+// a leased rig that never allocates a page shares the snapshot's 1 MiB
+// free list through its whole trial, an idle pooled rig holds no free
+// list at all, and a fresh demo clone allocates under 1 MiB — less than
+// the free list it would otherwise copy.
+func TestRigCloneFreeListMemory(t *testing.T) {
+	ctx := PrepareCtx{Scale: Demo, Seed: 1}
+	art, err := PrepareFig10(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewRigPool()
+	lease := pool.Lease()
+	for _, seed := range []int64{art.Root, art.Root + 1} {
+		m := MeasureCtx{Scale: Demo, Seed: seed, Rigs: lease}
+		for i := 0; i < 2; i++ { // a fresh shell, then the pooled rig
+			r, err := art.rig("rig", m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveState(r)
+			if !r.tb.Alloc().SharesFreeList() {
+				t.Errorf("seed %d lease %d: a non-randomizing trial holds a copy of the free list", seed, i)
+			}
+			lease.Release()
+		}
+	}
+	if got := pool.Stats(); got.Adopted != 3 || got.Fresh != 1 {
+		t.Fatalf("pool stats %+v, want 3 adopted and 1 fresh", got)
+	}
+	for key, rigs := range pool.idle {
+		for _, r := range rigs {
+			if n := r.tb.Alloc().FreePages(); n != 0 || r.tb.Alloc().SharesFreeList() {
+				t.Errorf("idle rig of %s holds a free list of %d pages", key, n)
+			}
+		}
+	}
+
+	if raceEnabled {
+		return // allocation accounting is unreliable under the race detector
+	}
+	const clones = 8
+	m := MeasureCtx{Scale: Demo, Seed: art.Root + 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < clones; i++ {
+		if _, err := art.rig("rig", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / clones; per >= 1<<20 {
+		t.Errorf("fresh demo clone allocated %d bytes, want < 1 MiB", per)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -58,11 +59,20 @@ func (a Addr) Page() Addr { return a &^ (PageSize - 1) }
 // same frames. A machine that allocates k pages therefore draws about k
 // positions instead of all of them; Snapshot draws the rest first, so
 // snapshots, restores and clones always hold the final order.
+//
+// A restored free list is copy-on-write: Restore points free at the
+// snapshot's own list, and the first AllocPage, AllocPageRandom or
+// FreePage copies it. A cloned 1 GiB machine thus holds no 1 MiB copy of
+// its own until it allocates, which online only the ring-randomization
+// defense does.
 type Allocator struct {
 	// free holds the free frame numbers, consumed from the tail.
 	// free[drawn:] holds final positions; free[:drawn] the shuffle's
 	// undrawn prefix.
 	free []uint32
+	// shared marks free as a snapshot's list, which must not be written.
+	//packetlint:transient copy-on-write marker of free: Restore sets it, the first write clears it, and snapshots never hold it
+	shared bool
 	// used is a frame-number bitset: snapshots and restores copy it with
 	// a memcpy, one word per 64 frames.
 	used     []uint64
@@ -235,17 +245,39 @@ func (st *AllocatorState) GobDecode(b []byte) error {
 
 // Restore overwrites the allocator's state from a snapshot. It panics on a
 // memory-size mismatch (snapshots never move between machine shapes). The
-// copies reuse the allocator's existing backing arrays: once they have
-// grown to the free-list's size, repeated restores — the rig-pool lease
-// path runs one per warm trial — are pure memcpys with zero allocations.
+// free list is not copied: the allocator shares the snapshot's list, which
+// is immutable, until its first write copies it (see Allocator). The used
+// bitset is copied into the allocator's existing backing array, so
+// repeated restores — the rig-pool lease path runs one per warm trial —
+// allocate nothing.
 func (al *Allocator) Restore(st *AllocatorState) {
 	if st.numPages != al.numPages {
 		panic(fmt.Sprintf("mem: restoring %d-page snapshot into %d-page allocator", st.numPages, al.numPages))
 	}
-	al.free = append(al.free[:0], st.free...)
+	al.free, al.shared = st.free, true
 	al.used = append(al.used[:0], st.used...)
 	// A snapshot is fully drawn, so the restored allocator never draws.
 	al.drawn, al.rng = 0, nil
+}
+
+// SharesFreeList reports whether the free list is still a restored
+// snapshot's own, not yet copied by a write (see Allocator).
+func (al *Allocator) SharesFreeList() bool { return al.shared }
+
+// DropFreeList empties the free list, whether shared with a snapshot or a
+// private copy, so an idle allocator pins no snapshot and holds no copy.
+// The allocator can allocate again only after its next Restore.
+func (al *Allocator) DropFreeList() {
+	al.free, al.shared = nil, false
+}
+
+// own copies a free list shared with a snapshot before its first write.
+// The copy also gives FreePage's append a backing array of its own: a
+// shared list's spare capacity belongs to the snapshot.
+func (al *Allocator) own() {
+	if al.shared {
+		al.free, al.shared = slices.Clone(al.free), false
+	}
 }
 
 // take removes the drawn free-list entry at position i, moving the tail
@@ -264,6 +296,7 @@ func (al *Allocator) AllocPage() (Addr, error) {
 	if len(al.free) == 0 {
 		return 0, fmt.Errorf("mem: out of physical pages (%d total)", al.numPages)
 	}
+	al.own()
 	last := len(al.free) - 1
 	al.drawTo(last)
 	return al.take(last), nil
@@ -279,6 +312,7 @@ func (al *Allocator) AllocPageRandom(rng *sim.RNG) (Addr, error) {
 	if len(al.free) == 0 {
 		return 0, fmt.Errorf("mem: out of physical pages (%d total)", al.numPages)
 	}
+	al.own()
 	i := rng.Intn(len(al.free))
 	al.drawTo(i)
 	return al.take(i), nil
@@ -313,6 +347,7 @@ func (al *Allocator) FreePage(a Addr) {
 		panic(fmt.Sprintf("mem: double free of frame %d", pfn))
 	}
 	al.used[pfn/64] &^= bit
+	al.own()
 	al.free = append(al.free, uint32(pfn))
 }
 

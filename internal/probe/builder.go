@@ -89,6 +89,10 @@ func (s *Spy) BuildAlignedEvictionSets(ways int) ([]EvictionSet, error) {
 	// Every page joins at most one group's Lines, so one backing array
 	// holds them all.
 	lines := make([]uint64, 0, n)
+	// reduce's two work buffers, reused by every victim. Its result
+	// aliases one of them and is read only until the next victim's reduce.
+	scratch := make([]int32, 2*n)
+	bufA, bufB := scratch[:0:n], scratch[n:n:2*n]
 	var groups []EvictionSet
 	for len(pool) > ways {
 		// rest aliases the pool: reduce works on its own copy, and the
@@ -100,7 +104,7 @@ func (s *Spy) BuildAlignedEvictionSets(ways int) ([]EvictionSet, error) {
 			pool = pool[1:]
 			continue
 		}
-		minimal := s.reduce(refs, rest, victim, ways)
+		minimal := s.reduce(refs, rest, victim, ways, bufA, bufB)
 		if len(minimal) != ways || !s.conflict(refs, minimal, victim) {
 			pool = pool[1:]
 			continue
@@ -133,8 +137,13 @@ func (s *Spy) BuildAlignedEvictionSets(ways int) ([]EvictionSet, error) {
 // group elimination: repeatedly split into ways+1 chunks and drop any
 // chunk whose removal still leaves the victim evicted. Pages are indices
 // into refs, as in BuildAlignedEvictionSets.
-func (s *Spy) reduce(refs []cache.LineRef, candidates []int32, victim int32, ways int) []int32 {
-	work := append([]int32(nil), candidates...)
+//
+// work and spare are scratch buffers with disjoint backing arrays: work
+// starts as a copy of candidates, each trial removal is built in spare,
+// and a kept removal swaps the two, so no chunk test allocates. The
+// returned set aliases one of the buffers.
+func (s *Spy) reduce(refs []cache.LineRef, candidates []int32, victim int32, ways int, work, spare []int32) []int32 {
+	work = append(work[:0], candidates...)
 	for len(work) > ways {
 		// Split into exactly ways+1 chunks: at most ways elements are
 		// needed, so by pigeonhole at least one chunk is disposable.
@@ -145,11 +154,9 @@ func (s *Spy) reduce(refs []cache.LineRef, candidates []int32, victim int32, way
 			if lo == hi {
 				continue
 			}
-			rest := make([]int32, 0, len(work)-(hi-lo))
-			rest = append(rest, work[:lo]...)
-			rest = append(rest, work[hi:]...)
+			rest := append(append(spare[:0], work[:lo]...), work[hi:]...)
 			if s.conflict(refs, rest, victim) {
-				work = rest
+				work, spare = rest, work
 				removed = true
 				break
 			}

@@ -45,7 +45,7 @@ type Snapshot struct {
 // be captured generically, so snapshotting mid-stream would silently drop
 // frames on restore.
 func (tb *Testbed) Snapshot() (*Snapshot, error) {
-	if tb.traffic != nil || tb.nextFrame != nil {
+	if tb.traffic != nil || tb.havePeek {
 		return nil, fmt.Errorf("testbed: cannot snapshot with a traffic source installed")
 	}
 	return &Snapshot{
@@ -117,7 +117,7 @@ func (tb *Testbed) restore(s *Snapshot, withRNG bool) {
 	tb.noiseNextAt = s.noiseNextAt
 	tb.noiseSpace = s.noiseSpace
 	tb.traffic = nil
-	tb.nextFrame = nil
+	tb.havePeek = false
 }
 
 // AdoptSnapshot rebinds a pooled machine to a (possibly different) rig's

@@ -60,8 +60,12 @@ type Testbed struct {
 	alloc *mem.Allocator
 	nic   *nic.NIC
 
-	traffic   netmodel.Source
-	nextFrame *netmodel.Frame
+	traffic netmodel.Source
+	// nextFrame is the frame peeked from traffic but not yet delivered,
+	// held by value so peeking allocates nothing; havePeek marks it valid.
+	//packetlint:transient meaningful only while havePeek, which Snapshot refuses and restore clears
+	nextFrame netmodel.Frame
+	havePeek  bool
 
 	noiseRNG    *sim.RNG
 	noisePeriod uint64
@@ -123,7 +127,7 @@ func (tb *Testbed) Options() Options { return tb.opts }
 // from the previous one.
 func (tb *Testbed) SetTraffic(src netmodel.Source) {
 	tb.traffic = src
-	tb.nextFrame = nil
+	tb.havePeek = false
 }
 
 // Sync delivers every world event due at or before the current cycle:
@@ -145,8 +149,8 @@ func (tb *Testbed) Sync() {
 			tb.nic.ProcessDriver(now)
 			return
 		}
-		tb.nic.Receive(*tb.nextFrame)
-		tb.nextFrame = nil
+		tb.nic.Receive(tb.nextFrame)
+		tb.havePeek = false
 	}
 }
 
@@ -195,12 +199,10 @@ func (tb *Testbed) DrainTraffic() int {
 }
 
 func (tb *Testbed) peekFrame() (uint64, bool) {
-	if tb.nextFrame == nil && tb.traffic != nil {
-		if f, ok := tb.traffic.Next(); ok {
-			tb.nextFrame = &f
-		}
+	if !tb.havePeek && tb.traffic != nil {
+		tb.nextFrame, tb.havePeek = tb.traffic.Next()
 	}
-	if tb.nextFrame == nil {
+	if !tb.havePeek {
 		return 0, false
 	}
 	return tb.nextFrame.Arrival, true
