@@ -158,7 +158,8 @@ func (al *Allocator) Snapshot() *AllocatorState {
 // snapshot, reusing its backing slices. It exists for the offline/build
 // path and benchmarks that snapshot repeatedly; a snapshot filed in an
 // artifact must be a fresh Snapshot(), since artifacts rely on snapshot
-// immutability.
+// immutability. So does every allocator restored from st, which shares
+// its free list: st must not be reused while one is live.
 func (al *Allocator) SnapshotInto(st *AllocatorState) {
 	al.drawTo(0)
 	st.free = append(st.free[:0], al.free...)

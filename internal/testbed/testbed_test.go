@@ -151,3 +151,23 @@ func TestDeterminism(t *testing.T) {
 		t.Error("same seed must reproduce the same world exactly")
 	}
 }
+
+// TestFrameDeliveryAllocs: delivering a frame does not allocate it —
+// the peeked frame is held by value, not boxed per frame. The bound
+// leaves room for the driver queue's occasional regrowth.
+func TestFrameDeliveryAllocs(t *testing.T) {
+	tb := small(t, 8)
+	wire := netmodel.NewWire(netmodel.GigabitRate)
+	tb.SetTraffic(netmodel.NewConstantSource(wire, 128, 100_000, tb.Clock().Now(), -1))
+	tb.Idle(10_000_000)
+	before := tb.NIC().Stats().Received
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() { tb.Idle(10_000_000) })
+	frames := float64(tb.NIC().Stats().Received-before) / (runs + 1) // AllocsPerRun adds a warm-up run
+	if frames < 100 {
+		t.Fatalf("only %v frames delivered per run", frames)
+	}
+	if perFrame := allocs / frames; perFrame >= 0.5 {
+		t.Errorf("frame delivery allocated %.2f times per frame, want < 0.5", perFrame)
+	}
+}
