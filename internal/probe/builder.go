@@ -91,8 +91,7 @@ func (s *Spy) BuildAlignedEvictionSets(ways int) ([]EvictionSet, error) {
 	lines := make([]uint64, 0, n)
 	// reduce's two work buffers, reused by every victim. Its result
 	// aliases one of them and is read only until the next victim's reduce.
-	scratch := make([]int32, 2*n)
-	bufA, bufB := scratch[:0:n], scratch[n:n:2*n]
+	bufA, bufB := make([]int32, 0, n), make([]int32, 0, n)
 	var groups []EvictionSet
 	for len(pool) > ways {
 		// rest aliases the pool: reduce works on its own copy, and the
