@@ -86,7 +86,7 @@ func (s Stats) MissRate() float64 {
 // Cache is the simulated last-level cache. It is single-goroutine, like the
 // rest of the simulation core.
 type Cache struct {
-	//packetlint:transient geometry config, fixed at construction; snapshots guard it via geo
+	//packetlint:transient configuration, set by New and Rebind (which keeps the shape); snapshots guard it via geo
 	cfg Config
 	//packetlint:transient wiring to the shared clock, rebound only by New
 	clock *sim.Clock
@@ -167,6 +167,30 @@ func New(cfg Config, clock *sim.Clock) *Cache {
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
+
+// Rebind gives the cache another configuration of the same shape: the
+// same slices, sets and ways, and partitioned exactly when it already is,
+// so the line arrays and partition counters are reused as they are.
+// Latencies, DDIO and the partition parameters may all change. Contents
+// are untouched; the caller restores a snapshot taken under cfg next. A
+// rebind across shapes panics, since it can only mean two machines got
+// crossed. It allocates only when DDIO or the partition parameters
+// change, to recompute the geometry key Restore checks.
+func (c *Cache) Rebind(cfg Config) {
+	old := c.cfg
+	if cfg.Slices != old.Slices || cfg.SetsPerSlice != old.SetsPerSlice || cfg.Ways != old.Ways ||
+		(cfg.Partition != nil) != (old.Partition != nil) {
+		panic(fmt.Sprintf("cache: rebinding %q to a differently shaped %q", c.geo, geometryKey(cfg)))
+	}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	c.cfg = cfg
+	if cfg.DDIO != old.DDIO || cfg.DDIOWays != old.DDIOWays ||
+		(cfg.Partition != nil && *cfg.Partition != *old.Partition) {
+		c.geo = geometryKey(cfg)
+	}
+}
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }

@@ -59,10 +59,10 @@ func (c *Cache) SnapshotInto(s *Snapshot) {
 
 // Restore overwrites the cache's mutable state from a snapshot taken on a
 // cache with identical geometry. It panics on a geometry mismatch — that
-// can only mean two different machines' state got crossed. Geometry never
-// changes after New, so the comparison runs against the key cached at
-// construction and the whole restore is copy-only: the rig-pool lease path
-// runs one per warm trial and stays allocation-free.
+// can only mean two different machines' state got crossed. The comparison
+// runs against the key New and Rebind cache, so the whole restore is
+// copy-only: the rig-pool lease path runs one per warm trial and stays
+// allocation-free.
 func (c *Cache) Restore(s *Snapshot) {
 	if c.geo != s.geometry {
 		panic(fmt.Sprintf("cache: restoring snapshot of %q into %q", s.geometry, c.geo))

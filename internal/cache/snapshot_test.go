@@ -197,6 +197,54 @@ func TestSnapshotGeometryMismatchPanics(t *testing.T) {
 	b.Restore(a.Snapshot())
 }
 
+// TestRebindKeepsShape: Rebind accepts any configuration of the cache's
+// shape, and a cache rebound to cfg restores cfg's snapshots and then runs
+// exactly like one built with cfg, latencies, DDIO and partition
+// thresholds included. A rebind that would change the shape panics.
+func TestRebindKeepsShape(t *testing.T) {
+	to := tinyConfig(true)
+	to.Partition = &PartitionConfig{Period: 4_000, THigh: 1_500, TLow: 500, MinIOWays: 1, MaxIOWays: 2}
+	to.DDIO = false
+	to.HitLatency, to.MissLatency = 30, 250
+
+	refClock := sim.NewClock()
+	ref := New(to, refClock)
+	rng := sim.NewRNG(3)
+	for i := 0; i < 500; i++ {
+		applyOp(ref, refClock, byte(rng.Intn(5)), uint64(rng.Intn(256))*64)
+	}
+	clock := sim.NewClock()
+	c := New(tinyConfig(true), clock)
+	c.Rebind(to)
+	c.Restore(ref.Snapshot())
+	clock.Restore(refClock.Snapshot())
+	for i := 0; i < 500; i++ {
+		kind, addr := byte(rng.Intn(5)), uint64(rng.Intn(256))*64
+		if want, got := applyOp(ref, refClock, kind, addr), applyOp(c, clock, kind, addr); got != want {
+			t.Fatalf("op %d (kind %d @%x): rebound cache observed %x, built one %x", i, kind, addr, got, want)
+		}
+	}
+	if !snapshotsEqual(ref.Snapshot(), c.Snapshot()) {
+		t.Fatal("rebound cache's state diverged from the one built with its config")
+	}
+
+	for name, cfg := range map[string]Config{
+		"slices":        ScaledConfig(4, 16, 4),
+		"sets":          ScaledConfig(2, 32, 4),
+		"ways":          ScaledConfig(2, 16, 8),
+		"unpartitioned": tinyConfig(false),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a rebind across shapes must panic")
+				}
+			}()
+			New(tinyConfig(true), sim.NewClock()).Rebind(cfg)
+		})
+	}
+}
+
 // FuzzSnapshotReplay lets the fuzzer hunt for op interleavings where
 // restore-then-replay diverges (LRU stamps, partition quotas, occupancy
 // integration are all in play).

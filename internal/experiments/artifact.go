@@ -111,22 +111,6 @@ type RigArtifact struct {
 	Machine *testbed.Snapshot
 	Spy     probe.SpyState
 	Groups  []probe.EvictionSet
-
-	// poolKey caches Opts.OfflineFingerprint() for the rig-pool lease
-	// path: the fingerprint is a fmt.Sprintf over the full config and
-	// computing it per trial would be the lease's only allocation. Built
-	// lazily under a sync.Once because artifacts are shared across
-	// concurrent trials (gob skips unexported fields, so disk round-trips
-	// simply recompute it).
-	poolOnce sync.Once
-	poolKey  string
-}
-
-// clonePoolKey returns the artifact's rig-pool key (the machine's offline
-// fingerprint), computing it once.
-func (ra *RigArtifact) clonePoolKey() string {
-	ra.poolOnce.Do(func() { ra.poolKey = ra.Opts.OfflineFingerprint() })
-	return ra.poolKey
 }
 
 // NewArtifact starts an empty artifact rooted at the context's seed.
@@ -232,7 +216,7 @@ func buildRigArtifact(opts testbed.Options, strat probe.Strategy) (ra *RigArtifa
 }
 
 // rig clones an independent machine from the labeled rig artifact: a
-// pooled rig when the context carries a lease with a geometry match,
+// pooled rig when the context carries a lease with one of its shape,
 // otherwise an empty shell; either way the rig adopts the artifact (see
 // attackRig.adopt), so every trial runs one restore path. Safe to call
 // concurrently for the same label. See MeasureCtx for the online-reseed
@@ -248,7 +232,7 @@ func (a *Artifact) rig(label string, ctx MeasureCtx) (*attackRig, error) {
 	if reseed {
 		online = sim.DeriveSeedParts(ctx.Seed, "online/", label)
 	}
-	r := ctx.Rigs.take(ra.clonePoolKey())
+	r := ctx.Rigs.take(ra.Opts.Shape())
 	if r == nil {
 		tb, err := testbed.NewShell(ra.Opts)
 		if err != nil {

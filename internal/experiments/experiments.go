@@ -200,10 +200,10 @@ type attackRig struct {
 	spy    *probe.Spy
 	groups []probe.EvictionSet
 	ccfg   cache.Config
-	// poolKey is the OfflineFingerprint of the machine the rig last
-	// adopted: RigPool reuses a rig only for artifacts with an identical
-	// fingerprint, i.e. identical buffer geometry.
-	poolKey string
+	// poolKey is the shape of the machine the rig last adopted: RigPool
+	// reuses a rig only for artifacts of the same shape, whose buffers it
+	// already has; adoption rebinds every other option.
+	poolKey testbed.Shape
 }
 
 // canonical maps group ids to canonical aligned-set indices (ground-truth

@@ -5,28 +5,31 @@ import (
 	"sync"
 
 	"repro/internal/probe"
+	"repro/internal/testbed"
 )
 
 // RigPool recycles cloned machines across trials. A fresh clone builds a
 // shell — cache line arrays, allocator bitset, NIC ring, eviction-set
-// buffers — and restores into it, even though consecutive trials on a
-// worker almost always measure machines of identical geometry. The pool
-// keeps finished rigs, keyed by their options' OfflineFingerprint, and a
-// later lease with a matching fingerprint adopts one in place: every
-// buffer is reused, the restore allocates nothing (see
-// testbed.AdoptSnapshot), and the page free list is shared with the
-// snapshot until the trial writes it (see mem.Allocator).
+// buffers — and restores into it, even though the trials on a worker
+// mostly measure machines whose buffers have the same few sizes. The pool
+// keeps finished rigs, keyed by their machine's testbed.Shape, and a later
+// lease of the same shape adopts one in place: every buffer is reused,
+// the restore allocates nothing (see testbed.AdoptSnapshot), and the page
+// free list is shared with the snapshot until the trial writes it (see
+// mem.Allocator).
 //
-// The fingerprint key is what makes cross-artifact reuse safe. It covers
-// everything that shapes a machine's buffers — cache geometry and
-// latencies, NIC/driver config, memory size — while everything it excludes
-// (seed, noise rate, timer noise, and all machine *state*) is carried by
-// the snapshot and overwritten wholesale on adoption. A rig that ran a
-// timer-coarsened defended trial can therefore back an undefended trial
-// next, or vice versa, with bit-identical results; geometry-changing
-// defenses (partitioning, DDIO off) land under different keys and never
-// mix. A leased rig poisoned by a partial, panicked Measure heals the same
-// way: the next adoption overwrites every mutable field.
+// The shape key is what makes cross-artifact reuse safe. It covers the
+// size of every buffer a machine holds — cache slices, sets and ways,
+// whether the cache is partitioned, NIC ring and skb pool sizes, memory
+// size — while everything else is rebound or overwritten on adoption:
+// the cache and NIC take the artifact's configuration (latencies, DDIO,
+// partition thresholds, ring randomization), and the snapshot carries the
+// seed, the online knobs and all machine *state*. A rig that ran a
+// partitioned trial with one I/O-way quota can therefore back a trial with
+// another, and one that ran a timer-coarsened or DDIO-off trial can back
+// an undefended one, with bit-identical results. A leased rig poisoned by
+// a partial, panicked Measure heals the same way: the next adoption
+// overwrites every mutable field.
 //
 // The pool is mutex-guarded so one pool MAY be shared across goroutines,
 // but the runner deliberately gives each worker its own (an uncontended
@@ -34,19 +37,19 @@ import (
 // thus memory footprint — independent of scheduling).
 type RigPool struct {
 	mu   sync.Mutex
-	idle map[string][]*attackRig
+	idle map[testbed.Shape][]*attackRig
 	// order lists the keys holding idle rigs, least recently released
 	// first; n counts idle rigs across them.
-	order []string
+	order []testbed.Shape
 	n     int
 	stats RigPoolStats
 }
 
 // maxIdle caps how many idle rigs a pool retains across all keys. A single
-// matrix-style trial leases ~20 rigs of one geometry before releasing any
-// of them; the cap keeps that worst case pooled. The cap spans keys
-// because frontier-search candidates rarely share one: most idle rigs are
-// of geometries the worker never leases again, and only cost memory.
+// matrix-style trial leases ~20 rigs of one shape before releasing any of
+// them; the cap keeps that worst case pooled. The cap spans keys so that
+// a worker whose trials move on to a shape it never leases again does not
+// keep those rigs for the rest of the job.
 const maxIdle = 32
 
 // RigPoolStats counts a pool's traffic. Adopted leases were served by an
@@ -64,7 +67,7 @@ func (s RigPoolStats) Add(o RigPoolStats) RigPoolStats {
 
 // NewRigPool returns an empty pool.
 func NewRigPool() *RigPool {
-	return &RigPool{idle: make(map[string][]*attackRig)}
+	return &RigPool{idle: make(map[testbed.Shape][]*attackRig)}
 }
 
 // Stats returns the pool's counts so far.
@@ -76,7 +79,7 @@ func (p *RigPool) Stats() RigPoolStats {
 
 // take removes and returns an idle rig for key, or nil when none is
 // pooled (the caller adopts into a fresh shell instead).
-func (p *RigPool) take(key string) *attackRig {
+func (p *RigPool) take(key testbed.Shape) *attackRig {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rigs := p.idle[key]
@@ -90,7 +93,7 @@ func (p *RigPool) take(key string) *attackRig {
 
 // pop removes the newest idle rig of key, which must hold one, keeping
 // the key's backing array for its next release.
-func (p *RigPool) pop(key string) *attackRig {
+func (p *RigPool) pop(key testbed.Shape) *attackRig {
 	rigs := p.idle[key]
 	r := rigs[len(rigs)-1]
 	rigs[len(rigs)-1] = nil
@@ -103,7 +106,7 @@ func (p *RigPool) pop(key string) *attackRig {
 }
 
 // unlist removes key from the release order.
-func (p *RigPool) unlist(key string) {
+func (p *RigPool) unlist(key testbed.Shape) {
 	if i := slices.Index(p.order, key); i >= 0 {
 		p.order = slices.Delete(p.order, i, i+1)
 	}
@@ -111,11 +114,11 @@ func (p *RigPool) unlist(key string) {
 
 // put returns a rig to the idle set and marks its key the most recently
 // released. Over the cap, the least recently released key loses idle rigs
-// first: its geometry is the least likely to be leased again. An idle rig
+// first: its shape is the least likely to be leased again. An idle rig
 // holds no page free list, neither a snapshot's nor its own copy: the
 // next adopt restores one anyway.
 func (p *RigPool) put(r *attackRig) {
-	if r == nil || r.poolKey == "" {
+	if r == nil || r.poolKey == (testbed.Shape{}) {
 		return
 	}
 	if r.tb != nil {
@@ -158,7 +161,7 @@ type RigLease struct {
 
 // take leases an idle rig for key, or nil when pooling is off or the pool
 // has none.
-func (l *RigLease) take(key string) *attackRig {
+func (l *RigLease) take(key testbed.Shape) *attackRig {
 	if l == nil {
 		return nil
 	}
@@ -200,5 +203,5 @@ func (r *attackRig) adopt(ra *RigArtifact, reseed bool, online int64) {
 	r.spy.Rebind(r.tb, ra.Spy)
 	r.groups = probe.CopyEvictionSetsInto(r.groups, ra.Groups)
 	r.ccfg = r.tb.Cache().Config()
-	r.poolKey = ra.clonePoolKey()
+	r.poolKey = ra.Opts.Shape()
 }

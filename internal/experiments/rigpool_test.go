@@ -8,9 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/defense"
 	"repro/internal/probe"
 	"repro/internal/scenario"
+	"repro/internal/testbed"
 )
 
 // driveState runs a fixed, deterministic interaction on a freshly cloned
@@ -61,41 +63,90 @@ func poison(r *attackRig) {
 	}
 }
 
+// configOutcome is driveState followed by a chase over live frames, which
+// also exercises what adoption rebinds rather than restores: the cache's
+// latencies, DDIO and partition quotas, and the driver's ring
+// randomization. It records the configuration the rig ran under, too.
+func configOutcome(r *attackRig) string {
+	cc, nc := r.tb.Cache().Config(), r.tb.NIC().Config()
+	part := "none"
+	if cc.Partition != nil {
+		part = fmt.Sprintf("%+v", *cc.Partition)
+	}
+	cc.Partition = nil
+	state := driveState(r)
+	c := chaseAccuracy(r, nil, chaseFrames(r))
+	return fmt.Sprintf("cache=%+v part=%s nic=%+v %s|chase acc=%v sync=%v cal=%v cache=%+v nic=%+v",
+		cc, part, nc, state, c.acc, c.outOfSync, c.calOK, r.tb.Cache().Stats(), r.tb.NIC().Stats())
+}
+
+// partitionWays is adaptive partitioning with an I/O-way quota of at most
+// ways, the partition axis of frontier search.
+func partitionWays(ways int) defense.Defense {
+	cfg := *cache.DefaultPartitionConfig()
+	cfg.MaxIOWays = ways
+	return defense.AdaptivePartitioning{Config: &cfg}
+}
+
 // dirtyReuseSpecs are the machine variants the reuse property is checked
-// across: the undefended baseline plus one defense from each reuse-relevant
-// class — timer coarsening (same geometry key as the baseline, so the pool
-// WILL share rigs across the defense boundary and the snapshot must carry
-// everything), adaptive partitioning and DDIO-off (different geometry keys,
-// exercising multiple keys in one pool).
+// across: the undefended baseline plus each defense class. All but the
+// partitioned two share the baseline's shape, and the partitioned two
+// share theirs, so the pool shares rigs across the defense boundary and
+// adoption must rebind the configuration (timer coarsening, DDIO off,
+// ring randomization, partition quotas) as well as restore the state.
 func dirtyReuseSpecs(scale Scale) map[string]scenario.Spec {
 	base := baselineSpec(scale)
 	return map[string]scenario.Spec{
-		"baseline":     base,
-		"timer-coarse": base.WithDefense(defense.TimerCoarsening{Jitter: 64}),
-		"partition":    base.WithDefense(defense.AdaptivePartitioning{}),
-		"no-ddio":      base.WithDefense(defense.DisableDDIO{}),
+		"baseline":      base,
+		"timer-coarse":  base.WithDefense(defense.TimerCoarsening{Jitter: 64}),
+		"no-ddio":       base.WithDefense(defense.DisableDDIO{}),
+		"ring-full":     base.WithDefense(defense.RingRandomization{}),
+		"ring-periodic": base.WithDefense(defense.RingRandomization{Interval: 100}),
+		"partition":     base.WithDefense(defense.AdaptivePartitioning{}),
+		"partition-p1":  base.WithDefense(partitionWays(1)),
 	}
 }
 
+// dirtyReuseDonors names, for each of dirtyReuseSpecs, another variant of
+// its shape: the poisoned rig a spec's trial adopts last served the donor,
+// prepared by the other attacker strategy.
+var dirtyReuseDonors = map[string]string{
+	"baseline":      "ring-periodic",
+	"timer-coarse":  "baseline",
+	"no-ddio":       "timer-coarse",
+	"ring-full":     "no-ddio",
+	"ring-periodic": "ring-full",
+	"partition":     "partition-p1",
+	"partition-p1":  "partition",
+}
+
 // TestRigPoolDirtyReuseMatchesFresh: a pooled rig poisoned by a partial
-// Measure must, on its next lease, behave identically to a fresh clone of
-// the same artifact — across defenses, attacker strategies, and seeds.
-// This is the pool's correctness contract: adoption overwrites every
-// mutable field, so no trace of the previous trial (or its crash) leaks
-// into the next one.
+// Measure of another machine of its shape — another defense, another
+// attacker strategy — must, on its next lease, behave identically to a
+// fresh clone of the leased artifact, across defenses, strategies, and
+// seeds. This is the pool's correctness contract: adoption rebinds the
+// configuration and overwrites every mutable field, so no trace of the
+// previous trial (or its crash) leaks into the next one.
 func TestRigPoolDirtyReuseMatchesFresh(t *testing.T) {
 	strategies := map[string]probe.Strategy{
 		"fine":      probe.DefaultStrategy(),
 		"amplified": probe.AmplifiedStrategy(),
 	}
-	for specName, spec := range dirtyReuseSpecs(Demo) {
+	other := map[string]string{"fine": "amplified", "amplified": "fine"}
+	specs := dirtyReuseSpecs(Demo)
+	store := NewArtifactStore() // donors are other subtests' machines
+	for specName, spec := range specs {
 		for stratName, strat := range strategies {
 			for _, seed := range []int64{3, 11} {
 				name := fmt.Sprintf("%s/%s/seed%d", specName, stratName, seed)
 				t.Run(name, func(t *testing.T) {
-					ctx := PrepareCtx{Scale: Demo, Seed: seed}
+					ctx := PrepareCtx{Scale: Demo, Seed: seed, Store: store}
 					art := ctx.NewArtifact()
 					if err := ctx.AddRig(art, "rig", spec.Options(seed), strat); err != nil {
+						t.Fatal(err)
+					}
+					donor := dirtyReuseDonors[specName]
+					if err := ctx.AddRig(art, "donor", specs[donor].Options(seed), strategies[other[stratName]]); err != nil {
 						t.Fatal(err)
 					}
 					// Measure seed != root: the reseeded warm-trial path.
@@ -104,15 +155,16 @@ func TestRigPoolDirtyReuseMatchesFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := driveState(fresh)
+					want := configOutcome(fresh)
 
 					lease := NewRigPool().Lease()
 					mp := m
 					mp.Rigs = lease
-					victim, err := art.rig("rig", mp)
+					victim, err := art.rig("donor", mp)
 					if err != nil {
 						t.Fatal(err)
 					}
+					configOutcome(victim)
 					poison(victim)
 					lease.Release()
 					reused, err := art.rig("rig", mp)
@@ -120,9 +172,9 @@ func TestRigPoolDirtyReuseMatchesFresh(t *testing.T) {
 						t.Fatal(err)
 					}
 					if reused != victim {
-						t.Fatal("pool did not hand back the poisoned rig")
+						t.Fatalf("pool did not hand the %s rig back for %s", donor, specName)
 					}
-					if got := driveState(reused); got != want {
+					if got := configOutcome(reused); got != want {
 						t.Errorf("reused rig diverged from fresh clone:\nfresh:  %s\nreused: %s", want, got)
 					}
 					lease.Release()
@@ -134,13 +186,13 @@ func TestRigPoolDirtyReuseMatchesFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want0 := driveState(f0)
+					want0 := configOutcome(f0)
 					m0.Rigs = lease
 					r0, err := art.rig("rig", m0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got0 := driveState(r0); got0 != want0 {
+					if got0 := configOutcome(r0); got0 != want0 {
 						t.Errorf("non-reseeded reuse diverged:\nfresh:  %s\nreused: %s", want0, got0)
 					}
 					lease.Release()
@@ -150,11 +202,77 @@ func TestRigPoolDirtyReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRigPoolCrossArtifactReuse: two artifacts with equal geometry but
-// different seeds (distinct machines, same OfflineFingerprint) must share
-// pooled rigs, and a rig that last served artifact A must serve artifact B
-// exactly like B's own fresh clone. This is the cross-defense shell-reuse
-// guarantee the fingerprint key provides.
+// TestRigPoolCrossConfigReuse: one pooled rig per shape serves, in turn,
+// artifacts of that shape under each configuration frontier search moves
+// between: partition quotas p1 → p3 → p2, DDIO on and off, ring
+// randomization off, full and periodic, timer jitter, stacked defenses,
+// and the fine and amplified attackers. Each lease must reproduce the
+// fresh clone of its artifact, and only the first lease of each shape
+// clones.
+func TestRigPoolCrossConfigReuse(t *testing.T) {
+	fine, amplified := probe.DefaultStrategy(), probe.AmplifiedStrategy()
+	base := baselineSpec(Demo)
+	steps := []struct {
+		label string
+		spec  scenario.Spec
+		strat probe.Strategy
+	}{
+		{"baseline", base, fine},
+		{"p1", base.WithDefense(partitionWays(1)), fine},
+		{"no-ddio", base.WithDefense(defense.DisableDDIO{}), fine},
+		{"p3", base.WithDefense(partitionWays(3)), fine},
+		{"ring-full", base.WithDefense(defense.RingRandomization{}), fine},
+		{"p2", base.WithDefense(partitionWays(2)), amplified},
+		{"ring-periodic", base.WithDefense(defense.RingRandomization{Interval: 100}), fine},
+		{"p3-periodic-t64", base.WithDefense(defense.NewStack(partitionWays(3),
+			defense.RingRandomization{Interval: 100}, defense.TimerCoarsening{Jitter: 64})), fine},
+		{"t64", base.WithDefense(defense.TimerCoarsening{Jitter: 64}), amplified},
+		{"baseline-amplified", base, amplified},
+		{"p1-again", base.WithDefense(partitionWays(1)), fine},
+		{"baseline-again", base, fine},
+	}
+	ctx := PrepareCtx{Scale: Demo, Seed: 5}
+	art := ctx.NewArtifact()
+	for _, st := range steps {
+		if err := ctx.AddRig(art, st.label, st.spec.Options(ctx.Seed), st.strat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool := NewRigPool()
+	lease := pool.Lease()
+	byShape := map[testbed.Shape]*attackRig{}
+	for i, st := range steps {
+		// Alternate the trial-0 restore and the reseeded one.
+		seed := art.Root + int64(i%2)
+		fresh, err := art.rig(st.label, MeasureCtx{Scale: Demo, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := configOutcome(fresh)
+		r, err := art.rig(st.label, MeasureCtx{Scale: Demo, Seed: seed, Rigs: lease})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape := art.Rigs[st.label].Opts.Shape()
+		if prev, ok := byShape[shape]; ok && r != prev {
+			t.Fatalf("step %s: the pool cloned a second rig of shape %+v", st.label, shape)
+		}
+		byShape[shape] = r
+		if got := configOutcome(r); got != want {
+			t.Errorf("step %s: pooled rig diverged from its fresh clone:\nfresh:  %s\npooled: %s", st.label, want, got)
+		}
+		poison(r)
+		lease.Release()
+	}
+	if got, want := pool.Stats(), (RigPoolStats{Adopted: len(steps) - 2, Fresh: 2}); got != want {
+		t.Errorf("pool stats %+v, want %+v", got, want)
+	}
+}
+
+// TestRigPoolCrossArtifactReuse: two artifacts with equal options but
+// different seeds (distinct machines of one shape) must share pooled
+// rigs, and a rig that last served artifact A must serve artifact B
+// exactly like B's own fresh clone.
 func TestRigPoolCrossArtifactReuse(t *testing.T) {
 	ctxA := PrepareCtx{Scale: Demo, Seed: 3}
 	artA, err := PrepareFig10(ctxA)
@@ -187,7 +305,7 @@ func TestRigPoolCrossArtifactReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reused != rigA {
-		t.Fatal("equal-geometry artifacts must share pooled rigs")
+		t.Fatal("same-shape artifacts must share pooled rigs")
 	}
 	if got := driveState(reused); got != want {
 		t.Errorf("cross-artifact reuse diverged from B's fresh clone:\nfresh:  %s\nreused: %s", want, got)
@@ -319,10 +437,12 @@ func TestRigPoolCapBounds(t *testing.T) {
 		}
 		return n
 	}
+	// Shapes k0..k9 differ only in ring size, enough to key them apart.
+	shape := func(k int) testbed.Shape { return testbed.Shape{Slices: 1, RingSize: k} }
 	const keys, perKey = 10, 5
 	for k := 0; k < keys; k++ {
 		for i := 0; i < perKey; i++ {
-			pool.put(&attackRig{poolKey: fmt.Sprint("k", k)})
+			pool.put(&attackRig{poolKey: shape(k)})
 			if n := idle(); n > maxIdle {
 				t.Fatalf("key %d rig %d: %d idle rigs, cap %d", k, i, n, maxIdle)
 			}
@@ -333,7 +453,7 @@ func TestRigPoolCapBounds(t *testing.T) {
 	}
 	// 50 released, 32 kept: the oldest keys k0..k2 are gone and k3 keeps 2.
 	for k, want := range []int{0, 0, 0, 2, 5, 5, 5, 5, 5, 5} {
-		if got := len(pool.idle[fmt.Sprint("k", k)]); got != want {
+		if got := len(pool.idle[shape(k)]); got != want {
 			t.Errorf("key k%d holds %d idle rigs, want %d", k, got, want)
 		}
 	}
@@ -342,12 +462,12 @@ func TestRigPoolCapBounds(t *testing.T) {
 	}
 	// A lease refreshes nothing, but a release does: k3 becomes the most
 	// recently released key, so k4 is next to lose a rig.
-	if pool.take("k3") == nil || pool.take("k0") != nil {
+	if pool.take(shape(3)) == nil || pool.take(shape(0)) != nil {
 		t.Fatal("take served the wrong keys")
 	}
-	pool.put(&attackRig{poolKey: "k3"})
-	pool.put(&attackRig{poolKey: "k3"})
-	if got := len(pool.idle["k4"]); got != 4 {
+	pool.put(&attackRig{poolKey: shape(3)})
+	pool.put(&attackRig{poolKey: shape(3)})
+	if got := len(pool.idle[shape(4)]); got != 4 {
 		t.Errorf("k4 holds %d idle rigs after the refresh, want 4", got)
 	}
 	if got, want := pool.Stats(), (RigPoolStats{Adopted: 1, Fresh: 1, Dropped: keys*perKey - maxIdle + 1}); got != want {
@@ -355,7 +475,7 @@ func TestRigPoolCapBounds(t *testing.T) {
 	}
 	// Untracked rigs (poolKey unset) are never pooled.
 	pool.put(&attackRig{})
-	if n := len(pool.idle[""]); n != 0 {
+	if n := len(pool.idle[testbed.Shape{}]); n != 0 {
 		t.Fatalf("rig with empty key pooled: %d", n)
 	}
 }
@@ -484,7 +604,7 @@ func TestRigCloneFreeListMemory(t *testing.T) {
 	for key, rigs := range pool.idle {
 		for _, r := range rigs {
 			if n := r.tb.Alloc().FreePages(); n != 0 || r.tb.Alloc().SharesFreeList() {
-				t.Errorf("idle rig of %s holds a free list of %d pages", key, n)
+				t.Errorf("idle rig of %+v holds a free list of %d pages", key, n)
 			}
 		}
 	}

@@ -121,7 +121,7 @@ type pending struct {
 
 // NIC is the adapter + driver model.
 type NIC struct {
-	//packetlint:transient ring/buffer geometry, fixed at construction and guarded by restoreCore's shape check
+	//packetlint:transient configuration, set by New/NewShell and Rebind (which keeps the ring and skb sizes); restoreCore checks the shape
 	cfg Config
 	//packetlint:transient wiring to the shared cache, rebound only by New/NewShell
 	cache *cache.Cache
@@ -173,6 +173,23 @@ func New(cfg Config, c *cache.Cache, alloc *mem.Allocator, clock *sim.Clock, rng
 // Config returns the driver configuration.
 func (n *NIC) Config() Config { return n.cfg }
 
+// Rebind gives the driver another configuration with the same ring size
+// and skb pool size (after New's normalization), so the ring and pool
+// arrays are reused as they are; everything else, the §VI randomization
+// included, may change. State is untouched; the caller restores a
+// snapshot taken under cfg next. A rebind across sizes panics, since it
+// can only mean two machines got crossed.
+func (n *NIC) Rebind(cfg Config) {
+	if cfg.SKBPages <= 0 {
+		cfg.SKBPages = 1
+	}
+	if cfg.RingSize != len(n.ring) || cfg.SKBPages != len(n.skb) {
+		panic(fmt.Sprintf("nic: rebinding a %d-desc/%d-skb driver to %d-desc/%d-skb",
+			len(n.ring), len(n.skb), cfg.RingSize, cfg.SKBPages))
+	}
+	n.cfg = cfg
+}
+
 // Stats returns a snapshot of driver counters.
 func (n *NIC) Stats() Stats { return n.stats }
 
@@ -207,7 +224,9 @@ func (n *NIC) ProcessDriver(t uint64) {
 	for ; i < len(n.queue) && n.queue[i].dueAt <= t; i++ {
 		n.process(n.queue[i])
 	}
-	n.queue = n.queue[i:]
+	// Compact in place: reslicing past the processed frames would creep
+	// the backing array forward and make Receive's append reallocate it.
+	n.queue = n.queue[:copy(n.queue, n.queue[i:])]
 }
 
 // PendingDriverWork reports queued-but-unprocessed packets.

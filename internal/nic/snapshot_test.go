@@ -103,3 +103,41 @@ func FuzzNICSnapshotGobDecode(f *testing.F) {
 		n.Receive(frame(0, 1500, 0, true))
 	})
 }
+
+// TestRebindKeepsSizes: Rebind takes any configuration with the driver's
+// ring and skb pool sizes, SKBPages normalized as New normalizes it, and
+// panics on any other sizes.
+func TestRebindKeepsSizes(t *testing.T) {
+	r := smallRig(t)
+	cfg := r.nic.Config()
+	cfg.Randomize, cfg.RandomizeInterval, cfg.DriverLatency, cfg.ReallocProb = RandomizePeriodic, 10, 9_000, 0.5
+	r.nic.Rebind(cfg)
+	if got := r.nic.Config(); got != cfg {
+		t.Fatalf("rebound config %+v, want %+v", got, cfg)
+	}
+
+	clock := sim.NewClock()
+	one := DefaultConfig()
+	one.RingSize, one.SKBPages = 8, 0
+	n, err := NewShell(one, cache.New(cache.ScaledConfig(1, 64, 4), clock), mem.NewAllocatorShell(1<<22), clock, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Rebind(one) // SKBPages 0 is the one-page pool n already has
+
+	for name, edit := range map[string]func(*Config){
+		"ring": func(c *Config) { c.RingSize = 16 },
+		"skb":  func(c *Config) { c.SKBPages = 8 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := r.nic.Config()
+			edit(&bad)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a rebind across sizes must panic")
+				}
+			}()
+			r.nic.Rebind(bad)
+		})
+	}
+}

@@ -211,12 +211,11 @@ func (s *residencySink) Put(runner.TrialOutcome) error {
 }
 
 // TestSearchRigPoolCounts pins how a one-worker budget-16 search at seed 1
-// recycles rigs and how many offline builds it makes. The adopted and
-// fresh counts are those the pool had when its cap applied per key;
-// capping idle rigs across keys drops only rigs no later candidate would
-// have adopted, so it costs no extra clones. The build count pins the
-// artifact key: a key that merged two distinct machines would build
-// fewer, one that split a machine would build more.
+// recycles rigs and how many offline builds it makes. The pool keys rigs
+// by buffer shape, so only the first lease of each shape (and each rig a
+// trial leases beyond those already idle) clones a fresh machine. The
+// build count pins the artifact key: a key that merged two distinct
+// machines would build fewer, one that split a machine would build more.
 func TestSearchRigPoolCounts(t *testing.T) {
 	store := experiments.NewArtifactStore()
 	rep, err := Run(Options{
@@ -228,10 +227,32 @@ func TestSearchRigPoolCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Rigs; got.Adopted != 51 || got.Fresh != 30 {
-		t.Errorf("rig pool counts %+v, want 51 adopted and 30 fresh", got)
+	if got := rep.Rigs; got.Adopted != 69 || got.Fresh != 12 {
+		t.Errorf("rig pool counts %+v, want 69 adopted and 12 fresh", got)
 	}
 	if got := store.Builds(); got != 27 {
 		t.Errorf("offline builds = %d, want 27", got)
+	}
+}
+
+// TestSearchRigReuseByShape is the deterministic gate on rig reuse: the
+// rig pool keys idle machines by buffer shape, so a one-worker budget-48
+// search clones a fresh machine only the first few times it meets a
+// shape, and never drops an idle rig to the cap. Keyed by the full
+// machine configuration instead, the same search cloned 78 machines and
+// dropped 46.
+func TestSearchRigReuseByShape(t *testing.T) {
+	rep, err := Run(Options{
+		Scale:  experiments.Demo,
+		Seed:   1,
+		Budget: 48,
+		Runner: runner.Config{Parallel: 1, Warm: true, Store: experiments.NewArtifactStore()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rig pool counts %+v", rep.Rigs)
+	if got := rep.Rigs; got.Fresh > 12 || got.Dropped != 0 {
+		t.Errorf("rig pool counts %+v, want at most 12 fresh and none dropped", got)
 	}
 }

@@ -122,12 +122,13 @@ func (tb *Testbed) restore(s *Snapshot, withRNG bool) {
 
 // AdoptSnapshot rebinds a pooled machine to a (possibly different) rig's
 // options and restores it into the snapshot's state, in place. The caller
-// guarantees opts shares the machine's OfflineFingerprint — same geometry,
-// so every buffer is reused — while non-fingerprint options (seed, online
-// knobs) may differ and are adopted wholesale. This is the rig-pool lease
-// path, and the fresh-clone path too, adopting into a NewShell: it is
-// state-identical to restoring into a conventionally built testbed with
-// the same options, without constructing anything.
+// guarantees opts has the machine's Shape, so every buffer is reused;
+// every other option (latencies, DDIO, partition thresholds, NIC
+// randomization, seed, online knobs) may differ and is adopted wholesale,
+// and opts of another shape panic. This is the rig-pool lease path, and
+// the fresh-clone path too, adopting into a NewShell: it is state-identical
+// to restoring into a conventionally built testbed with the same options,
+// without constructing anything.
 func (tb *Testbed) AdoptSnapshot(opts Options, s *Snapshot) {
 	tb.adopt(opts)
 	tb.restore(s, true)
@@ -146,12 +147,46 @@ func (tb *Testbed) AdoptSnapshotReseeded(opts Options, s *Snapshot, seed int64) 
 	tb.ReseedOnline(seed)
 }
 
+// adopt rebinds the cache and driver to opts, which must keep the
+// machine's Shape; the restore that follows checks the memory size.
 func (tb *Testbed) adopt(opts Options) {
 	if opts.MemBytes == 0 {
 		opts.MemBytes = 1 << 30
 	}
+	tb.cache.Rebind(opts.Cache)
+	tb.nic.Rebind(opts.NIC)
 	tb.opts = opts
 	tb.noiseSpace = opts.MemBytes
+}
+
+// Shape is what sizes a machine's buffers: the cache's slices, sets and
+// ways, whether it is partitioned (which decides whether it holds per-set
+// partition counters), the NIC ring and skb pool sizes, and the memory
+// size. Two machines of one shape differ only in what AdoptSnapshot
+// overwrites, so the rig pool keys idle machines by it.
+type Shape struct {
+	Slices, SetsPerSlice, Ways int
+	Partitioned                bool
+	RingSize, SKBPages         int
+	MemBytes                   uint64
+}
+
+// Shape returns the shape of the machine New or NewShell builds from o,
+// after their defaults (1 GiB of memory, at least one skb page).
+func (o Options) Shape() Shape {
+	memBytes := o.MemBytes
+	if memBytes == 0 {
+		memBytes = 1 << 30
+	}
+	return Shape{
+		Slices:       o.Cache.Slices,
+		SetsPerSlice: o.Cache.SetsPerSlice,
+		Ways:         o.Cache.Ways,
+		Partitioned:  o.Cache.Partition != nil,
+		RingSize:     o.NIC.RingSize,
+		SKBPages:     max(o.NIC.SKBPages, 1),
+		MemBytes:     memBytes,
+	}
 }
 
 // snapshotGob mirrors Snapshot with exported fields for the disk-backed

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/netmodel"
+	"repro/internal/nic"
 	"repro/internal/sim"
 )
 
@@ -146,8 +147,19 @@ func TestSnapshotIntoFreshTestbed(t *testing.T) {
 	// A shell adopting the snapshot is the cheap clone path. It must be
 	// indistinguishable from New + Restore.
 	c := shellClone(t, opts, snap)
+	// So is a machine of the same shape that ran under another
+	// configuration, as a pooled rig adopting a sibling artifact does.
+	sibling := smallOptions(8)
+	sibling.Cache.HitLatency, sibling.Cache.DDIOWays = 30, 1
+	sibling.NIC.Randomize, sibling.NIC.DriverLatency = nic.RandomizeFull, 1_234
+	d, err := New(sibling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worldOps(d, script[:60])
+	d.AdoptSnapshot(opts, snap)
 	want := worldOps(a, script[60:])
-	for name, clone := range map[string]*Testbed{"New+Restore": b, "NewShell+AdoptSnapshot": c} {
+	for name, clone := range map[string]*Testbed{"New+Restore": b, "NewShell+AdoptSnapshot": c, "sibling+AdoptSnapshot": d} {
 		got := worldOps(clone, script[60:])
 		if len(got) != len(want) {
 			t.Fatalf("%s: trace lengths differ: %d vs %d", name, len(got), len(want))
@@ -157,6 +169,45 @@ func TestSnapshotIntoFreshTestbed(t *testing.T) {
 				t.Fatalf("%s: clone diverged at observation %d: %d vs %d", name, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestAdoptAcrossShapesPanics: a machine adopts only options of its own
+// Shape; any other is two machines crossed, and panics.
+func TestAdoptAcrossShapesPanics(t *testing.T) {
+	opts := smallOptions(7)
+	a, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*Options){
+		"memory":    func(o *Options) { o.MemBytes *= 2 },
+		"ways":      func(o *Options) { o.Cache.Ways *= 2 },
+		"partition": func(o *Options) { o.Cache.Partition = cache.DefaultPartitionConfig() },
+		"ring":      func(o *Options) { o.NIC.RingSize *= 2 },
+		"skb":       func(o *Options) { o.NIC.SKBPages *= 2 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			other := smallOptions(7)
+			edit(&other)
+			if other.Shape() == opts.Shape() {
+				t.Fatalf("%s: shape %+v unchanged", name, other.Shape())
+			}
+			tb, err := NewShell(other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("adopting options of another shape must panic")
+				}
+			}()
+			tb.AdoptSnapshot(opts, snap)
+		})
 	}
 }
 
