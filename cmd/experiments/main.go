@@ -152,12 +152,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, e := range experiments.Registry() {
-			if e.Kind == experiments.KindSweep {
-				fmt.Fprintf(stdout, "%-18s [sweep, %d cells] %s\n", e.ID, e.Grid.Size(), e.Short)
-			} else {
-				fmt.Fprintf(stdout, "%-18s %s\n", e.ID, e.Short)
-			}
+		for _, e := range experiments.All() {
+			fmt.Fprintf(stdout, "%-18s %s\n", e.ID, e.Short)
+		}
+		for _, s := range experiments.Sweeps() {
+			fmt.Fprintf(stdout, "%-18s [sweep, %d cells] %s\n", s.ID, s.Grid.Size(), s.Short)
 		}
 		return 0
 	}

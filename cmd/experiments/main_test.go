@@ -38,6 +38,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"negative size cap":            {"-exp", "fig5", "-artifact-dir", "art", "-artifact-max-bytes", "-1"},
 		"resume without checkpoint":    {"-exp", "fig5", "-resume"},
 		"budget without checkpoint":    {"-exp", "fig5", "-trial-budget", "1"},
+		"negative trial budget":        {"-exp", "fig5", "-trial-budget", "-1"},
+		"negative budget, checkpoint":  {"-exp", "fig5", "-checkpoint-dir", "art", "-trial-budget", "-1"},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {

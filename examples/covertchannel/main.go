@@ -24,13 +24,9 @@ func main() {
 
 	// Single-buffer channel: one isolated ring buffer carries one ternary
 	// symbol per full ring revolution.
-	gid, ok := covert.ChooseIsolatedBuffer(ring)
-	if !ok {
-		log.Fatal("no isolated buffer in this ring")
-	}
 	message := stats.NewLFSR15(42).Symbols(96, 3)
-	res, err := covert.RunSingleBuffer(machine.Spy, machine.Groups[gid], message,
-		covert.Ternary, len(ring), 28_000)
+	res, err := covert.RunSingleBuffer(machine.Spy, machine.Groups, ring, message,
+		covert.Ternary, 28_000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,9 +11,13 @@
 //     recovered ring, one symbol per 256/n packets;
 //   - the full-chasing channel (Fig 12c,d): the chaser follows every
 //     buffer, one symbol per packet.
+//
+// The single-buffer channel is the one-section multi-buffer channel: both
+// run through one transmit path and one slot decoder.
 package covert
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/netmodel"
@@ -181,79 +185,6 @@ func evaluate(sent, received []int, enc Encoding, duration uint64) Result {
 	return r
 }
 
-// Receiver decodes the single-buffer channel. It monitors three sets of
-// one isolated ring buffer: block 1 (the clock — every frame writes or
-// prefetches it) and blocks 2 and 3 (the data sets). The receiver
-// inherits the spy's measurement strategy (probe.Strategy): an amplified
-// spy keeps the decode usable under a coarse timer by block-timing walks
-// and widening thresholds by the calibrated noise floor.
-type Receiver struct {
-	spy *probe.Spy
-	mon *probe.Monitor
-	// Window is the decode window in samples around a clock hit (paper
-	// uses 3: activity may straddle two samples).
-	Window int
-}
-
-// NewReceiver monitors the given aligned group (the isolated buffer's
-// conflict group discovered in the offline phase).
-func NewReceiver(spy *probe.Spy, group probe.EvictionSet) *Receiver {
-	sets := []probe.EvictionSet{group.Offset(1), group.Offset(2), group.Offset(3)}
-	return &Receiver{spy: spy, mon: probe.NewMonitor(spy, sets), Window: 1}
-}
-
-// CalibrationOK reports whether the receiver's monitor can separate idle
-// timer jitter from frame activity (see probe.Monitor.CalibrationOK).
-func (r *Receiver) CalibrationOK() bool { return r.mon.CalibrationOK() }
-
-// Listen samples for the given number of symbol frames and decodes one
-// symbol per frame in which the clock set fired. probeInterval is the
-// cycle gap between probe passes; framePeriod must match the trojan's.
-func (r *Receiver) Listen(nSymbols int, probeInterval, framePeriod uint64) []int {
-	samplesNeeded := int(uint64(nSymbols+2)*framePeriod/probeInterval) + 1
-	samples := r.mon.Collect(samplesNeeded, probeInterval)
-	return DecodeFrames(samples, framePeriod, r.Window)
-}
-
-// DecodeFrames performs frame-slotted decoding of (clock, d2, d3) samples:
-// within each frame period containing clock activity, the symbol is read
-// from the data sets in a window around the clock sample.
-func DecodeFrames(samples []probe.Sample, framePeriod uint64, window int) []int {
-	if len(samples) == 0 {
-		return nil
-	}
-	var out []int
-	origin := samples[0].At
-	frame := -1
-	for i, s := range samples {
-		if !s.Active[0] {
-			continue // no clock activity
-		}
-		f := int((s.At - origin) / framePeriod)
-		if f == frame {
-			continue // same frame already decoded (wide peak)
-		}
-		frame = f
-		d2, d3 := false, false
-		for j := i - window; j <= i+window; j++ {
-			if j < 0 || j >= len(samples) {
-				continue
-			}
-			d2 = d2 || samples[j].Active[1]
-			d3 = d3 || samples[j].Active[2]
-		}
-		switch {
-		case d2 && d3:
-			out = append(out, 2)
-		case d2:
-			out = append(out, 1)
-		default:
-			out = append(out, 0)
-		}
-	}
-	return out
-}
-
 // decodeToAlphabet folds wire symbols back into the encoding's alphabet.
 func decodeToAlphabet(enc Encoding, wire []int) []int {
 	if enc == Ternary {
@@ -270,49 +201,129 @@ func decodeToAlphabet(enc Encoding, wire []int) []int {
 	return out
 }
 
-// ChooseIsolatedBuffer returns a group id that appears exactly once in the
-// recovered ring — a buffer whose page-aligned set hosts no other ring
-// buffer, the property the single-buffer channel needs (§IV-b). ok=false
-// if no such buffer exists.
-func ChooseIsolatedBuffer(ring []int) (int, bool) {
+// ErrNoIsolatedBuffer reports that the recovered ring has no buffer whose
+// page-aligned set hosts no other ring buffer, so the single-buffer
+// channel cannot be established (§IV-b).
+var ErrNoIsolatedBuffer = errors.New("covert: no isolated buffer in ring")
+
+// isolatedPositions returns, in ring order, the positions of the ring
+// buffers whose group id appears exactly once in the recovered ring: the
+// buffers whose page-aligned set hosts no other ring buffer, the property
+// a monitored buffer needs (§IV-b).
+func isolatedPositions(ring []int) []int {
 	count := map[int]int{}
 	for _, g := range ring {
 		count[g]++
 	}
-	for _, g := range ring {
+	var pos []int
+	for p, g := range ring {
 		if count[g] == 1 {
-			return g, true
+			pos = append(pos, p)
 		}
 	}
-	return 0, false
+	return pos
 }
 
 // RunSingleBuffer executes a complete single-buffer transmission on the
-// spy's testbed: the trojan sends the symbols, the spy decodes them.
-func RunSingleBuffer(spy *probe.Spy, group probe.EvictionSet, symbols []int, enc Encoding, ringSize int, probeRate float64) (Result, error) {
+// spy's testbed: the trojan sends one symbol per ring revolution, and the
+// spy decodes it from the ring's first isolated buffer. It returns
+// ErrNoIsolatedBuffer if the ring has none.
+func RunSingleBuffer(spy *probe.Spy, groups []probe.EvictionSet, ring []int, symbols []int, enc Encoding, probeRate float64) (Result, error) {
+	iso := isolatedPositions(ring)
+	if len(iso) == 0 {
+		return Result{}, ErrNoIsolatedBuffer
+	}
+	burst := BurstWireTime(len(ring), netmodel.GigabitRate)
+	probeInterval := sim.CyclesPerSecond(probeRate)
+	// A frame slot must span several probes or the receiver undersamples;
+	// this only binds on scaled-down rings (at the paper's 256-packet
+	// bursts even a 7 kHz probe rate sees each slot twice).
+	framePeriod := max(burst+burst/2, 3*probeInterval)
+	return transmit(spy, groups, []int{ring[iso[0]]}, symbols, enc, len(ring), framePeriod, probeInterval)
+}
+
+// decodeWindow is the decode window in samples either side of a clock
+// hit: the paper's three-sample window, since activity may straddle two
+// samples.
+const decodeWindow = 1
+
+// transmit runs the trojan and the spy's receiver over the selected
+// groups, one ring section per group: the trojan sends perSym frames per
+// symbol, one burst per section period, and the receiver monitors three
+// sets of each selected buffer, block 1 (the clock: every frame writes or
+// prefetches it) and blocks 2 and 3 (the data sets). The receiver
+// inherits the spy's measurement strategy (probe.Strategy): an amplified
+// spy keeps the decode usable under a coarse timer by block-timing walks
+// and widening thresholds by the calibrated noise floor.
+func transmit(spy *probe.Spy, groups []probe.EvictionSet, selected, symbols []int, enc Encoding, perSym int, period, probeInterval uint64) (Result, error) {
 	if len(symbols) == 0 {
 		return Result{}, fmt.Errorf("covert: no symbols")
 	}
 	tb := spy.Testbed()
 	wire := netmodel.NewWire(netmodel.GigabitRate)
-	burst := BurstWireTime(ringSize, netmodel.GigabitRate)
-	framePeriod := burst + burst/2
-	probeInterval := sim.CyclesPerSecond(probeRate)
-	// A frame slot must span several probes or the receiver undersamples;
-	// this only binds on scaled-down rings (at the paper's 256-packet
-	// bursts even a 7 kHz probe rate sees each slot twice).
-	if min := 3 * probeInterval; framePeriod < min {
-		framePeriod = min
+	byID := map[int]probe.EvictionSet{}
+	for _, g := range groups {
+		byID[g.ID] = g
 	}
-
-	rx := NewReceiver(spy, group)
-	start := tb.Clock().Now() + framePeriod
-	tb.SetTraffic(NewTrojanSource(wire, symbols, enc, ringSize, framePeriod, start))
+	var sets []probe.EvictionSet
+	for _, id := range selected {
+		g := byID[id]
+		sets = append(sets, g.Offset(1), g.Offset(2), g.Offset(3))
+	}
+	// Monitor first: its calibration costs simulated time and must not
+	// overlap the transmission.
+	mon := probe.NewMonitor(spy, sets)
+	start := tb.Clock().Now() + period
+	tb.SetTraffic(NewTrojanSource(wire, symbols, enc, perSym, period, start))
+	n := len(selected)
 	t0 := tb.Clock().Now()
-	wireSyms := rx.Listen(len(symbols), probeInterval, framePeriod)
+	samples := mon.Collect(int(uint64(len(symbols)+2*n)*period/probeInterval)+1, probeInterval)
 	duration := tb.Clock().Now() - t0
-	received := decodeToAlphabet(enc, wireSyms)
+	received := decodeToAlphabet(enc, decodeFrames(samples, n, period, decodeWindow))
 	r := evaluate(symbols, received, enc, duration)
-	r.CalibrationOK = rx.CalibrationOK()
+	r.CalibrationOK = mon.CalibrationOK()
 	return r, nil
+}
+
+// decodeFrames performs slotted decoding of samples from n monitored
+// buffers, each contributing (clock, d2, d3) activity bits: within each
+// section period in which a buffer's clock set fired, one symbol is read
+// from that buffer's data sets in a window around the clock sample.
+// Symbols come out in observation order.
+func decodeFrames(samples []probe.Sample, n int, period uint64, window int) []int {
+	if len(samples) == 0 {
+		return nil
+	}
+	var out []int
+	origin := samples[0].At
+	lastSlot := make([]int, n)
+	for i := range lastSlot {
+		lastSlot[i] = -1
+	}
+	for i, s := range samples {
+		for b := 0; b < n; b++ {
+			if !s.Active[3*b] {
+				continue // no clock activity
+			}
+			slot := int((s.At - origin) / period)
+			if slot == lastSlot[b] {
+				continue // wide peak within the same slot
+			}
+			lastSlot[b] = slot
+			d2, d3 := false, false
+			for j := max(i-window, 0); j <= min(i+window, len(samples)-1); j++ {
+				d2 = d2 || samples[j].Active[3*b+1]
+				d3 = d3 || samples[j].Active[3*b+2]
+			}
+			switch {
+			case d2 && d3:
+				out = append(out, 2)
+			case d2:
+				out = append(out, 1)
+			default:
+				out = append(out, 0)
+			}
+		}
+	}
+	return out
 }

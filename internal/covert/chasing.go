@@ -28,13 +28,9 @@ func NewChasingChannel(spy *probe.Spy, groups []probe.EvictionSet, ring []int) *
 // optionally through the reordering model that kicks in at high rates.
 func perPacketSource(wire *netmodel.Wire, symbols []int, enc Encoding, packetRate float64, start uint64, rng *sim.RNG) netmodel.Source {
 	sizes := make([]int, len(symbols))
-	gaps := make([]uint64, len(symbols))
 	period := sim.CyclesPerSecond(packetRate)
 	for i, s := range symbols {
 		sizes[i] = netmodel.SizeForBlocks(symbolBlocks(wireSymbol(enc, s)))
-		if i > 0 {
-			gaps[i] = period
-		}
 	}
 	var src netmodel.Source = &fixedGapSource{wire: wire, sizes: sizes, period: period, nextAt: start}
 	if p := netmodel.ReorderProbabilityAt(packetRate); p > 0 {

@@ -1,6 +1,8 @@
 package covert
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -66,14 +68,31 @@ func TestEncodingProperties(t *testing.T) {
 	}
 }
 
-func TestChooseIsolatedBuffer(t *testing.T) {
-	ring := []int{3, 5, 3, 7, 9}
-	g, ok := ChooseIsolatedBuffer(ring)
-	if !ok || g == 3 {
-		t.Errorf("got %d ok=%v; 3 appears twice", g, ok)
+func TestIsolatedPositions(t *testing.T) {
+	if got := isolatedPositions([]int{3, 5, 3, 7, 9}); !slices.Equal(got, []int{1, 3, 4}) {
+		t.Errorf("got %v; want positions 1, 3, 4 (group 3 appears twice)", got)
 	}
-	if _, ok := ChooseIsolatedBuffer([]int{1, 1, 2, 2}); ok {
-		t.Error("no isolated buffer exists")
+	if got := isolatedPositions([]int{1, 1, 2, 2}); len(got) != 0 {
+		t.Errorf("got %v; no isolated buffer exists", got)
+	}
+}
+
+// TestSingleBufferNoIsolatedBuffer: a ring in which every group hosts two
+// buffers cannot carry the single-buffer channel, and says so with
+// ErrNoIsolatedBuffer before any monitor is built or time is spent.
+func TestSingleBufferNoIsolatedBuffer(t *testing.T) {
+	spy, groups, ring := covertWorld(t, 31, 0)
+	doubled := append(slices.Clone(ring), ring...)
+	before := spy.Testbed().Clock().Now()
+	_, err := RunSingleBuffer(spy, groups, doubled, []int{0, 1, 2}, Ternary, 28_000)
+	if !errors.Is(err, ErrNoIsolatedBuffer) {
+		t.Fatalf("err = %v; want ErrNoIsolatedBuffer", err)
+	}
+	if now := spy.Testbed().Clock().Now(); now != before {
+		t.Errorf("clock moved %d cycles on a ring with no isolated buffer", now-before)
+	}
+	if _, err := RunSingleBuffer(spy, groups, ring, nil, Ternary, 28_000); err == nil || errors.Is(err, ErrNoIsolatedBuffer) {
+		t.Errorf("no symbols: err = %v; want a distinct error", err)
 	}
 }
 
@@ -104,29 +123,41 @@ func TestDecodeFrames(t *testing.T) {
 		mk(1300, true, true, false), // wide peak, same frame: ignored
 		mk(2200, true, true, true),  // frame 2: symbol 2
 	}
-	got := DecodeFrames(samples, frame, 1)
-	want := []int{0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
+	if got, want := decodeFrames(samples, 1, frame, 1), []int{0, 1, 2}; !slices.Equal(got, want) {
+		t.Errorf("got %v want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-	if DecodeFrames(nil, frame, 1) != nil {
+	if decodeFrames(nil, 1, frame, 1) != nil {
 		t.Error("empty samples")
+	}
+
+	// Two buffers: each has its own clock and slot bookkeeping, and a
+	// buffer's data sets are read only within the window of its own clock
+	// hit.
+	mk2 := func(at uint64, a, b [3]bool) probe.Sample {
+		return probe.Sample{At: at, Active: append(a[:], b[:]...)}
+	}
+	var idle [3]bool
+	samples2 := []probe.Sample{
+		mk2(0, idle, idle),
+		mk2(100, [3]bool{true, false, false}, idle), // slot 0, buffer 0: symbol 0 (buffer 1's data is not its own)
+		mk2(200, idle, [3]bool{false, true, true}),  // buffer 1 data, no clock
+		mk2(300, [3]bool{true, true, true}, idle),   // wide peak of buffer 0: ignored
+		mk2(400, idle, idle),
+		mk2(600, idle, [3]bool{true, false, false}), // slot 1, buffer 1: symbol 0 (its data is out of window)
+		mk2(700, idle, idle),
+		mk2(1100, [3]bool{true, true, false}, [3]bool{true, true, true}), // slot 2: buffer 0 symbol 1, buffer 1 symbol 2
+		mk2(1200, idle, idle),
+		mk2(1600, idle, [3]bool{true, false, false}), // slot 3, buffer 1: symbol 0
+	}
+	if got, want := decodeFrames(samples2, 2, 500, 1), []int{0, 0, 1, 2, 0}; !slices.Equal(got, want) {
+		t.Errorf("two buffers: got %v want %v", got, want)
 	}
 }
 
 func TestSingleBufferTernaryRoundTrip(t *testing.T) {
 	spy, groups, ring := covertWorld(t, 31, 0)
-	gid, ok := ChooseIsolatedBuffer(ring)
-	if !ok {
-		t.Skip("no isolated buffer in this seed's ring")
-	}
 	symbols := stats.NewLFSR15(7).Symbols(60, 3)
-	res, err := RunSingleBuffer(spy, groups[gid], symbols, Ternary, len(ring), 28_000)
+	res, err := RunSingleBuffer(spy, groups, ring, symbols, Ternary, 28_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +172,8 @@ func TestSingleBufferTernaryRoundTrip(t *testing.T) {
 
 func TestSingleBufferBinaryRoundTrip(t *testing.T) {
 	spy, groups, ring := covertWorld(t, 32, 0)
-	gid, ok := ChooseIsolatedBuffer(ring)
-	if !ok {
-		t.Skip("no isolated buffer in this seed's ring")
-	}
 	bits := stats.NewLFSR15(3).Bits(60)
-	res, err := RunSingleBuffer(spy, groups[gid], bits, Binary, len(ring), 28_000)
+	res, err := RunSingleBuffer(spy, groups, ring, bits, Binary, 28_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,48 +9,26 @@ import (
 	"repro/internal/sim"
 )
 
-// MultiBufferReceiver decodes the §IV-c channel: the ring is divided into
-// n sections by n monitored buffers that are ideally 256/n apart; the
-// trojan sends one symbol per section (256/n packets), multiplying the
-// bandwidth by n (Fig 12a).
-type MultiBufferReceiver struct {
-	spy *probe.Spy
-	mon *probe.Monitor
-	n   int
-	// Window as in Receiver.
-	Window int
-}
-
 // SelectSpacedBuffers picks n group ids from the recovered ring that are
 // roughly ringLen/n positions apart and isolated (each set hosts exactly
 // one ring buffer). It returns the chosen group ids in ring order.
 func SelectSpacedBuffers(ring []int, n int) ([]int, error) {
-	count := map[int]int{}
-	for _, g := range ring {
-		count[g]++
-	}
-	type cand struct{ pos, gid int }
-	var isolated []cand
-	for pos, g := range ring {
-		if count[g] == 1 {
-			isolated = append(isolated, cand{pos, g})
-		}
-	}
+	isolated := isolatedPositions(ring)
 	if len(isolated) < n {
 		return nil, fmt.Errorf("covert: only %d isolated buffers for %d sections", len(isolated), n)
 	}
 	// Greedy: for each ideal position, take the nearest unused isolated
 	// buffer.
 	used := make(map[int]bool)
-	var out []cand
+	var out []int
 	for k := 0; k < n; k++ {
 		ideal := k * len(ring) / n
 		best, bestDist := -1, len(ring)
-		for i, c := range isolated {
+		for i, pos := range isolated {
 			if used[i] {
 				continue
 			}
-			d := c.pos - ideal
+			d := pos - ideal
 			if d < 0 {
 				d = -d
 			}
@@ -64,110 +42,24 @@ func SelectSpacedBuffers(ring []int, n int) ([]int, error) {
 		used[best] = true
 		out = append(out, isolated[best])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	sort.Ints(out)
 	ids := make([]int, n)
-	for i, c := range out {
-		ids[i] = c.gid
+	for i, pos := range out {
+		ids[i] = ring[pos]
 	}
 	return ids, nil
 }
 
-// NewMultiBufferReceiver monitors, for each selected group, the paper's
-// three sets: the first, third, and fourth blocks of the buffer (§IV-c).
-func NewMultiBufferReceiver(spy *probe.Spy, groups []probe.EvictionSet, selected []int) *MultiBufferReceiver {
-	byID := map[int]probe.EvictionSet{}
-	for _, g := range groups {
-		byID[g.ID] = g
-	}
-	var sets []probe.EvictionSet
-	for _, id := range selected {
-		g := byID[id]
-		sets = append(sets, g.Offset(1), g.Offset(2), g.Offset(3))
-	}
-	return &MultiBufferReceiver{
-		spy:    spy,
-		mon:    probe.NewMonitor(spy, sets),
-		n:      len(selected),
-		Window: 1,
-	}
-}
-
-// Listen collects samples and decodes one symbol per monitored-buffer
-// clock hit, in observation order.
-func (r *MultiBufferReceiver) Listen(nSymbols int, probeInterval, sectionPeriod uint64) []int {
-	needed := int(uint64(nSymbols+2*r.n)*sectionPeriod/probeInterval) + 1
-	samples := r.mon.Collect(needed, probeInterval)
-	return r.decode(samples, sectionPeriod)
-}
-
-func (r *MultiBufferReceiver) decode(samples []probe.Sample, sectionPeriod uint64) []int {
-	if len(samples) == 0 {
-		return nil
-	}
-	var out []int
-	origin := samples[0].At
-	lastSlot := make([]int, r.n)
-	for i := range lastSlot {
-		lastSlot[i] = -1
-	}
-	for i, s := range samples {
-		for b := 0; b < r.n; b++ {
-			clk := s.Active[3*b]
-			if !clk {
-				continue
-			}
-			slot := int((s.At - origin) / sectionPeriod)
-			if slot == lastSlot[b] {
-				continue // wide peak within the same section slot
-			}
-			lastSlot[b] = slot
-			d2, d3 := false, false
-			for j := i - r.Window; j <= i+r.Window; j++ {
-				if j < 0 || j >= len(samples) {
-					continue
-				}
-				d2 = d2 || samples[j].Active[3*b+1]
-				d3 = d3 || samples[j].Active[3*b+2]
-			}
-			switch {
-			case d2 && d3:
-				out = append(out, 2)
-			case d2:
-				out = append(out, 1)
-			default:
-				out = append(out, 0)
-			}
-		}
-	}
-	return out
-}
-
-// RunMultiBuffer executes a complete n-buffer transmission: the trojan
-// sends one symbol per ring section, the spy decodes from the n monitored
-// buffers.
+// RunMultiBuffer executes a complete n-buffer transmission (§IV-c): the
+// ring is divided into n sections by n monitored buffers that are ideally
+// len(ring)/n apart, and the trojan sends one symbol per section,
+// multiplying the bandwidth by n (Fig 12a).
 func RunMultiBuffer(spy *probe.Spy, groups []probe.EvictionSet, ring []int, nBuffers int, symbols []int, enc Encoding, probeRate float64) (Result, error) {
 	selected, err := SelectSpacedBuffers(ring, nBuffers)
 	if err != nil {
 		return Result{}, err
 	}
-	tb := spy.Testbed()
-	wire := netmodel.NewWire(netmodel.GigabitRate)
-	perSym := len(ring) / nBuffers
-	if perSym < 1 {
-		perSym = 1
-	}
+	perSym := max(len(ring)/nBuffers, 1)
 	burst := BurstWireTime(perSym, netmodel.GigabitRate)
-	sectionPeriod := burst + burst/2
-	probeInterval := sim.CyclesPerSecond(probeRate)
-
-	rx := NewMultiBufferReceiver(spy, groups, selected)
-	start := tb.Clock().Now() + sectionPeriod
-	tb.SetTraffic(NewTrojanSource(wire, symbols, enc, perSym, sectionPeriod, start))
-	t0 := tb.Clock().Now()
-	wireSyms := rx.Listen(len(symbols), probeInterval, sectionPeriod)
-	duration := tb.Clock().Now() - t0
-	received := decodeToAlphabet(enc, wireSyms)
-	r := evaluate(symbols, received, enc, duration)
-	r.CalibrationOK = rx.mon.CalibrationOK()
-	return r, nil
+	return transmit(spy, groups, selected, symbols, enc, perSym, burst+burst/2, sim.CyclesPerSecond(probeRate))
 }

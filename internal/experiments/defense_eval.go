@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -93,18 +94,16 @@ func defenseLeakage(ctx MeasureCtx, art *Artifact, label string, b DefenseEvalBu
 	if err != nil {
 		return attackLeakage{}, err
 	}
-	ring := covertRig.groundTruthRing()
-	if gid, ok := covert.ChooseIsolatedBuffer(ring); ok {
-		symbols := stats.NewLFSR15(uint16(ctx.Seed%0x7fff)|1).Symbols(b.CovertSymbols, covert.Ternary.Base())
-		r0, err := covert.RunSingleBuffer(covertRig.spy, covertRig.groups[gid],
-			symbols, covert.Ternary, len(ring), 16_500)
-		if err != nil {
-			return attackLeakage{}, fmt.Errorf("covert channel under %s: %w", label, err)
-		}
-		out.covertErr = r0.ErrorRate
-		if out.covertErr > 1 {
-			out.covertErr = 1
-		}
+	symbols := stats.NewLFSR15(uint16(ctx.Seed%0x7fff)|1).Symbols(b.CovertSymbols, covert.Ternary.Base())
+	r0, err := covert.RunSingleBuffer(covertRig.spy, covertRig.groups, covertRig.groundTruthRing(),
+		symbols, covert.Ternary, 16_500)
+	switch {
+	case errors.Is(err, covert.ErrNoIsolatedBuffer):
+		// erased: out keeps error 1 and calibration true
+	case err != nil:
+		return attackLeakage{}, fmt.Errorf("covert channel under %s: %w", label, err)
+	default:
+		out.covertErr = min(r0.ErrorRate, 1)
 		out.covertCal = r0.CalibrationOK
 	}
 

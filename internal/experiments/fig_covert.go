@@ -40,15 +40,11 @@ func MeasureFig10(ctx MeasureCtx, art *Artifact) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	gid, ok := covert.ChooseIsolatedBuffer(ring)
-	if !ok {
-		return Result{}, fmt.Errorf("fig10: no isolated buffer in ring")
-	}
 	symbols := make([]int, 24)
 	for i := range symbols {
 		symbols[i] = []int{2, 0, 1}[i%3]
 	}
-	res0, err := covert.RunSingleBuffer(rig.spy, rig.groups[gid], symbols, covert.Ternary, len(ring), 16_500)
+	res0, err := covert.RunSingleBuffer(rig.spy, rig.groups, ring, symbols, covert.Ternary, 16_500)
 	if err != nil {
 		return Result{}, err
 	}
@@ -112,13 +108,9 @@ func MeasureFig11(ctx MeasureCtx, art *Artifact) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			gid, ok := covert.ChooseIsolatedBuffer(ring)
-			if !ok {
-				return Result{}, fmt.Errorf("fig11: no isolated buffer")
-			}
 			lf := stats.NewLFSR15(uint16(ctx.Seed + 1))
 			symbols := lf.Symbols(nSymbols, enc.Base())
-			r, err := covert.RunSingleBuffer(rig.spy, rig.groups[gid], symbols, enc, len(ring), rate)
+			r, err := covert.RunSingleBuffer(rig.spy, rig.groups, ring, symbols, enc, rate)
 			if err != nil {
 				return Result{}, err
 			}

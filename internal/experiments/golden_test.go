@@ -14,7 +14,7 @@ import (
 
 // -update regenerates the golden files:
 //
-//	go test ./internal/experiments -run TestGoldenReports -update
+//	go test ./internal/experiments -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite golden report files under testdata/")
 
 // TestGoldenReports pins the demo-scale, seed-0, single-trial JSON report
@@ -50,31 +50,63 @@ func TestGoldenReports(t *testing.T) {
 		if err := single.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", e.ID+".golden.json")
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run `go test ./internal/experiments -run TestGoldenReports -update`)", e.ID, err)
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Errorf("%s: report bytes drifted from %s\n%s", e.ID, path, diffHint(want, buf.Bytes()))
-		}
+		checkGolden(t, e.ID, buf.Bytes())
 	}
 	if *update {
 		t.Log("golden files rewritten")
 	}
 }
 
-// TestGoldenFilesCoverRegistry fails when an experiment is added without
-// pinning (or removed without unpinning) its golden file.
+// TestGoldenSweepReports pins the demo-scale, seed-0, single-trial JSON
+// report bytes of every registry sweep, as TestGoldenReports does for the
+// experiments: testdata/<id>.golden.json (sweep IDs never collide with
+// experiment IDs).
+func TestGoldenSweepReports(t *testing.T) {
+	for _, sw := range experiments.Sweeps() {
+		rep, err := runner.New(runner.Config{}).RunSweep(sw, runner.Job{
+			Scale:  experiments.Demo,
+			Seed:   0,
+			Trials: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed := rep.Failed(); failed > 0 {
+			t.Fatalf("%s: %d cell(s) failed; fix them before pinning goldens", sw.ID, failed)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, sw.ID, buf.Bytes())
+	}
+}
+
+// checkGolden compares got with testdata/<id>.golden.json, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, id string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", id+".golden.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run `go test ./internal/experiments -run TestGolden -update`)", id, err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("%s: report bytes drifted from %s\n%s", id, path, diffHint(want, got))
+	}
+}
+
+// TestGoldenFilesCoverRegistry fails when an experiment or sweep is added
+// without pinning (or removed without unpinning) its golden file.
 func TestGoldenFilesCoverRegistry(t *testing.T) {
 	if *update {
 		t.Skip("regenerating")
@@ -82,6 +114,9 @@ func TestGoldenFilesCoverRegistry(t *testing.T) {
 	want := map[string]bool{}
 	for _, e := range experiments.All() {
 		want[e.ID+".golden.json"] = true
+	}
+	for _, s := range experiments.Sweeps() {
+		want[s.ID+".golden.json"] = true
 	}
 	entries, err := os.ReadDir("testdata")
 	if err != nil {
@@ -92,7 +127,7 @@ func TestGoldenFilesCoverRegistry(t *testing.T) {
 			continue
 		}
 		if !want[ent.Name()] {
-			t.Errorf("stale golden file %s (no such experiment)", ent.Name())
+			t.Errorf("stale golden file %s (no such experiment or sweep)", ent.Name())
 		}
 		delete(want, ent.Name())
 	}

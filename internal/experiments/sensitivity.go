@@ -510,13 +510,8 @@ func MeasureSensCovertTimer(ctx MeasureCtx, art *Artifact, cell scenario.Cell) (
 		if err != nil {
 			return Result{}, err
 		}
-		ring := rig.groundTruthRing()
-		gid, ok := covert.ChooseIsolatedBuffer(ring)
-		if !ok {
-			return Result{}, fmt.Errorf("sens_covert_timer: no isolated buffer in ring")
-		}
 		symbols := stats.NewLFSR15(uint16(ctx.Seed%0x7fff)|1).Symbols(nSymbols, covert.Ternary.Base())
-		r0, err := covert.RunSingleBuffer(rig.spy, rig.groups[gid], symbols, covert.Ternary, len(ring), 16_500)
+		r0, err := covert.RunSingleBuffer(rig.spy, rig.groups, rig.groundTruthRing(), symbols, covert.Ternary, 16_500)
 		if err != nil {
 			return Result{}, err
 		}

@@ -58,7 +58,8 @@ type Config struct {
 	// when the budget is spent, the run stops after journaling what it
 	// did and returns ErrBudget — a later Resume continues from there.
 	// Requires CheckpointDir: a budgeted run without a journal would
-	// simply discard its work.
+	// simply discard its work. 0 means unlimited; Validate rejects a
+	// negative budget.
 	TrialBudget int
 	// NoRigReuse disables the per-worker rig pools that recycle cloned
 	// machines across trials (see experiments.RigPool). The zero value —
@@ -114,6 +115,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("runner: shared store requires warm mode")
 	case c.Resume && c.CheckpointDir == "":
 		return fmt.Errorf("runner: resume requires a checkpoint dir")
+	case c.TrialBudget < 0:
+		return fmt.Errorf("runner: trial budget must be >= 0 (0 = unlimited)")
 	case c.TrialBudget > 0 && c.CheckpointDir == "":
 		return fmt.Errorf("runner: trial budget requires a checkpoint dir")
 	}

@@ -103,6 +103,8 @@ func TestSharedStoreConfig(t *testing.T) {
 		"shared store without warm mode":  {Store: shared},
 		"resume without checkpoint dir":   {Warm: true, Resume: true},
 		"trial budget without checkpoint": {Warm: true, TrialBudget: 1},
+		"negative trial budget":           {Warm: true, TrialBudget: -1},
+		"negative budget with checkpoint": {Warm: true, TrialBudget: -1, CheckpointDir: t.TempDir()},
 	} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s accepted", name)

@@ -72,12 +72,11 @@ func (s *Service) handleRegistry(w http.ResponseWriter, r *http.Request) {
 		Cells int    `json:"cells,omitempty"`
 	}
 	var items []item
-	for _, e := range experiments.Registry() {
-		it := item{ID: e.ID, Kind: string(e.Kind), Short: e.Short}
-		if e.Kind == experiments.KindSweep {
-			it.Cells = e.Grid.Size()
-		}
-		items = append(items, it)
+	for _, e := range experiments.All() {
+		items = append(items, item{ID: e.ID, Kind: "experiment", Short: e.Short})
+	}
+	for _, s := range experiments.Sweeps() {
+		items = append(items, item{ID: s.ID, Kind: "sweep", Short: s.Short, Cells: s.Grid.Size()})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"entries": items})
 }

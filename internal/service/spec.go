@@ -142,8 +142,8 @@ func Resolve(spec JobSpec) (Resolved, error) {
 			seen := make(map[string]bool, len(ids))
 			for _, id := range ids {
 				id = strings.TrimSpace(id)
-				ent, ok := experiments.Lookup(id)
-				if !ok || ent.Kind != experiments.KindExperiment {
+				e, ok := experiments.ByID(id)
+				if !ok {
 					return r, fmt.Errorf("unknown experiment %q", id)
 				}
 				if seen[id] {
@@ -151,7 +151,7 @@ func Resolve(spec JobSpec) (Resolved, error) {
 				}
 				seen[id] = true
 				norm = append(norm, id)
-				r.selection = append(r.selection, ent.Experiment)
+				r.selection = append(r.selection, e)
 			}
 			spec.Experiments = norm
 		}
@@ -163,11 +163,11 @@ func Resolve(spec JobSpec) (Resolved, error) {
 		if spec.Sweep == "" {
 			return r, fmt.Errorf("sweep job names no sweep")
 		}
-		ent, ok := experiments.Lookup(spec.Sweep)
-		if !ok || ent.Kind != experiments.KindSweep {
+		sw, ok := experiments.SweepByID(spec.Sweep)
+		if !ok {
 			return r, fmt.Errorf("unknown sweep %q", spec.Sweep)
 		}
-		r.sweep = ent.Sweep
+		r.sweep = sw
 		if len(spec.Defense) > 0 {
 			grid, err := r.sweep.Grid.Restrict(scenario.AxisDefense, spec.Defense)
 			if err != nil {
