@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // TestRegistryMergesBothSpecies: experiments and sweeps share one ID space
 // (the CLI's -list, the service's /v1/registry and the golden files all
@@ -48,5 +52,23 @@ func TestLookupFindsBothKinds(t *testing.T) {
 	}
 	if _, ok := ByID("no_such_id"); ok {
 		t.Error("ByID(no_such_id) succeeded")
+	}
+}
+
+// TestRegistryGoldenPathsExist: every registered experiment and sweep has
+// its committed demo-scale golden file under testdata, named by bare ID.
+func TestRegistryGoldenPathsExist(t *testing.T) {
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
+	for _, s := range Sweeps() {
+		ids = append(ids, s.ID)
+	}
+	for _, id := range ids {
+		path := filepath.Join("testdata", id+".golden.json")
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("%s: golden %s not found: %v", id, path, err)
+		}
 	}
 }
