@@ -178,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-artifact-dir requires warm mode (drop -cold)\n")
 		return 2
 	}
-	if *artifactMax > 0 && *artifactDir == "" {
+	if *artifactMax != 0 && *artifactDir == "" {
 		fmt.Fprintf(stderr, "-artifact-max-bytes requires -artifact-dir\n")
 		return 2
 	}

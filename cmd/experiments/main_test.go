@@ -15,31 +15,32 @@ import (
 // behind.
 func TestUsageErrorsExit2(t *testing.T) {
 	cases := map[string][]string{
-		"unknown flag":                 {"-nope"},
-		"unknown experiment":           {"-exp", "no_such_fig"},
-		"unknown sweep":                {"-sweep", "no_such_sweep"},
-		"sweep id as experiment":       {"-exp", "sens_chase_noise"},
-		"duplicate experiment":         {"-exp", "fig5,fig5"},
-		"unknown scale":                {"-scale", "huge"},
-		"empty scale":                  {"-scale", ""},
-		"unknown format":               {"-format", "xml"},
-		"zero trials":                  {"-trials", "0"},
-		"sweep with exp":               {"-sweep", "sens_chase_noise", "-exp", "fig5"},
-		"defense without sweep":        {"-defense", "none"},
-		"unknown defense label":        {"-sweep", "sens_chase_defense", "-defense", "no_such_defense"},
-		"search with exp":              {"-search", "-exp", "fig5"},
-		"search with sweep":            {"-search", "-sweep", "sens_chase_noise"},
-		"search with trials":           {"-search", "-trials", "2"},
-		"search budget without search": {"-search-budget", "8"},
-		"search eps without search":    {"-search-eps", "0.1"},
-		"negative search budget":       {"-search", "-search-budget", "-1"},
-		"artifact dir in cold mode":    {"-exp", "fig5", "-cold", "-artifact-dir", "art"},
-		"size cap without dir":         {"-exp", "fig5", "-artifact-max-bytes", "5"},
-		"negative size cap":            {"-exp", "fig5", "-artifact-dir", "art", "-artifact-max-bytes", "-1"},
-		"resume without checkpoint":    {"-exp", "fig5", "-resume"},
-		"budget without checkpoint":    {"-exp", "fig5", "-trial-budget", "1"},
-		"negative trial budget":        {"-exp", "fig5", "-trial-budget", "-1"},
-		"negative budget, checkpoint":  {"-exp", "fig5", "-checkpoint-dir", "art", "-trial-budget", "-1"},
+		"unknown flag":                  {"-nope"},
+		"unknown experiment":            {"-exp", "no_such_fig"},
+		"unknown sweep":                 {"-sweep", "no_such_sweep"},
+		"sweep id as experiment":        {"-exp", "sens_chase_noise"},
+		"duplicate experiment":          {"-exp", "fig5,fig5"},
+		"unknown scale":                 {"-scale", "huge"},
+		"empty scale":                   {"-scale", ""},
+		"unknown format":                {"-format", "xml"},
+		"zero trials":                   {"-trials", "0"},
+		"sweep with exp":                {"-sweep", "sens_chase_noise", "-exp", "fig5"},
+		"defense without sweep":         {"-defense", "none"},
+		"unknown defense label":         {"-sweep", "sens_chase_defense", "-defense", "no_such_defense"},
+		"search with exp":               {"-search", "-exp", "fig5"},
+		"search with sweep":             {"-search", "-sweep", "sens_chase_noise"},
+		"search with trials":            {"-search", "-trials", "2"},
+		"search budget without search":  {"-search-budget", "8"},
+		"search eps without search":     {"-search-eps", "0.1"},
+		"negative search budget":        {"-search", "-search-budget", "-1"},
+		"artifact dir in cold mode":     {"-exp", "fig5", "-cold", "-artifact-dir", "art"},
+		"size cap without dir":          {"-exp", "fig5", "-artifact-max-bytes", "5"},
+		"negative size cap without dir": {"-exp", "fig5", "-artifact-max-bytes", "-1"},
+		"negative size cap":             {"-exp", "fig5", "-artifact-dir", "art", "-artifact-max-bytes", "-1"},
+		"resume without checkpoint":     {"-exp", "fig5", "-resume"},
+		"budget without checkpoint":     {"-exp", "fig5", "-trial-budget", "1"},
+		"negative trial budget":         {"-exp", "fig5", "-trial-budget", "-1"},
+		"negative budget, checkpoint":   {"-exp", "fig5", "-checkpoint-dir", "art", "-trial-budget", "-1"},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {

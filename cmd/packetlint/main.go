@@ -1,14 +1,11 @@
 // Command packetlint runs the repro determinism lint suite — detcore,
 // snapcover, rngflow, mapemit (see internal/analyzers) — over Go
-// packages. It is runnable two ways:
+// packages:
 //
-//	packetlint ./...                            # standalone
-//	go vet -vettool=$(which packetlint) ./...   # as a vet tool
+//	packetlint ./...
 //
-// Standalone mode loads packages itself (via go list + export data) and
-// needs no toolchain integration; vet mode speaks cmd/go's vet config
-// protocol (-V=full, -flags, one invocation per package with a vet.cfg),
-// so the suite composes with `go vet`'s caching and package graph.
+// It loads packages itself (via go list + export data) and needs no
+// toolchain integration.
 //
 // Exit status: 0 clean, 1 usage/load error, 2 diagnostics found.
 package main
@@ -27,21 +24,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// Vet-tool protocol first: cmd/go probes with -V=full / -flags and
-	// then invokes the tool once per package with a *.cfg path.
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			fmt.Println("packetlint version 1")
-			return 0
-		case a == "-flags" || a == "--flags":
-			fmt.Println("[]")
-			return 0
-		case strings.HasSuffix(a, ".cfg"):
-			return runVet(a)
-		}
-	}
-
 	fs := flag.NewFlagSet("packetlint", flag.ContinueOnError)
 	runList := fs.String("run", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")

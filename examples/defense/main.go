@@ -16,6 +16,7 @@ import (
 	"repro/internal/perfsim"
 	"repro/internal/probe"
 	"repro/internal/scenario"
+	"repro/internal/testbed"
 )
 
 // demoDefenses is the subset walked by the demo: one representative per
@@ -76,7 +77,7 @@ func visibility(d defense.Defense, seed int64) float64 {
 	spec := scenario.Baseline(false).WithDefense(d)
 	spec.NoiseRate = 0
 	spec.TimerNoise = 0 // a timer-coarsening defense still overrides this in Apply
-	tb, err := spec.NewTestbed(seed)
+	tb, err := testbed.New(spec.Options(seed))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,36 +27,11 @@ func NewChasingChannel(spy *probe.Spy, groups []probe.EvictionSet, ring []int) *
 // perPacketSource sends one symbol per frame at the given packet rate,
 // optionally through the reordering model that kicks in at high rates.
 func perPacketSource(wire *netmodel.Wire, symbols []int, enc Encoding, packetRate float64, start uint64, rng *sim.RNG) netmodel.Source {
-	sizes := make([]int, len(symbols))
-	period := sim.CyclesPerSecond(packetRate)
-	for i, s := range symbols {
-		sizes[i] = netmodel.SizeForBlocks(symbolBlocks(wireSymbol(enc, s)))
-	}
-	var src netmodel.Source = &fixedGapSource{wire: wire, sizes: sizes, period: period, nextAt: start}
+	var src netmodel.Source = NewTrojanSource(wire, symbols, enc, 1, sim.CyclesPerSecond(packetRate), start)
 	if p := netmodel.ReorderProbabilityAt(packetRate); p > 0 {
 		src = netmodel.NewReorderingSource(src, p, rng)
 	}
 	return src
-}
-
-// fixedGapSource emits one frame per period regardless of wire occupancy
-// (sizes differ, so TraceSource's arrival chaining would skew spacing).
-type fixedGapSource struct {
-	wire   *netmodel.Wire
-	sizes  []int
-	period uint64
-	nextAt uint64
-	idx    int
-}
-
-func (s *fixedGapSource) Next() (netmodel.Frame, bool) {
-	if s.idx >= len(s.sizes) {
-		return netmodel.Frame{}, false
-	}
-	f := s.wire.Send(s.sizes[s.idx], s.nextAt, false)
-	s.nextAt += s.period
-	s.idx++
-	return f, true
 }
 
 // Run executes a transmission of the given symbols at packetRate frames

@@ -98,15 +98,59 @@ func TestSingleBufferNoIsolatedBuffer(t *testing.T) {
 
 func TestSelectSpacedBuffers(t *testing.T) {
 	ring := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	sel, err := SelectSpacedBuffers(ring, 4)
+	sel, err := selectSpacedBuffers(ring, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sel) != 4 {
 		t.Fatalf("selected %d", len(sel))
 	}
-	if _, err := SelectSpacedBuffers([]int{1, 1}, 2); err == nil {
+	if _, err := selectSpacedBuffers([]int{1, 1}, 2); err == nil {
 		t.Error("expected failure with no isolated buffers")
+	}
+}
+
+// TestTrojanSourcePacing pins the trojan's frame stream: every symbol is
+// a burst of packetsPerSymbol unknown frames of the symbol's size, bursts
+// start one frame period apart, and at one packet per symbol the stream
+// is exactly one wire send per period.
+func TestTrojanSourcePacing(t *testing.T) {
+	const start = 1_000
+	for _, enc := range []Encoding{Binary, Ternary} {
+		symbols := []int{0, 1, 1, 0, 1}
+		if enc == Ternary {
+			symbols = []int{0, 2, 1, 2, 0}
+		}
+		period := 10 * BurstWireTime(3, netmodel.GigabitRate)
+		frames := netmodel.Collect(NewTrojanSource(netmodel.NewWire(netmodel.GigabitRate), symbols, enc, 3, period, start), 100)
+		if len(frames) != 3*len(symbols) {
+			t.Fatalf("%v: %d frames for %d symbols x 3", enc, len(frames), len(symbols))
+		}
+		for i, f := range frames {
+			s := symbols[i/3]
+			if want := netmodel.SizeForBlocks(symbolBlocks(wireSymbol(enc, s))); f.Size != want {
+				t.Errorf("%v frame %d: size %d, want %d for symbol %d", enc, i, f.Size, want, s)
+			}
+			if f.Known {
+				t.Errorf("%v frame %d: trojan frames must be unknown broadcasts", enc, i)
+			}
+			if slot := start + uint64(i/3)*period; i%3 == 0 && f.Arrival-netmodel.WireTime(f.Size, netmodel.GigabitRate) != slot {
+				t.Errorf("%v frame %d: burst starts at %d, want slot %d", enc, i, f.Arrival-netmodel.WireTime(f.Size, netmodel.GigabitRate), slot)
+			}
+		}
+
+		period = sim.CyclesPerSecond(500_000)
+		got := netmodel.Collect(NewTrojanSource(netmodel.NewWire(netmodel.GigabitRate), symbols, enc, 1, period, start), 100)
+		ref := netmodel.NewWire(netmodel.GigabitRate)
+		var want []netmodel.Frame
+		at := uint64(start)
+		for _, s := range symbols {
+			want = append(want, ref.Send(netmodel.SizeForBlocks(symbolBlocks(wireSymbol(enc, s))), at, false))
+			at += period
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%v: one packet per symbol sent %+v, want one frame per period %+v", enc, got, want)
+		}
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// SelectSpacedBuffers picks n group ids from the recovered ring that are
+// selectSpacedBuffers picks n group ids from the recovered ring that are
 // roughly ringLen/n positions apart and isolated (each set hosts exactly
 // one ring buffer). It returns the chosen group ids in ring order.
-func SelectSpacedBuffers(ring []int, n int) ([]int, error) {
+func selectSpacedBuffers(ring []int, n int) ([]int, error) {
 	isolated := isolatedPositions(ring)
 	if len(isolated) < n {
 		return nil, fmt.Errorf("covert: only %d isolated buffers for %d sections", len(isolated), n)
@@ -55,7 +55,7 @@ func SelectSpacedBuffers(ring []int, n int) ([]int, error) {
 // len(ring)/n apart, and the trojan sends one symbol per section,
 // multiplying the bandwidth by n (Fig 12a).
 func RunMultiBuffer(spy *probe.Spy, groups []probe.EvictionSet, ring []int, nBuffers int, symbols []int, enc Encoding, probeRate float64) (Result, error) {
-	selected, err := SelectSpacedBuffers(ring, nBuffers)
+	selected, err := selectSpacedBuffers(ring, nBuffers)
 	if err != nil {
 		return Result{}, err
 	}

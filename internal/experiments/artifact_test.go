@@ -153,7 +153,7 @@ func TestRigKeyIgnoresScaleAndRoot(t *testing.T) {
 
 // TestRigKeyIdentity pins rigKey as the one machine identity: what the
 // offline phase builds separates keys, and what only the online phase
-// sees (name, background flows, the swept noise and timer that Offline()
+// sees (name, the swept noise and timer that Offline()
 // resets) does not.
 func TestRigKeyIdentity(t *testing.T) {
 	const seed = 5
@@ -176,7 +176,6 @@ func TestRigKeyIdentity(t *testing.T) {
 	online.Name = "renamed"
 	online.NoiseRate = 9_999_999
 	online.TimerNoise = 400
-	online.Flows = []scenario.Flow{{Kind: scenario.FlowPoisson, Sizes: []int{64}, Rate: 1000, Count: -1}}
 	tc := func(j uint64) defense.Defense { return defense.TimerCoarsening{Jitter: j} }
 	part := defense.AdaptivePartitioning{}
 	for _, c := range []struct {

@@ -173,10 +173,10 @@ func prepareSweepRigs(ctx PrepareCtx, cell scenario.Cell) (*Artifact, error) {
 // both attacker flavours; the strategy joins the artifact content
 // address, so fine-timer and amplified machines never collide.
 func prepareSweepRigsStrategy(ctx PrepareCtx, cell scenario.Cell, strat probe.Strategy) (*Artifact, error) {
-	// Validate the cell's full measurement spec — environment and flows
-	// included — before deriving the offline view, so a malformed cell
-	// (negative noise rate, bad flow palette) fails fast here rather than
-	// silently measuring under a normalized environment.
+	// Validate the cell's full measurement spec — environment included —
+	// before deriving the offline view, so a malformed cell (negative
+	// noise rate) fails fast here rather than silently measuring under a
+	// normalized environment.
 	full := cellSpec(ctx.Scale, cell)
 	if err := full.Validate(); err != nil {
 		return nil, err
@@ -453,11 +453,6 @@ func MeasureSensDefenseNoise(ctx MeasureCtx, art *Artifact, cell scenario.Cell) 
 func MeasureSensChaseTraffic(ctx MeasureCtx, art *Artifact, cell scenario.Cell) (Result, error) {
 	spec := cellSpec(ctx.Scale, cell)
 	rate, _ := cell.Value("bg_rate")
-	if rate > 0 {
-		spec.Flows = []scenario.Flow{
-			{Kind: scenario.FlowPoisson, Sizes: []int{64, 128, 256}, Rate: rate, Count: -1},
-		}
-	}
 	var accs, syncs, inss, dels, subs []float64
 	for r := 0; r < sensReps; r++ {
 		rig, err := sweepClone(art, r, ctx, spec)
@@ -466,8 +461,9 @@ func MeasureSensChaseTraffic(ctx MeasureCtx, art *Artifact, cell scenario.Cell) 
 		}
 		var bg netmodel.Source
 		if rate > 0 {
-			repSeed := sim.DeriveSeed(ctx.Seed, repLabel(r))
-			bg = spec.BuildTraffic(repSeed, rig.tb.Clock().Now())
+			// The RNG label fixes the background stream the sweep golden pins.
+			rng := sim.Derive(sim.DeriveSeed(ctx.Seed, repLabel(r)), "scenario/"+spec.Name+"/flow0")
+			bg = netmodel.NewPoissonSource(netmodel.NewWire(netmodel.GigabitRate), []int{64, 128, 256}, rate, rng, rig.tb.Clock().Now(), -1)
 		}
 		out := chaseAccuracy(rig, bg, 64)
 		accs = append(accs, out.acc)

@@ -13,13 +13,11 @@ type Source interface {
 // ConstantSource emits fixed-size frames at a fixed packet rate starting at
 // a given cycle — the broadcast streams of §III-B (Fig 7, Fig 8).
 type ConstantSource struct {
-	wire    *Wire
-	size    int
-	period  uint64
-	nextAt  uint64
-	remain  int
-	known   bool
-	started bool
+	wire   *Wire
+	size   int
+	period uint64
+	nextAt uint64
+	remain int
 }
 
 // NewConstantSource emits count frames of the given size at packetRate
@@ -42,7 +40,7 @@ func (s *ConstantSource) Next() (Frame, bool) {
 	if s.remain > 0 {
 		s.remain--
 	}
-	f := s.wire.Send(s.size, s.nextAt, s.known)
+	f := s.wire.Send(s.size, s.nextAt, false)
 	s.nextAt += s.period
 	return f, true
 }

@@ -1,8 +1,10 @@
 // Package scenario turns the testbed's scattered knobs into declarative,
 // nameable experiment conditions. A Spec captures everything that defines
-// the world an attack runs in — cache and NIC geometry, background-noise
-// level, timer granularity, and a composable traffic mix — so sensitivity
-// studies sweep structured values instead of hand-editing option structs.
+// the machine an attack runs on — cache and NIC geometry, background-noise
+// level, timer granularity and platform defense — so sensitivity studies
+// sweep structured values instead of hand-editing option structs. Frame
+// streams are not part of a scenario: each is a netmodel source built
+// where it is sent.
 //
 // The companion Grid type (grid.go) enumerates cartesian products of
 // scenario axes for the runner's sweep mode.
@@ -13,35 +15,9 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/defense"
-	"repro/internal/netmodel"
 	"repro/internal/nic"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 )
-
-// FlowKind selects a traffic generator family for one flow of a mix.
-type FlowKind string
-
-const (
-	// FlowConstant is fixed-size, fixed-rate traffic (the paper's
-	// broadcast helper streams).
-	FlowConstant FlowKind = "constant"
-	// FlowPoisson is memoryless traffic with sizes drawn from a palette.
-	FlowPoisson FlowKind = "poisson"
-)
-
-// Flow is one stream of a scenario's traffic mix.
-type Flow struct {
-	// Kind selects the generator; the zero value is FlowConstant.
-	Kind FlowKind
-	// Sizes is the frame-size palette in bytes. Constant flows use
-	// Sizes[0]; Poisson flows draw uniformly from the whole palette.
-	Sizes []int
-	// Rate is the mean packet rate in frames/second.
-	Rate float64
-	// Count bounds the stream length; < 0 means unbounded.
-	Count int
-}
 
 // Spec is a declarative experiment condition. The zero value of every
 // geometry field means "the paper machine's value", so a Spec only states
@@ -68,9 +44,6 @@ type Spec struct {
 	// over-reports). 0 = perfect timer.
 	TimerNoise uint64
 
-	// Flows is the scenario's background traffic mix (see BuildTraffic).
-	Flows []Flow
-
 	// Defense is the platform mitigation the machine runs under; nil is
 	// the vulnerable stock machine. The defense is applied to the built
 	// Options after every other field — it reshapes the machine for the
@@ -90,7 +63,7 @@ func (s Spec) WithDefense(d defense.Defense) Spec {
 // Baseline returns the machine the experiment registry has always run at:
 // the paper machine when paper is true, otherwise the structurally
 // faithful scaled demo machine (2 slices x 2048 sets x 8 ways, 64-buffer
-// ring). No background flows — experiments install their own traffic.
+// ring). Experiments install their own traffic.
 func Baseline(paper bool) Spec {
 	s := Spec{Name: "baseline", NoiseRate: 20_000, TimerNoise: 4}
 	if !paper {
@@ -122,25 +95,6 @@ func (s Spec) Validate() error {
 	}
 	if s.NoiseRate < 0 {
 		return fmt.Errorf("scenario %q: negative noise rate", s.Name)
-	}
-	for i, f := range s.Flows {
-		switch f.Kind {
-		case FlowConstant, FlowPoisson, "":
-		default:
-			return fmt.Errorf("scenario %q: flow %d has unknown kind %q", s.Name, i, f.Kind)
-		}
-		if f.Rate <= 0 {
-			return fmt.Errorf("scenario %q: flow %d rate must be positive", s.Name, i)
-		}
-		if len(f.Sizes) == 0 {
-			return fmt.Errorf("scenario %q: flow %d has no sizes", s.Name, i)
-		}
-		for _, sz := range f.Sizes {
-			if sz < netmodel.MinFrameSize || sz > netmodel.MaxFrameSize {
-				return fmt.Errorf("scenario %q: flow %d size %d outside [%d,%d]",
-					s.Name, i, sz, netmodel.MinFrameSize, netmodel.MaxFrameSize)
-			}
-		}
 	}
 	return nil
 }
@@ -193,56 +147,10 @@ const (
 )
 
 // Offline returns the spec the offline phase runs at: same machine
-// geometry, but the reference noise/timer environment and no background
-// flows. Two scenario cells whose Offline specs build the same options
+// geometry, but the reference noise/timer environment. Two scenario cells whose Offline specs build the same options
 // (under equal offline seeds) share one prepared machine.
 func (s Spec) Offline() Spec {
 	s.NoiseRate = OfflineNoiseRate
 	s.TimerNoise = OfflineTimerNoise
-	s.Flows = nil
 	return s
-}
-
-// NewTestbed validates the spec, builds its machine, and installs the
-// scenario's traffic mix (when it has one) starting at cycle 0.
-func (s Spec) NewTestbed(seed int64) (*testbed.Testbed, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	tb, err := testbed.New(s.Options(seed))
-	if err != nil {
-		return nil, err
-	}
-	if src := s.BuildTraffic(seed, 0); src != nil {
-		tb.SetTraffic(src)
-	}
-	return tb, nil
-}
-
-// BuildTraffic assembles the scenario's flow mix as one arrival-ordered
-// Source on a shared 1 GbE wire, starting around cycle start. It returns
-// nil when the scenario has no flows. Each flow draws from its own derived
-// RNG stream, so adding a flow never perturbs the others.
-func (s Spec) BuildTraffic(seed int64, start uint64) netmodel.Source {
-	if len(s.Flows) == 0 {
-		return nil
-	}
-	wire := netmodel.NewWire(netmodel.GigabitRate)
-	sources := make([]netmodel.Source, len(s.Flows))
-	for i, f := range s.Flows {
-		rng := sim.Derive(seed, fmt.Sprintf("scenario/%s/flow%d", s.Name, i))
-		sources[i] = f.build(wire, rng, start)
-	}
-	if len(sources) == 1 {
-		return sources[0]
-	}
-	return netmodel.NewMixSource(sources...)
-}
-
-// build assembles one flow on the shared wire.
-func (f Flow) build(wire *netmodel.Wire, rng *sim.RNG, start uint64) netmodel.Source {
-	if f.Kind == FlowPoisson {
-		return netmodel.NewPoissonSource(wire, f.Sizes, f.Rate, rng, start, f.Count)
-	}
-	return netmodel.NewConstantSource(wire, f.Sizes[0], f.Rate, start, f.Count)
 }

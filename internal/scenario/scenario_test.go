@@ -1,25 +1,6 @@
 package scenario
 
-import (
-	"testing"
-
-	"repro/internal/netmodel"
-)
-
-// busyMix is a demo machine under heavy co-tenant cache pressure with
-// three independent traffic classes competing for the rx ring.
-func busyMix() Spec {
-	s := Baseline(false)
-	s.Name = "busy-multi-tenant"
-	s.NoiseRate = 400_000
-	s.TimerNoise = 8
-	s.Flows = []Flow{
-		{Kind: FlowPoisson, Sizes: []int{64, 128, 256}, Rate: 40_000, Count: -1},
-		{Kind: FlowPoisson, Sizes: []int{512, 1024, 1514}, Rate: 15_000, Count: -1},
-		{Kind: FlowConstant, Sizes: []int{64}, Rate: 5_000, Count: -1},
-	}
-	return s
-}
+import "testing"
 
 func TestValidateRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
@@ -29,10 +10,6 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"partial geometry", Spec{CacheSlices: 2}},
 		{"negative ring", Spec{RingSize: -1}},
 		{"negative noise", Spec{NoiseRate: -1}},
-		{"flow without sizes", Spec{Flows: []Flow{{Rate: 100}}}},
-		{"flow without rate", Spec{Flows: []Flow{{Sizes: []int{64}}}}},
-		{"flow bad kind", Spec{Flows: []Flow{{Kind: "warp", Sizes: []int{64}, Rate: 1}}}},
-		{"flow bad size", Spec{Flows: []Flow{{Sizes: []int{12}, Rate: 1}}}},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); err == nil {
@@ -52,62 +29,6 @@ func TestBaselineOptionsMatchLegacyShapes(t *testing.T) {
 	paper := Baseline(true).Options(3)
 	if paper.Cache.SizeBytes() != 20<<20 || paper.NIC.RingSize != 256 {
 		t.Errorf("paper baseline drifted: %d bytes LLC, ring %d", paper.Cache.SizeBytes(), paper.NIC.RingSize)
-	}
-}
-
-// TestBuildTrafficOrderedAndDeterministic: a traffic mix must emit frames
-// in nondecreasing arrival order, valid frame sizes, and the exact same
-// stream for the same seed; a spec without flows has no traffic.
-func TestBuildTrafficOrderedAndDeterministic(t *testing.T) {
-	single := busyMix()
-	single.Name, single.Flows = "single-flow", single.Flows[:1]
-	for _, s := range []Spec{Baseline(false), single, busyMix()} {
-		name := s.Name
-		if len(s.Flows) == 0 {
-			if src := s.BuildTraffic(1, 0); src != nil {
-				t.Errorf("%s: no flows but non-nil traffic", name)
-			}
-			continue
-		}
-		const n = 2000
-		a := netmodel.Collect(s.BuildTraffic(1, 0), n)
-		b := netmodel.Collect(s.BuildTraffic(1, 0), n)
-		if len(a) == 0 {
-			t.Fatalf("%s: mix emitted nothing", name)
-		}
-		for i, f := range a {
-			if err := f.Validate(); err != nil {
-				t.Fatalf("%s: frame %d: %v", name, i, err)
-			}
-			if i > 0 && f.Arrival < a[i-1].Arrival {
-				t.Fatalf("%s: arrival order violated at %d: %d < %d", name, i, f.Arrival, a[i-1].Arrival)
-			}
-		}
-		if len(a) != len(b) {
-			t.Fatalf("%s: nondeterministic length %d vs %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: nondeterministic frame %d: %+v vs %+v", name, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestNewTestbedInstallsMix(t *testing.T) {
-	s := busyMix()
-	for i := range s.Flows {
-		s.Flows[i].Count = 50
-	}
-	tb, err := s.NewTestbed(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := tb.DrainTraffic(); n != 150 {
-		t.Errorf("drained %d frames want 150 (3 flows x 50)", n)
-	}
-	if tb.NIC().Stats().Received == 0 {
-		t.Error("NIC saw no frames from the scenario mix")
 	}
 }
 
@@ -173,17 +94,16 @@ func TestWithCell(t *testing.T) {
 	}
 }
 
-// TestOfflineSpec: the offline view keeps geometry, resets environment to
-// the reference, and drops flows.
+// TestOfflineSpec: the offline view keeps geometry and resets the
+// environment to the reference.
 func TestOfflineSpec(t *testing.T) {
-	s := busyMix()
+	s := Baseline(false)
+	s.NoiseRate = 400_000
+	s.TimerNoise = 8
 	s.RingSize = 32
 	off := s.Offline()
 	if off.NoiseRate != OfflineNoiseRate || off.TimerNoise != OfflineTimerNoise {
 		t.Errorf("offline environment not at reference: %+v", off)
-	}
-	if off.Flows != nil {
-		t.Error("offline spec must drop traffic flows")
 	}
 	if off.RingSize != 32 || off.CacheSlices != s.CacheSlices {
 		t.Error("offline spec must preserve geometry")

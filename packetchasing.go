@@ -42,15 +42,6 @@ type MachineConfig struct {
 	Sequencer chase.SequencerParams
 }
 
-// PaperMachineConfig is the full paper machine: 20 MB 20-way DDIO LLC,
-// 256-descriptor IGB ring, Table I attack parameters.
-func PaperMachineConfig(seed int64) MachineConfig {
-	return MachineConfig{
-		Testbed:   testbed.DefaultOptions(seed),
-		Sequencer: chase.DefaultSequencerParams(),
-	}
-}
-
 // DemoConfig is a structurally faithful scaled machine (2 MB 8-way LLC, 64
 // aligned sets, 64-buffer ring) on which every phase runs in seconds.
 func DemoConfig(seed int64) MachineConfig {
@@ -120,14 +111,6 @@ func (m *Machine) RecoverRingSequence() ([]int, error) {
 // observe: monitor calibration consumes simulated time.
 func (m *Machine) NewChaser(ring []int) *chase.Chaser {
 	return chase.NewChaser(m.Spy, m.Groups, ring, chase.DefaultChaserConfig())
-}
-
-// ChasePackets runs the online phase over the given ring (group ids),
-// returning up to n per-packet observations. Traffic already flowing may
-// be partially missed while monitors calibrate; for tight control use
-// NewChaser before starting the traffic.
-func (m *Machine) ChasePackets(ring []int, n int) []chase.PacketObservation {
-	return m.NewChaser(ring).Chase(n)
 }
 
 // --- Ground-truth oracles (driver instrumentation; never used by attack
