@@ -29,8 +29,8 @@ var Snapcover = &Analyzer{
 }
 
 // saveRoots and restore-root detection define the two directions. A
-// method named "Restore" or prefixed "Restore" (RestoreSkipRNG, ...)
-// roots the restore direction.
+// method named "Restore" or prefixed "Restore" (RestoreFrom, ...) roots
+// the restore direction.
 var saveRoots = map[string]bool{"Snapshot": true, "SnapshotInto": true}
 
 func isRestoreRoot(name string) bool {

@@ -43,13 +43,14 @@ func validIO(meta uint64) bool { return meta&(lineValid|lineIO) == lineValid|lin
 
 // setState carries the per-set counters of the adaptive partitioning
 // defense (§VII): the current I/O way quota, and the lazily integrated
-// I/O-occupancy counter.
+// I/O-occupancy counter. Its fields are exported so a snapshot's wire
+// form holds the counters as memory does.
 type setState struct {
-	quota       int    // IO partition size in ways; ways [0,quota) are I/O
-	lastAdapt   uint64 // cycle of the last quota re-evaluation
-	occupCycles uint64 // cycles with >=1 valid I/O line since lastAdapt
-	lastUpd     uint64 // cycle of the last occupancy integration
-	hasIO       bool   // >=1 valid I/O line present right now
+	Quota       int    // IO partition size in ways; ways [0,Quota) are I/O
+	LastAdapt   uint64 // cycle of the last quota re-evaluation
+	OccupCycles uint64 // cycles with >=1 valid I/O line since LastAdapt
+	LastUpd     uint64 // cycle of the last occupancy integration
+	HasIO       bool   // >=1 valid I/O line present right now
 }
 
 // Stats aggregates cache and memory traffic counters. Reads and writes of
@@ -159,7 +160,7 @@ func New(cfg Config, clock *sim.Clock) *Cache {
 	if cfg.Partition != nil {
 		c.pstate = make([]setState, total)
 		for i := range c.pstate {
-			c.pstate[i].quota = cfg.Partition.MinIOWays
+			c.pstate[i].Quota = cfg.Partition.MinIOWays
 		}
 	}
 	return c
@@ -275,7 +276,7 @@ func (c *Cache) access(set int, key uint64, store bool) (bool, uint64, int) {
 	q := 0
 	if c.pstate != nil {
 		// Defense: CPU lines live in ways [quota, Ways).
-		q = c.pstate[set].quota
+		q = c.pstate[set].Quota
 	}
 	w := q + lruWay(meta[q:], stamp[q:])
 	c.evict(meta[w])
@@ -380,7 +381,7 @@ func (c *Cache) IOLinesInSet(set int) int {
 // cap when the defense is off.
 func (c *Cache) QuotaOf(set int) int {
 	if c.pstate != nil {
-		return c.pstate[set].quota
+		return c.pstate[set].Quota
 	}
 	return c.cfg.DDIOWays
 }
@@ -424,7 +425,7 @@ func (c *Cache) victimIO(set int) (int, bool) {
 	if c.pstate != nil {
 		// Defense: I/O confined to ways [0, quota). The quota region is
 		// reserved, so there is always a usable way.
-		q := c.pstate[set].quota
+		q := c.pstate[set].Quota
 		if q == 0 {
 			return 0, false
 		}
@@ -516,15 +517,15 @@ func (c *Cache) refreshOccupancy(set int) {
 			break
 		}
 	}
-	st.hasIO = has
+	st.HasIO = has
 }
 
 func (c *Cache) integrateOccupancy(st *setState) {
 	now := c.clock.Now()
-	if st.hasIO && now > st.lastUpd {
-		st.occupCycles += now - st.lastUpd
+	if st.HasIO && now > st.LastUpd {
+		st.OccupCycles += now - st.LastUpd
 	}
-	st.lastUpd = now
+	st.LastUpd = now
 }
 
 // maybeAdapt runs the §VII adaptation for the set if at least one period
@@ -546,22 +547,22 @@ func (c *Cache) adapt(set int) {
 	st := &c.pstate[set]
 	p := c.cfg.Partition
 	now := c.clock.Now()
-	elapsed := now - st.lastAdapt
+	elapsed := now - st.LastAdapt
 	if elapsed < p.Period {
 		return
 	}
 	c.integrateOccupancy(st)
 	periods := elapsed / p.Period
 	switch {
-	case st.occupCycles > p.THigh*periods && st.quota < p.MaxIOWays:
-		st.quota++
-		c.invalidateWay(set, st.quota-1) // way joins the I/O partition
-	case st.occupCycles < p.TLow*periods && st.quota > p.MinIOWays:
-		c.invalidateWay(set, st.quota-1) // way leaves the I/O partition
-		st.quota--
+	case st.OccupCycles > p.THigh*periods && st.Quota < p.MaxIOWays:
+		st.Quota++
+		c.invalidateWay(set, st.Quota-1) // way joins the I/O partition
+	case st.OccupCycles < p.TLow*periods && st.Quota > p.MinIOWays:
+		c.invalidateWay(set, st.Quota-1) // way leaves the I/O partition
+		st.Quota--
 	}
-	st.occupCycles = 0
-	st.lastAdapt = now
+	st.OccupCycles = 0
+	st.LastAdapt = now
 }
 
 // invalidateWay evicts whatever occupies the way that is switching

@@ -315,7 +315,7 @@ func newRefCache(cfg Config, clock *sim.Clock) *refCache {
 	if cfg.Partition != nil {
 		r.pstate = make([]setState, cfg.TotalSets())
 		for i := range r.pstate {
-			r.pstate[i].quota = cfg.Partition.MinIOWays
+			r.pstate[i].Quota = cfg.Partition.MinIOWays
 		}
 	}
 	return r
@@ -373,7 +373,7 @@ func (r *refCache) access(addr uint64, store bool) (bool, uint64) {
 	r.stats.MemReads++
 	q := 0
 	if r.pstate != nil {
-		q = r.pstate[set].quota
+		q = r.pstate[set].Quota
 	}
 	w := refLRU(ways[q:]) + q
 	r.evict(&ways[w])
@@ -405,7 +405,7 @@ func (r *refCache) ioWrite(addr uint64) {
 	}
 	var w int
 	if r.pstate != nil {
-		q := r.pstate[set].quota
+		q := r.pstate[set].Quota
 		if q == 0 {
 			r.stats.MemWrites++
 			r.stats.IOBypasses++
@@ -457,20 +457,20 @@ func (r *refCache) refreshHasIO(set int) {
 	}
 	st := &r.pstate[set]
 	r.integrate(st)
-	st.hasIO = false
+	st.HasIO = false
 	for _, l := range r.ways(set) {
 		if l.valid && l.io {
-			st.hasIO = true
+			st.HasIO = true
 		}
 	}
 }
 
 func (r *refCache) integrate(st *setState) {
 	now := r.clock.Now()
-	if st.hasIO && now > st.lastUpd {
-		st.occupCycles += now - st.lastUpd
+	if st.HasIO && now > st.LastUpd {
+		st.OccupCycles += now - st.LastUpd
 	}
-	st.lastUpd = now
+	st.LastUpd = now
 }
 
 func (r *refCache) maybeAdapt(set int) {
@@ -478,22 +478,22 @@ func (r *refCache) maybeAdapt(set int) {
 		return
 	}
 	st, p, now := &r.pstate[set], r.cfg.Partition, r.clock.Now()
-	elapsed := now - st.lastAdapt
+	elapsed := now - st.LastAdapt
 	if elapsed < p.Period {
 		return
 	}
 	r.integrate(st)
 	periods := elapsed / p.Period
 	switch {
-	case st.occupCycles > p.THigh*periods && st.quota < p.MaxIOWays:
-		st.quota++
-		r.invalidate(set, st.quota-1)
-	case st.occupCycles < p.TLow*periods && st.quota > p.MinIOWays:
-		r.invalidate(set, st.quota-1)
-		st.quota--
+	case st.OccupCycles > p.THigh*periods && st.Quota < p.MaxIOWays:
+		st.Quota++
+		r.invalidate(set, st.Quota-1)
+	case st.OccupCycles < p.TLow*periods && st.Quota > p.MinIOWays:
+		r.invalidate(set, st.Quota-1)
+		st.Quota--
 	}
-	st.occupCycles = 0
-	st.lastAdapt = now
+	st.OccupCycles = 0
+	st.LastAdapt = now
 }
 
 func (r *refCache) invalidate(set, w int) {

@@ -42,7 +42,6 @@ func checkReadRefMatchesRead(t *testing.T, name string, ways int) {
 		addrs[i] = uint64(rng.Intn(space))
 		refs[i] = viaRef.Ref(addrs[i])
 	}
-	var refSnap, addrSnap Snapshot
 	var savedRef, savedAddr *Snapshot
 	var stale, restores int
 	for i := 0; i < 30000; i++ {
@@ -107,9 +106,7 @@ func checkReadRefMatchesRead(t *testing.T, name string, ways int) {
 		if viaRef.Stats() != viaAddr.Stats() {
 			t.Fatalf("op %d: stats via refs %+v, via addresses %+v", i, viaRef.Stats(), viaAddr.Stats())
 		}
-		viaRef.SnapshotInto(&refSnap)
-		viaAddr.SnapshotInto(&addrSnap)
-		if diff := diffSnapshots(&refSnap, &addrSnap); diff != "" {
+		if diff := diffSnapshots(viaRef.Snapshot(), viaAddr.Snapshot()); diff != "" {
 			t.Fatalf("op %d: snapshots differ: %s", i, diff)
 		}
 	}

@@ -282,6 +282,53 @@ func TestSnapshotRestoreLineCountMismatchPanics(t *testing.T) {
 	}
 }
 
+// corruptSnapshotGobs are wire forms no cache could have written.
+var corruptSnapshotGobs = map[string]snapshotGob{
+	"stamps short":    {Meta: []uint64{1 << 12, 2 << 12}, Stamps: []uint64{1}},
+	"meta stray bit":  {Meta: []uint64{1<<12 | 1<<3 | lineValid}, Stamps: []uint64{1}},
+	"meta stray bits": {Meta: []uint64{1<<12 | 0x38}, Stamps: []uint64{1}},
+	"stamp too large": {Meta: []uint64{1 << 12}, Stamps: []uint64{maxStamp}},
+}
+
+// encodeSnapshotGob gob-encodes a wire form.
+func encodeSnapshotGob(t testing.TB, w snapshotGob) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotGobDecodeRejectsCorruptLines: line words no cache could
+// hold fail the decode, while a clean snapshot round-trips.
+func TestSnapshotGobDecodeRejectsCorruptLines(t *testing.T) {
+	clock := sim.NewClock()
+	c := New(tinyConfig(true), clock)
+	rng := sim.NewRNG(4)
+	for i := 0; i < 300; i++ {
+		applyOp(c, clock, byte(rng.Intn(5)), uint64(rng.Intn(256))*64)
+	}
+	snap := c.Snapshot()
+	b, err := snap.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec Snapshot
+	if err := dec.GobDecode(b); err != nil {
+		t.Fatalf("clean snapshot rejected: %v", err)
+	}
+	if diff := diffSnapshots(snap, &dec); diff != "" {
+		t.Fatalf("decoded snapshot differs: %s", diff)
+	}
+	for name, w := range corruptSnapshotGobs {
+		var s Snapshot
+		if err := s.GobDecode(encodeSnapshotGob(t, w)); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
 // FuzzCacheSnapshotGobDecode: no input panics the decoder, and every
 // input it accepts re-encodes to bytes that decode to the same snapshot
 // and encode identically again.
@@ -299,18 +346,10 @@ func FuzzCacheSnapshotGobDecode(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	for _, w := range []snapshotGob{
-		{Tags: []uint64{1, 2}, Valid: []bool{true}, Dirty: []bool{false, false}, IO: []bool{false, false}, Stamps: []uint64{1, 2}},
-		{Tags: []uint64{1}, Valid: []bool{true}, Dirty: []bool{false}, IO: []bool{false}, Stamps: []uint64{1}, Quota: []int{1, 2}, LastAdapt: []uint64{0}},
-		{Tags: []uint64{1 << 60}, Valid: []bool{true}, Dirty: []bool{false}, IO: []bool{false}, Stamps: []uint64{1}},
-		{Tags: []uint64{1}, Valid: []bool{true}, Dirty: []bool{false}, IO: []bool{false}, Stamps: []uint64{1 << 58}},
-	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	for _, w := range corruptSnapshotGobs {
+		f.Add(encodeSnapshotGob(f, w))
 	}
+	f.Add(encodeSnapshotGob(f, snapshotGob{Meta: []uint64{1<<12 | lineValid, 2 << 12}, Stamps: []uint64{1, 2}, Sets: []setState{{Quota: 1, HasIO: true}}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var s Snapshot
 		if s.GobDecode(b) != nil {

@@ -220,8 +220,7 @@ func buildRigArtifact(opts testbed.Options, strat probe.Strategy) (ra *RigArtifa
 // otherwise an empty shell; either way the rig adopts the artifact (see
 // attackRig.adopt), so every trial runs one restore path. Safe to call
 // concurrently for the same label. See MeasureCtx for the online-reseed
-// rule; when reseeding, the snapshot's online RNG positions are skipped
-// rather than replayed-then-discarded.
+// rule.
 func (a *Artifact) rig(label string, ctx MeasureCtx) (*attackRig, error) {
 	ra, ok := a.Rigs[label]
 	if !ok {
@@ -378,8 +377,12 @@ func NewDiskArtifactStore(dir string, maxBytes int64) (*ArtifactStore, error) {
 // zero-fills missing fields: a stale entry from an older binary would
 // otherwise *decode successfully* into subtly wrong machine state
 // instead of missing the cache and rebuilding. v2: probe.SpyState gained
-// the measurement strategy and its calibration quality signals.
-const artifactFormatVersion = "packetchasing-artifact/v2"
+// the measurement strategy and its calibration quality signals. v3: every
+// snapshot persists its memory form — RNG generator states, cache line
+// words and per-set counters, the allocator's free list and used bitset,
+// the NIC ring and driver queue — and probe.SpyState lost its per-access
+// overhead and its strategy's constant settings.
+const artifactFormatVersion = "packetchasing-artifact/v3"
 
 // rigPath is the disk location for a key: the hex SHA-256 of the
 // version-qualified content address (keys embed config dumps — too long

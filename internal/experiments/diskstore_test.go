@@ -13,10 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/netmodel"
 	"repro/internal/nic"
 	"repro/internal/probe"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 )
 
@@ -162,8 +162,9 @@ type rawGob []byte
 func (r *rawGob) GobDecode(b []byte) error  { *r = append(rawGob(nil), b...); return nil }
 func (r rawGob) GobEncode() ([]byte, error) { return r, nil }
 
-// The wire shapes of RigArtifact, testbed.Snapshot, mem.AllocatorState
-// and nic.Snapshot (gob matches fields by name, not types by name).
+// The wire shapes of RigArtifact, testbed.Snapshot, cache.Snapshot,
+// mem.AllocatorState, nic.Snapshot and sim.RNGState (gob matches fields
+// by name, not types by name).
 type (
 	rigWire struct {
 		Opts    testbed.Options
@@ -174,13 +175,25 @@ type (
 	machineWire struct {
 		Clock                                            uint64
 		Cache, Alloc, NIC                                rawGob
-		NoiseRNG, TimerRNG                               sim.RNGState
+		NoiseRNG, TimerRNG                               rawGob
 		NoiseRate                                        float64
 		TimerNoise, NoisePeriod, NoiseNextAt, NoiseSpace uint64
 	}
+	cacheWire struct {
+		Geometry     string
+		Meta, Stamps []uint64
+		Sets         []struct {
+			Quota                           int
+			LastAdapt, OccupCycles, LastUpd uint64
+			HasIO                           bool
+		}
+		NextID uint64
+		Stats  cache.Stats
+	}
 	allocWire struct {
-		Free, Used []uint64
-		NumPages   uint64
+		Free     []uint32
+		Used     []uint64
+		NumPages uint64
 	}
 	nicWire struct {
 		Ring []struct {
@@ -199,12 +212,18 @@ type (
 		DescRing uint64
 		SincePct int
 		Stats    nic.Stats
-		RNG      *sim.RNGState
+		RNG      rawGob
+	}
+	rngWire struct {
+		Seed      int64
+		Draws     uint64
+		Tap, Feed int
+		Vec       []int64
 	}
 )
 
 // gobRewrite decodes src into v, lets edit change it, and re-encodes it.
-func gobRewrite(t *testing.T, src []byte, v any, edit func()) []byte {
+func gobRewrite(t testing.TB, src []byte, v any, edit func()) []byte {
 	t.Helper()
 	if err := gob.NewDecoder(bytes.NewReader(src)).Decode(v); err != nil {
 		t.Fatal(err)
@@ -223,12 +242,53 @@ func gobRewrite(t *testing.T, src []byte, v any, edit func()) []byte {
 // poison the entry for the whole run. The store rebuilds it, and the
 // rebuilt artifact measures like a clean one.
 func TestDiskStoreHealsOutOfRangeFrame(t *testing.T) {
-	checkDiskStoreHeals(t, "an out-of-range used frame", func(machine *machineWire) {
+	checkDiskStoreHeals(t, "an out-of-range free frame", func(machine *machineWire) {
 		var alloc allocWire
 		machine.Alloc = gobRewrite(t, machine.Alloc, &alloc, func() {
-			alloc.Used = append(alloc.Used, alloc.NumPages)
+			alloc.Free[0] = uint32(alloc.NumPages)
 		})
 	})
+}
+
+// rewriteRNG lets edit change the wire form of one persisted RNG state.
+func rewriteRNG(t testing.TB, raw *rawGob, edit func(*rngWire)) {
+	t.Helper()
+	var w rngWire
+	*raw = gobRewrite(t, *raw, &w, func() { edit(&w) })
+}
+
+// corruptMachines are machine-snapshot corruptions that stay valid gob
+// but that no machine could have written: generators outside their
+// register, a missing generator, and cache line words with stray bits.
+func corruptMachines(t testing.TB) map[string]func(*machineWire) {
+	return map[string]func(*machineWire){
+		"a timer RNG tap past the register": func(m *machineWire) {
+			rewriteRNG(t, &m.TimerRNG, func(w *rngWire) { w.Tap = len(w.Vec) })
+		},
+		"a negative noise RNG feed": func(m *machineWire) {
+			rewriteRNG(t, &m.NoiseRNG, func(w *rngWire) { w.Feed = -1 })
+		},
+		"a short driver RNG register": func(m *machineWire) {
+			var n nicWire
+			m.NIC = gobRewrite(t, m.NIC, &n, func() {
+				rewriteRNG(t, &n.RNG, func(w *rngWire) { w.Vec = w.Vec[:len(w.Vec)/2] })
+			})
+		},
+		"a missing timer RNG state": func(m *machineWire) { m.TimerRNG = nil },
+		"cache meta with stray low bits": func(m *machineWire) {
+			var c cacheWire
+			m.Cache = gobRewrite(t, m.Cache, &c, func() { c.Meta[0] |= 1 << 3 })
+		},
+	}
+}
+
+// TestDiskStoreHealsCorruptMachineState: every corruption in
+// corruptMachines is a cache miss that the store rebuilds, never a panic
+// or a hang in the first trial that adopts the entry.
+func TestDiskStoreHealsCorruptMachineState(t *testing.T) {
+	for what, corrupt := range corruptMachines(t) {
+		t.Run(what, func(t *testing.T) { checkDiskStoreHeals(t, what, corrupt) })
+	}
 }
 
 // TestDiskStoreHealsOutOfRangeNICHead: an entry whose NIC ring cursor
@@ -550,6 +610,13 @@ func FuzzRigArtifactLoad(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte("not a gob"))
+	for _, corrupt := range corruptMachines(f) {
+		var rig rigWire
+		f.Add(gobRewrite(f, buf.Bytes(), &rig, func() {
+			var machine machineWire
+			rig.Machine = gobRewrite(f, rig.Machine, &machine, func() { corrupt(&machine) })
+		}))
+	}
 	key := rigKey(opts, strat)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := NewDiskArtifactStore(t.TempDir(), 0)

@@ -191,14 +191,14 @@ func (l *RigLease) Release() {
 
 // adopt rebinds a rig — pooled, or a fresh shell with a zero spy — to
 // the artifact's machine: the testbed is restored in place to the
-// snapshot (reseeding online streams when the trial decorrelates), the spy
-// rebound, the eviction sets copied into the rig's reused buffers, and the
-// rig keyed for its return to a pool. Allocation-free in steady state.
+// snapshot (then its online streams reseeded when the trial
+// decorrelates), the spy rebound, the eviction sets copied into the rig's
+// reused buffers, and the rig keyed for its return to a pool.
+// Allocation-free in steady state.
 func (r *attackRig) adopt(ra *RigArtifact, reseed bool, online int64) {
+	r.tb.AdoptSnapshot(ra.Opts, ra.Machine)
 	if reseed {
-		r.tb.AdoptSnapshotReseeded(ra.Opts, ra.Machine, online)
-	} else {
-		r.tb.AdoptSnapshot(ra.Opts, ra.Machine)
+		r.tb.ReseedOnline(online)
 	}
 	r.spy.Rebind(r.tb, ra.Spy)
 	r.groups = probe.CopyEvictionSetsInto(r.groups, ra.Groups)

@@ -22,8 +22,8 @@ func TestRestoreCopyOnWrite(t *testing.T) {
 	}
 	// Spare capacity past the list: an append that reused it would write
 	// into the snapshot without changing its visible length.
-	st := &AllocatorState{free: make([]uint32, 0, 2*pages)}
-	src.SnapshotInto(st)
+	st := src.Snapshot()
+	st.free = append(make([]uint32, 0, 2*pages), st.free...)
 	backing := slices.Clone(st.free[:cap(st.free)])
 	unchanged := func(t *testing.T, when string) {
 		t.Helper()

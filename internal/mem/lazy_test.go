@@ -206,6 +206,43 @@ func TestAllocatorSnapshotBytes(t *testing.T) {
 	runtime.KeepAlive(st)
 }
 
+// corruptAllocatorStates are wire forms no allocator could have written.
+var corruptAllocatorStates = map[string]allocatorStateGob{
+	"free frame out of range": {Free: []uint32{5}, Used: []uint64{0}, NumPages: 3},
+	"used frame out of range": {Used: []uint64{1 << 3}, NumPages: 3},
+	"listed twice":            {Free: []uint32{1, 1}, Used: []uint64{0}, NumPages: 3},
+	"free and used":           {Free: []uint32{1}, Used: []uint64{1 << 1}, NumPages: 3},
+	"short bitset":            {Free: []uint32{0}, NumPages: 3},
+	"long bitset":             {Used: []uint64{0, 0}, NumPages: 3},
+	"more free than pages":    {Free: []uint32{0, 1, 2}, Used: []uint64{0}, NumPages: 2},
+	"too large":               {NumPages: 1<<32 + 1},
+}
+
+// encodeAllocatorStateGob gob-encodes a wire form.
+func encodeAllocatorStateGob(t testing.TB, w allocatorStateGob) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestAllocatorStateGobDecodeRejectsCorrupt: every corrupt wire form
+// fails the decode, and a hand-built valid one passes.
+func TestAllocatorStateGobDecodeRejectsCorrupt(t *testing.T) {
+	var ok AllocatorState
+	if err := ok.GobDecode(encodeAllocatorStateGob(t, allocatorStateGob{Free: []uint32{0, 1}, Used: []uint64{1 << 2}, NumPages: 3})); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+	for name, w := range corruptAllocatorStates {
+		var st AllocatorState
+		if err := st.GobDecode(encodeAllocatorStateGob(t, w)); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
 // FuzzAllocatorStateGobDecode: no input panics the decoder, and every
 // input it accepts re-encodes to bytes that decode to the same state and
 // encode identically again.
@@ -214,26 +251,15 @@ func FuzzAllocatorStateGobDecode(f *testing.F) {
 	if _, err := al.AllocPages(40); err != nil {
 		f.Fatal(err)
 	}
-	seed := func(w allocatorStateGob) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
 	good, err := al.Snapshot().GobEncode()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	seed(allocatorStateGob{Free: []uint64{0, 1}, Used: []uint64{2}, NumPages: 3})
-	seed(allocatorStateGob{Free: []uint64{5}, NumPages: 3})                    // free frame out of range
-	seed(allocatorStateGob{Used: []uint64{1 << 40}, NumPages: 3})              // used frame out of range
-	seed(allocatorStateGob{Free: []uint64{1, 1}, NumPages: 3})                 // listed twice
-	seed(allocatorStateGob{Free: []uint64{1}, Used: []uint64{1}, NumPages: 3}) // free and used
-	seed(allocatorStateGob{Used: []uint64{2, 1}, NumPages: 3})                 // unsorted
-	seed(allocatorStateGob{Free: []uint64{0, 1, 2}, NumPages: 2})              // more free than pages
-	seed(allocatorStateGob{NumPages: 1<<32 + 1})                               // too large
+	f.Add(encodeAllocatorStateGob(f, allocatorStateGob{Free: []uint32{0, 1}, Used: []uint64{1 << 2}, NumPages: 3}))
+	for _, w := range corruptAllocatorStates {
+		f.Add(encodeAllocatorStateGob(f, w))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var w allocatorStateGob
 		if gob.NewDecoder(bytes.NewReader(b)).Decode(&w) == nil && w.NumPages > 1<<24 {

@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/sim"
@@ -149,62 +148,35 @@ type AllocatorState struct {
 // first. The returned value is immutable and safe to restore into any
 // allocator built over the same memory size.
 func (al *Allocator) Snapshot() *AllocatorState {
-	st := &AllocatorState{}
-	al.SnapshotInto(st)
-	return st
-}
-
-// SnapshotInto captures the allocator's state into a caller-owned scratch
-// snapshot, reusing its backing slices. It exists for the offline/build
-// path and benchmarks that snapshot repeatedly; a snapshot filed in an
-// artifact must be a fresh Snapshot(), since artifacts rely on snapshot
-// immutability. So does every allocator restored from st, which shares
-// its free list: st must not be reused while one is live.
-func (al *Allocator) SnapshotInto(st *AllocatorState) {
 	al.drawTo(0)
-	st.free = append(st.free[:0], al.free...)
-	st.used = append(st.used[:0], al.used...)
-	st.numPages = al.numPages
+	return &AllocatorState{free: slices.Clone(al.free), used: slices.Clone(al.used), numPages: al.numPages}
 }
 
 // allocatorStateGob mirrors AllocatorState with exported fields for the
-// disk-backed artifact store. Free-list order is preserved exactly (it
-// determines every future allocation); the used set is sorted for a
-// canonical encoding.
+// disk-backed artifact store: the free list in its exact order (it
+// determines every future allocation) and the used bitset words, as
+// memory holds them.
 type allocatorStateGob struct {
-	Free     []uint64
+	Free     []uint32
 	Used     []uint64
 	NumPages uint64
 }
 
 // GobEncode serializes the allocator state (disk-backed warm starts).
 func (st *AllocatorState) GobEncode() ([]byte, error) {
-	w := allocatorStateGob{NumPages: st.numPages}
-	if len(st.free) > 0 {
-		w.Free = make([]uint64, len(st.free))
-		for i, pfn := range st.free {
-			w.Free[i] = uint64(pfn)
-		}
-	}
-	// Ascending bitset order is the sorted canonical encoding.
-	for wi, word := range st.used {
-		for word != 0 {
-			w.Used = append(w.Used, uint64(wi)*64+uint64(bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(allocatorStateGob{Free: st.free, Used: st.used, NumPages: st.numPages}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // GobDecode rebuilds allocator state from its serialized form. Input that
-// no allocator could have produced — a frame out of range, listed twice,
-// or both free and used, or Used out of order — is an error, so a corrupt
-// disk artifact misses the cache instead of panicking here or in Restore,
-// or handing out one frame twice.
+// no allocator could have produced — a bitset of the wrong length or with
+// a frame past the end marked used, a free frame out of range, listed
+// twice, or also used — is an error, so a corrupt disk artifact misses the
+// cache instead of panicking here or in Restore, or handing out one frame
+// twice.
 func (st *AllocatorState) GobDecode(b []byte) error {
 	var w allocatorStateGob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
@@ -217,30 +189,25 @@ func (st *AllocatorState) GobDecode(b []byte) error {
 	if uint64(len(w.Free)) > n {
 		return fmt.Errorf("mem: allocator state lists %d free frames of %d", len(w.Free), n)
 	}
-	used := make([]uint64, (n+63)/64)
-	for i, pfn := range w.Used {
-		if pfn >= n {
-			return fmt.Errorf("mem: used frame %d out of range (%d pages)", pfn, n)
-		}
-		if i > 0 && pfn <= w.Used[i-1] {
-			return fmt.Errorf("mem: used frames not strictly ascending at %d", pfn)
-		}
-		used[pfn/64] |= 1 << (pfn % 64)
+	words := (n + 63) / 64
+	if uint64(len(w.Used)) != words {
+		return fmt.Errorf("mem: used bitset of %d words for %d pages, want %d", len(w.Used), n, words)
 	}
-	free := make([]uint32, len(w.Free))
-	seen := make([]uint64, len(used))
-	for i, pfn := range w.Free {
-		if pfn >= n {
+	if tail := n % 64; tail != 0 && w.Used[words-1]>>tail != 0 {
+		return fmt.Errorf("mem: used bitset marks frames past page %d", n)
+	}
+	seen := make([]uint64, words)
+	for _, pfn := range w.Free {
+		if uint64(pfn) >= n {
 			return fmt.Errorf("mem: free frame %d out of range (%d pages)", pfn, n)
 		}
 		bit := uint64(1) << (pfn % 64)
-		if (used[pfn/64]|seen[pfn/64])&bit != 0 {
+		if (w.Used[pfn/64]|seen[pfn/64])&bit != 0 {
 			return fmt.Errorf("mem: free frame %d listed twice or also used", pfn)
 		}
 		seen[pfn/64] |= bit
-		free[i] = uint32(pfn)
 	}
-	st.free, st.used, st.numPages = free, used, n
+	st.free, st.used, st.numPages = w.Free, w.Used, n
 	return nil
 }
 

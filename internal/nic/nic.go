@@ -105,23 +105,25 @@ type Stats struct {
 	PageFlips           uint64
 }
 
-// descriptor is one rx ring entry: a buffer at page+offset.
+// descriptor is one rx ring entry: a buffer at Page+Offset. Its fields,
+// and pending's, are exported so a snapshot's wire form holds the ring and
+// the driver queue as memory does.
 type descriptor struct {
-	page   mem.Addr
-	offset uint32 // 0 or BufferSize (half-page flip)
+	Page   mem.Addr
+	Offset uint32 // 0 or BufferSize (half-page flip)
 }
 
 // pending is a DMA-completed frame awaiting driver processing.
 type pending struct {
-	frame   netmodel.Frame
-	descIdx int
-	buf     mem.Addr
-	dueAt   uint64
+	Frame   netmodel.Frame
+	DescIdx int
+	Buf     mem.Addr
+	DueAt   uint64
 }
 
 // NIC is the adapter + driver model.
 type NIC struct {
-	//packetlint:transient configuration, set by New/NewShell and Rebind (which keeps the ring and skb sizes); restoreCore checks the shape
+	//packetlint:transient configuration, set by New/NewShell and Rebind (which keeps the ring and skb sizes); Restore checks the shape
 	cfg Config
 	//packetlint:transient wiring to the shared cache, rebound only by New/NewShell
 	cache *cache.Cache
@@ -144,7 +146,8 @@ type NIC struct {
 
 // New initializes the driver: it allocates one buffer page per descriptor
 // (the once-per-lifetime allocation §III-A describes), an skb pool, and a
-// page for the coherent descriptor ring.
+// page for the coherent descriptor ring. rng is the driver's own stream,
+// drawn for buffer reallocation; it must not be nil.
 func New(cfg Config, c *cache.Cache, alloc *mem.Allocator, clock *sim.Clock, rng *sim.RNG) (*NIC, error) {
 	if cfg.RingSize <= 0 || cfg.BufferSize <= 0 || cfg.BufferSize > mem.PageSize {
 		return nil, fmt.Errorf("nic: invalid ring/buffer geometry %d/%d", cfg.RingSize, cfg.BufferSize)
@@ -159,7 +162,7 @@ func New(cfg Config, c *cache.Cache, alloc *mem.Allocator, clock *sim.Clock, rng
 	}
 	n.ring = make([]descriptor, cfg.RingSize)
 	for i, p := range pages {
-		n.ring[i] = descriptor{page: p}
+		n.ring[i] = descriptor{Page: p}
 	}
 	if n.skb, err = alloc.AllocPages(cfg.SKBPages); err != nil {
 		return nil, fmt.Errorf("nic: skb pool: %w", err)
@@ -199,7 +202,7 @@ func (n *NIC) Stats() Stats { return n.stats }
 // advanced the clock to at least f.Arrival.
 func (n *NIC) Receive(f netmodel.Frame) {
 	d := &n.ring[n.head]
-	buf := d.page + mem.Addr(d.offset)
+	buf := d.Page + mem.Addr(d.Offset)
 	blocks := f.Blocks()
 	if max := n.cfg.BufferSize / 64; blocks > max {
 		blocks = max
@@ -207,7 +210,7 @@ func (n *NIC) Receive(f netmodel.Frame) {
 	for b := 0; b < blocks; b++ {
 		n.cache.IOWrite(uint64(buf) + uint64(b*64))
 	}
-	n.queue = append(n.queue, pending{frame: f, descIdx: n.head, buf: buf, dueAt: f.Arrival + n.cfg.DriverLatency})
+	n.queue = append(n.queue, pending{Frame: f, DescIdx: n.head, Buf: buf, DueAt: f.Arrival + n.cfg.DriverLatency})
 	// Conditional wrap instead of modulo: the integer divide was
 	// measurable on the per-packet path, and head advances by exactly one.
 	if n.head++; n.head == n.cfg.RingSize {
@@ -221,7 +224,7 @@ func (n *NIC) Receive(f netmodel.Frame) {
 // simulated clock (it runs in parallel with the spy's core).
 func (n *NIC) ProcessDriver(t uint64) {
 	i := 0
-	for ; i < len(n.queue) && n.queue[i].dueAt <= t; i++ {
+	for ; i < len(n.queue) && n.queue[i].DueAt <= t; i++ {
 		n.process(n.queue[i])
 	}
 	// Compact in place: reslicing past the processed frames would creep
@@ -235,40 +238,40 @@ func (n *NIC) PendingDriverWork() int { return len(n.queue) }
 // process is the igb_clean_rx_irq equivalent for one packet.
 func (n *NIC) process(p pending) {
 	// Read the rx descriptor from the coherent ring (16 bytes/desc).
-	n.cache.Read(uint64(n.descRing) + uint64(p.descIdx*16))
+	n.cache.Read(uint64(n.descRing) + uint64(p.DescIdx*16))
 	// Driver always reads the header block...
-	n.cache.Read(uint64(p.buf))
+	n.cache.Read(uint64(p.Buf))
 	// ...and prefetches the second block regardless of size (Fig 8's
 	// artifact: 1-block packets light up block 1 too).
 	if n.cfg.PrefetchSecondBlock {
-		n.cache.Read(uint64(p.buf) + 64)
+		n.cache.Read(uint64(p.Buf) + 64)
 	}
 
-	if !p.frame.Known {
+	if !p.Frame.Known {
 		// No protocol handler: frame dropped in the driver; buffer reused.
 		n.stats.Dropped++
 		n.stats.Reused++
-		n.finishPacket(p.descIdx)
+		n.finishPacket(p.DescIdx)
 		return
 	}
 
-	blocks := p.frame.Blocks()
+	blocks := p.Frame.Blocks()
 	if max := n.cfg.BufferSize / 64; blocks > max {
 		blocks = max
 	}
-	if p.frame.Size <= n.cfg.RxHdrLen {
+	if p.Frame.Size <= n.cfg.RxHdrLen {
 		// igb_add_rx_frag small path: memcpy into the skb, reuse buffer.
 		for b := 0; b < blocks; b++ {
-			n.cache.Read(uint64(p.buf) + uint64(b*64))
+			n.cache.Read(uint64(p.Buf) + uint64(b*64))
 			n.cache.Write(uint64(n.nextSKB()) + uint64(b*64))
 		}
 		n.stats.Copied++
-		if n.rng != nil && n.rng.Bernoulli(n.cfg.ReallocProb) {
-			n.reallocDescriptor(p.descIdx)
+		if n.rng.Bernoulli(n.cfg.ReallocProb) {
+			n.reallocDescriptor(p.DescIdx)
 		} else {
 			n.stats.Reused++
 		}
-		n.finishPacket(p.descIdx)
+		n.finishPacket(p.DescIdx)
 		return
 	}
 
@@ -277,17 +280,17 @@ func (n *NIC) process(p pending) {
 	// igb_can_reuse_rx_page flips the half-page offset.
 	n.cache.Write(uint64(n.nextSKB()))
 	for b := 0; b < blocks; b++ {
-		n.cache.Read(uint64(p.buf) + uint64(b*64))
+		n.cache.Read(uint64(p.Buf) + uint64(b*64))
 	}
 	n.stats.Fragged++
-	if n.rng != nil && n.rng.Bernoulli(n.cfg.ReallocProb) {
-		n.reallocDescriptor(p.descIdx)
+	if n.rng.Bernoulli(n.cfg.ReallocProb) {
+		n.reallocDescriptor(p.DescIdx)
 	} else {
-		n.ring[p.descIdx].offset ^= uint32(n.cfg.BufferSize)
+		n.ring[p.DescIdx].Offset ^= uint32(n.cfg.BufferSize)
 		n.stats.PageFlips++
 		n.stats.Reused++
 	}
-	n.finishPacket(p.descIdx)
+	n.finishPacket(p.DescIdx)
 }
 
 // finishPacket applies the §VI randomization defenses after a packet has
@@ -309,7 +312,7 @@ func (n *NIC) finishPacket(descIdx int) {
 // reallocDescriptor gives a descriptor a fresh physical page at a random
 // location (see mem.AllocPageRandom for why placement must be random).
 func (n *NIC) reallocDescriptor(i int) {
-	old := n.ring[i].page
+	old := n.ring[i].Page
 	fresh, err := n.alloc.AllocPageRandom(n.rng)
 	if err != nil {
 		// Allocator exhausted: keep the old page (kernel would retry).
@@ -317,7 +320,7 @@ func (n *NIC) reallocDescriptor(i int) {
 		return
 	}
 	n.alloc.FreePage(old)
-	n.ring[i] = descriptor{page: fresh}
+	n.ring[i] = descriptor{Page: fresh}
 	n.stats.Reallocated++
 }
 
@@ -345,7 +348,7 @@ func (n *NIC) nextSKB() mem.Addr {
 // instrumentation; attack code never calls them.
 
 // BufferPage returns the physical page of descriptor i.
-func (n *NIC) BufferPage(i int) mem.Addr { return n.ring[i].page }
+func (n *NIC) BufferPage(i int) mem.Addr { return n.ring[i].Page }
 
 // RingAlignedSets returns, per ring position, the canonical page-aligned
 // set index (0..255) of that buffer's page — the ground truth for Figs 5-6
@@ -353,7 +356,7 @@ func (n *NIC) BufferPage(i int) mem.Addr { return n.ring[i].page }
 func (n *NIC) RingAlignedSets(cfg cache.Config) []int {
 	out := make([]int, len(n.ring))
 	for i, d := range n.ring {
-		out[i] = cfg.AlignedIndexOf(cfg.GlobalSet(uint64(d.page)))
+		out[i] = cfg.AlignedIndexOf(cfg.GlobalSet(uint64(d.Page)))
 	}
 	return out
 }

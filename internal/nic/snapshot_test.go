@@ -70,6 +70,7 @@ func TestSnapshotGobDecodeRejectsOutOfRange(t *testing.T) {
 		"empty ring":         func(w *snapshotGob) { w.Ring, w.Head, w.Queue = nil, 0, nil },
 		"skb cursor at pool": func(w *snapshotGob) { w.SKBIdx = len(w.SKB) },
 		"queued desc":        func(w *snapshotGob) { w.Queue[0].DescIdx = len(w.Ring) },
+		"missing RNG state":  func(w *snapshotGob) { w.RNG = nil },
 	} {
 		var s Snapshot
 		if err := s.GobDecode(encodedSnapshot(t, edit)); err == nil {
@@ -80,12 +81,13 @@ func TestSnapshotGobDecodeRejectsOutOfRange(t *testing.T) {
 
 // FuzzNICSnapshotGobDecode: no input panics the decoder, and every
 // snapshot it accepts restores into a driver of its ring size and takes
-// one Receive. The restore skips the driver RNG: replaying a recorded
-// stream position costs time in proportion to the position, which is
-// not a shape the decoder can check.
+// one Receive. The restore copies the driver RNG state, so its cost does
+// not depend on the recorded stream position.
 func FuzzNICSnapshotGobDecode(f *testing.F) {
 	f.Add(encodedSnapshot(f, nil))
 	f.Add(encodedSnapshot(f, func(w *snapshotGob) { w.Head = 99 }))
+	f.Add(encodedSnapshot(f, func(w *snapshotGob) { w.RNG = nil }))
+	f.Add(encodedSnapshot(f, func(w *snapshotGob) { w.RNG.Draws = 1 << 62 }))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var s Snapshot
 		if s.GobDecode(b) != nil {
@@ -95,11 +97,11 @@ func FuzzNICSnapshotGobDecode(f *testing.F) {
 		cfg := DefaultConfig()
 		cfg.RingSize = len(s.ring)
 		cfg.SKBPages = len(s.skb)
-		n, err := NewShell(cfg, cache.New(cache.ScaledConfig(1, 64, 4), clock), mem.NewAllocatorShell(1<<22), clock, nil)
+		n, err := NewShell(cfg, cache.New(cache.ScaledConfig(1, 64, 4), clock), mem.NewAllocatorShell(1<<22), clock, sim.NewRNG(0))
 		if err != nil {
 			t.Fatalf("accepted snapshot has no driver shape: %v", err)
 		}
-		n.RestoreSkipRNG(&s)
+		n.Restore(&s)
 		n.Receive(frame(0, 1500, 0, true))
 	})
 }
@@ -119,7 +121,7 @@ func TestRebindKeepsSizes(t *testing.T) {
 	clock := sim.NewClock()
 	one := DefaultConfig()
 	one.RingSize, one.SKBPages = 8, 0
-	n, err := NewShell(one, cache.New(cache.ScaledConfig(1, 64, 4), clock), mem.NewAllocatorShell(1<<22), clock, nil)
+	n, err := NewShell(one, cache.New(cache.ScaledConfig(1, 64, 4), clock), mem.NewAllocatorShell(1<<22), clock, sim.NewRNG(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,3 +210,14 @@ func itoa(n uint64) string {
 	}
 	return string(b[i:])
 }
+
+// TestStrategyFingerprint pins the strategy half of the artifact key:
+// the fine-timer attacker adds nothing, the amplified one its constants.
+func TestStrategyFingerprint(t *testing.T) {
+	if got := DefaultStrategy().Fingerprint(); got != "" {
+		t.Errorf("default strategy fingerprint %q, want empty", got)
+	}
+	if got, want := AmplifiedStrategy().Fingerprint(), "amplified(cal=64,max=32)"; got != want {
+		t.Errorf("amplified strategy fingerprint %q, want %q", got, want)
+	}
+}

@@ -40,9 +40,6 @@ type Spy struct {
 	// access is measurable across a paper-scale probe schedule.
 	cache *cache.Cache
 	clock *sim.Clock
-	// OverheadPerAccess is the loop overhead in cycles charged per load
-	// on top of the memory latency.
-	OverheadPerAccess uint64
 
 	hitLat, missLat uint64 // calibrated latencies (observed, incl. noise)
 	// degenerate records that calibration failed to find a separating
@@ -65,6 +62,10 @@ type Spy struct {
 	walk []int32
 }
 
+// overheadPerAccess is the loop overhead in cycles charged per load on
+// top of the memory latency.
+const overheadPerAccess = 4
+
 // NewSpy maps pages of spy memory and calibrates hit/miss latencies with
 // the fine-timer strategy (the paper's attacker).
 func NewSpy(tb *testbed.Testbed, pages int) (*Spy, error) {
@@ -80,8 +81,7 @@ func NewSpyStrategy(tb *testbed.Testbed, pages int, strat Strategy) (*Spy, error
 	if err != nil {
 		return nil, fmt.Errorf("probe: spy region: %w", err)
 	}
-	s := &Spy{tb: tb, region: r, strat: strat.withDefaults(), OverheadPerAccess: 4,
-		cache: tb.Cache(), clock: tb.Clock()}
+	s := &Spy{tb: tb, region: r, strat: strat, cache: tb.Cache(), clock: tb.Clock()}
 	s.calibrate()
 	return s, nil
 }
@@ -92,26 +92,24 @@ func NewSpyStrategy(tb *testbed.Testbed, pages int, strat Strategy) (*Spy, error
 // identical spy to a restored machine without re-running region allocation
 // or calibration (both already baked into the snapshot).
 type SpyState struct {
-	Pages             []mem.Addr
-	OverheadPerAccess uint64
-	HitLat, MissLat   uint64
-	Strategy          Strategy
-	Degenerate        bool
-	Spread            uint64
-	Factor            int
+	Pages           []mem.Addr
+	HitLat, MissLat uint64
+	Strategy        Strategy
+	Degenerate      bool
+	Spread          uint64
+	Factor          int
 }
 
 // State captures the spy for a later Rebind.
 func (s *Spy) State() SpyState {
 	return SpyState{
-		Pages:             s.region.PageAddrs(),
-		OverheadPerAccess: s.OverheadPerAccess,
-		HitLat:            s.hitLat,
-		MissLat:           s.missLat,
-		Strategy:          s.strat,
-		Degenerate:        s.degenerate,
-		Spread:            s.spread,
-		Factor:            s.factor,
+		Pages:      s.region.PageAddrs(),
+		HitLat:     s.hitLat,
+		MissLat:    s.missLat,
+		Strategy:   s.strat,
+		Degenerate: s.degenerate,
+		Spread:     s.spread,
+		Factor:     s.factor,
 	}
 }
 
@@ -125,10 +123,6 @@ func (s *Spy) State() SpyState {
 // trial and must not allocate. The testbed must be the machine the
 // accompanying snapshot was restored into.
 func (s *Spy) Rebind(tb *testbed.Testbed, st SpyState) {
-	factor := st.Factor
-	if factor < 1 {
-		factor = 1 // states captured before strategies existed
-	}
 	if s.region == nil {
 		s.region = new(mem.Region)
 	}
@@ -136,13 +130,12 @@ func (s *Spy) Rebind(tb *testbed.Testbed, st SpyState) {
 	s.cache = tb.Cache()
 	s.clock = tb.Clock()
 	s.region.SetPages(st.Pages)
-	s.strat = st.Strategy.withDefaults()
-	s.OverheadPerAccess = st.OverheadPerAccess
+	s.strat = st.Strategy
 	s.hitLat = st.HitLat
 	s.missLat = st.MissLat
 	s.degenerate = st.Degenerate
 	s.spread = st.Spread
-	s.factor = factor
+	s.factor = st.Factor
 }
 
 // Pages returns the number of pages in the spy's buffer.
@@ -165,7 +158,7 @@ func (s *Spy) PageBase(i int) uint64 {
 // loop overhead, and returns the latency as observed through the timer.
 func (s *Spy) Touch(addr uint64) uint64 {
 	_, lat := s.cache.Read(addr)
-	s.clock.Advance(lat + s.OverheadPerAccess)
+	s.clock.Advance(lat + overheadPerAccess)
 	return s.tb.TimerRead(lat)
 }
 
@@ -183,7 +176,7 @@ func (s *Spy) touchRef(r *cache.LineRef) uint64 {
 // quantization error regardless of the block's length.
 func (s *Spy) loadRaw(r *cache.LineRef) uint64 {
 	_, lat := s.cache.ReadRef(r)
-	s.clock.Advance(lat + s.OverheadPerAccess)
+	s.clock.Advance(lat + overheadPerAccess)
 	return lat
 }
 
@@ -199,7 +192,7 @@ func (s *Spy) calibrate() {
 	}
 	probeAddr := s.PageBase(0) + 512 // scratch line, offset irrelevant
 	s.Touch(probeAddr)
-	const trials = 16
+	const trials = fineCalTrials
 	hits := make([]uint64, trials)
 	for i := range hits {
 		hits[i] = s.Touch(probeAddr)
@@ -231,16 +224,16 @@ func (s *Spy) calibrate() {
 	}
 }
 
-// calibrateAmplified is the repeated-measurement calibration: CalTrials
-// timed loads per point, medians for the levels (one-sided jitter shifts
-// both medians equally, so their difference estimates the true edge), and
-// the hit distribution's width as the timer noise-floor estimate. The
-// conflict-test amplification factor K is then chosen so that K half-edges
-// of signal clear the jitter of K averaged readings: the residual noise of
-// a K-round average shrinks ~sqrt(K), so K grows quadratically with the
-// noise floor, capped by the strategy.
+// calibrateAmplified is the repeated-measurement calibration:
+// amplifiedCalTrials timed loads per point, medians for the levels
+// (one-sided jitter shifts both medians equally, so their difference
+// estimates the true edge), and the hit distribution's width as the timer
+// noise-floor estimate. The conflict-test amplification factor K is then
+// chosen so that K half-edges of signal clear the jitter of K averaged
+// readings: the residual noise of a K-round average shrinks ~sqrt(K), so
+// K grows quadratically with the noise floor, capped at maxFactor.
 func (s *Spy) calibrateAmplified() {
-	trials := s.strat.CalTrials
+	trials := amplifiedCalTrials
 	// Cold lines live at page offsets [1024, 2048) — 16 per page, below the
 	// block offsets any monitor watches — across as many pages as needed.
 	if max := s.region.Pages() * 16; trials > max {
@@ -266,7 +259,7 @@ func (s *Spy) calibrateAmplified() {
 	if s.missLat <= s.hitLat {
 		s.degenerate = true
 		s.missLat = s.hitLat + 1
-		s.factor = s.strat.MaxFactor
+		s.factor = maxFactor
 		return
 	}
 	halfEdge := (s.missLat - s.hitLat) / 2
@@ -281,8 +274,8 @@ func (s *Spy) calibrateAmplified() {
 	if k < 1 {
 		k = 1
 	}
-	if k > s.strat.MaxFactor {
-		k = s.strat.MaxFactor
+	if k > maxFactor {
+		k = maxFactor
 	}
 	s.factor = k
 }

@@ -34,43 +34,36 @@ import "fmt"
 //     draw regardless of its length, and activity thresholds add the full
 //     calibrated noise spread instead of assuming a sharp timer.
 type Strategy struct {
-	// CalTrials is the number of timed measurements per calibration point
-	// (hit distribution and miss distribution). The fine-timer strategy's
-	// historical value is 16; the amplified strategy takes more to make
-	// the medians and the spread estimate sharp. Zero means 16.
-	CalTrials int
 	// Amplify enables the repeated-measurement machinery: distribution
 	// calibration, adaptively amplified conflict tests, and block-timed
 	// probe walks.
 	Amplify bool
-	// MaxFactor caps the adaptive amplification factor K of the conflict
+}
+
+const (
+	// fineCalTrials is the number of timed measurements per calibration
+	// point (hit distribution and miss distribution) of the fine-timer
+	// strategy. The amplified strategy takes amplifiedCalTrials to make
+	// the medians and the spread estimate sharp.
+	fineCalTrials      = 16
+	amplifiedCalTrials = 64
+	// maxFactor caps the adaptive amplification factor K of the conflict
 	// test. The factor grows roughly quadratically with the timer's noise
 	// spread, so the cap bounds offline-phase cost when the attacker
-	// prepares under an extremely coarse timer. Zero means 32.
-	MaxFactor int
-}
+	// prepares under an extremely coarse timer.
+	maxFactor = 32
+)
 
 // DefaultStrategy is the paper's fine-timer attacker: per-access timing,
 // 16-trial mean calibration, no amplification. It reproduces the
 // historical spy byte for byte.
 func DefaultStrategy() Strategy {
-	return Strategy{CalTrials: 16}
+	return Strategy{}
 }
 
 // AmplifiedStrategy is the coarse-timer-resilient attacker.
 func AmplifiedStrategy() Strategy {
-	return Strategy{CalTrials: 64, Amplify: true, MaxFactor: 32}
-}
-
-// withDefaults resolves zero fields.
-func (st Strategy) withDefaults() Strategy {
-	if st.CalTrials <= 0 {
-		st.CalTrials = 16
-	}
-	if st.MaxFactor <= 0 {
-		st.MaxFactor = 32
-	}
-	return st
+	return Strategy{Amplify: true}
 }
 
 // Fingerprint canonically identifies the strategy for content-addressed
@@ -78,12 +71,8 @@ func (st Strategy) withDefaults() Strategy {
 // different strategies must never be interchanged. The default strategy
 // fingerprints to "" so historical keys are unchanged.
 func (st Strategy) Fingerprint() string {
-	st = st.withDefaults()
-	if !st.Amplify && st.CalTrials == 16 {
+	if !st.Amplify {
 		return ""
 	}
-	if !st.Amplify {
-		return fmt.Sprintf("cal%d", st.CalTrials)
-	}
-	return fmt.Sprintf("amplified(cal=%d,max=%d)", st.CalTrials, st.MaxFactor)
+	return fmt.Sprintf("amplified(cal=%d,max=%d)", amplifiedCalTrials, maxFactor)
 }

@@ -75,10 +75,9 @@ func slicesDiffer(a, b []int) int {
 }
 
 // TestRNGMaterializedRestoreMatchesReplay: restoring a captured state by
-// copying its materialized generator must land on exactly the stream that
-// replaying its (seed, draws) position reaches — across mixed draw kinds —
-// and must replay zero generator steps doing so, while the replay path
-// replays exactly the position's draw count.
+// copying its generator lands on exactly the stream that replaying its
+// (seed, draws) position from the seed reaches, across mixed draw kinds:
+// the recorded position is honest bookkeeping of the generator's steps.
 func TestRNGMaterializedRestoreMatchesReplay(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		orig := NewRNG(seed)
@@ -97,15 +96,13 @@ func TestRNGMaterializedRestoreMatchesReplay(t *testing.T) {
 		}
 		st := orig.Snapshot()
 
-		copied, replayed := NewRNG(seed+1), NewRNG(seed+1)
-		before := ReplayedDraws()
-		copied.Restore(st)
-		if d := ReplayedDraws() - before; d != 0 {
-			t.Fatalf("seed %d: materialized restore replayed %d draws, want 0", seed, d)
+		copied, replayed := NewRNG(seed+1), NewRNG(st.Seed)
+		copied.Restore(&st)
+		for i := uint64(0); i < st.Draws; i++ {
+			replayed.Uint64()
 		}
-		replayed.Restore(st.Position())
-		if d := ReplayedDraws() - before; d != st.Draws {
-			t.Fatalf("seed %d: replay restore replayed %d draws, want %d", seed, d, st.Draws)
+		if replayed.Snapshot() != st {
+			t.Fatalf("seed %d: replaying %d draws did not reach the captured state", seed, st.Draws)
 		}
 		for i := 0; i < 64; i++ {
 			w := orig.Int63()
@@ -113,35 +110,6 @@ func TestRNGMaterializedRestoreMatchesReplay(t *testing.T) {
 				t.Fatalf("seed %d: restored streams diverge at draw %d", seed, i)
 			}
 		}
-		if copied.Snapshot().Position() != replayed.Snapshot().Position() {
-			t.Fatalf("seed %d: positions differ after restore", seed)
-		}
-	}
-}
-
-// TestRNGSnapshotIntoReusesBuffer: captures into one scratch state reuse
-// its generator buffer — zero allocations — and each capture restores to
-// its own position.
-func TestRNGSnapshotIntoReusesBuffer(t *testing.T) {
-	r := NewRNG(5)
-	var st RNGState
-	r.SnapshotInto(&st)
-	buf := st.gen
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Int63()
-		r.SnapshotInto(&st)
-	})
-	if allocs != 0 {
-		t.Fatalf("SnapshotInto allocated %v times per call, want 0", allocs)
-	}
-	if st.gen != buf {
-		t.Fatal("SnapshotInto replaced the generator buffer")
-	}
-	want := r.Int63()
-	other := NewRNG(9)
-	other.Restore(st)
-	if got := other.Int63(); got != want {
-		t.Fatalf("restore from reused scratch state: %d, want %d", got, want)
 	}
 }
 
@@ -223,8 +191,8 @@ func TestUniformMatchesIntn(t *testing.T) {
 				if g, w := got.Draw(&u), want.Intn(n); g != w {
 					t.Fatalf("n=%d seed=%d draw %d: Draw %d, Intn %d", n, seed, i, g, w)
 				}
-				if g, w := got.Snapshot().Position(), want.Snapshot().Position(); g != w {
-					t.Fatalf("n=%d seed=%d draw %d: Draw left the stream at %+v, Intn at %+v", n, seed, i, g, w)
+				if g, w := got.Snapshot(), want.Snapshot(); g != w {
+					t.Fatalf("n=%d seed=%d draw %d: Draw left the stream at draw %d, Intn at %d", n, seed, i, g.Draws, w.Draws)
 				}
 			}
 		}

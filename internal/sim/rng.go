@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
 )
 
 // RNG wraps math/rand with a convenience constructor so that every
@@ -13,8 +15,8 @@ import (
 //
 // An RNG's position in its stream is observable and restorable: the
 // underlying source counts its draws, so a stream position is just
-// (seed, draws), and a snapshot additionally carries the generator state
-// at that position so Restore can copy it back. This is what makes honest
+// (seed, draws), and a snapshot carries the generator state at that
+// position so Restore can copy it back. This is what makes honest
 // machine snapshotting possible — a restored world continues with exactly
 // the random decisions the original would have made.
 //
@@ -30,8 +32,8 @@ type RNG struct {
 }
 
 // countedSource is the generator plus a draw counter. Both Int63 and
-// Uint64 advance the generator by exactly one step, so replaying N draws
-// of either reproduces the state after any interleaving of N calls.
+// Uint64 advance the generator by exactly one step, so the counter is the
+// stream position after any interleaving of calls.
 type countedSource struct {
 	gen   rngSource
 	seedv int64
@@ -54,25 +56,15 @@ func (s *countedSource) Seed(seed int64) {
 	s.gen.Seed(seed)
 }
 
-// RNGState is a snapshot of an RNG's stream position. Seed and Draws are
-// the position and the whole gob wire format. gen, when set, is the
-// generator state materialized at that position (607 words), which lets
-// Restore copy the state instead of replaying Draws generator steps;
-// states decoded from disk carry none (gob skips unexported fields) and
-// restore by replay.
-//
-// The type stays comparable, but gen is a pointer: two captures of one
-// position compare equal only through Position.
+// RNGState is a snapshot of an RNG: its stream position (Seed, Draws)
+// and the generator state at that position (607 words). Restore copies
+// all of it back, so its cost does not depend on how many draws led
+// there, and disk and memory hold the same words. States compare equal
+// exactly when they restore identical streams at identical positions.
 type RNGState struct {
 	Seed  int64
 	Draws uint64
-	gen   *rngSource
-}
-
-// Position strips the materialized generator, leaving the comparable
-// (seed, draws) stream position.
-func (s RNGState) Position() RNGState {
-	return RNGState{Seed: s.Seed, Draws: s.Draws}
+	gen   rngSource
 }
 
 // NewRNG returns a deterministic RNG for the given seed.
@@ -182,59 +174,57 @@ func (r *RNG) ShuffleStep(i int) int {
 	return int(prod >> 32)
 }
 
-// Snapshot captures the RNG's stream position together with a private
-// copy of the generator state.
+// Snapshot captures the RNG's stream position and generator state.
 func (r *RNG) Snapshot() RNGState {
-	var st RNGState
-	r.SnapshotInto(&st)
-	return st
+	return RNGState{Seed: r.src.seedv, Draws: r.src.draws, gen: r.src.gen}
 }
-
-// SnapshotInto captures the position into st, reusing st's generator
-// buffer once it has one, so repeated captures into one scratch state are
-// allocation-free. Copies of a state share that buffer: a state filed
-// anywhere immutable must come from Snapshot.
-func (r *RNG) SnapshotInto(st *RNGState) {
-	if st.gen == nil {
-		st.gen = new(rngSource)
-	}
-	*st.gen = r.src.gen
-	st.Seed, st.Draws = r.src.seedv, r.src.draws
-}
-
-// replayedDraws counts the generator steps Restore has replayed in this
-// process (see ReplayedDraws).
-var replayedDraws atomic.Uint64
-
-// ReplayedDraws reports how many generator steps RNG.Restore has replayed
-// in this process so far. Replay is the fallback for states without a
-// materialized generator; tests read the counter to pin that restoring a
-// freshly captured snapshot replays nothing, however long its history.
-func ReplayedDraws() uint64 { return replayedDraws.Load() }
 
 // Restore moves the RNG, in place and without allocating, to a previously
-// captured position. A state carrying a materialized generator is copied
-// in: O(state), independent of how many draws led there — a machine whose
-// offline phase burned millions of timer draws restores as fast as a
-// fresh one. A state without one (decoded from disk) is reached by replay:
-// only the delta when the stream already sits on the right seed at or
-// before the target, otherwise reseed and replay from the start.
-func (r *RNG) Restore(st RNGState) {
-	s := r.src
-	switch {
-	case s.seedv == st.Seed && s.draws == st.Draws:
-		return
-	case st.gen != nil:
-		s.gen, s.seedv, s.draws = *st.gen, st.Seed, st.Draws
-		return
-	case s.seedv != st.Seed || s.draws > st.Draws:
-		s.Seed(st.Seed)
+// captured state by copying its generator in: O(state), independent of
+// how many draws led there.
+func (r *RNG) Restore(st *RNGState) {
+	r.src.gen, r.src.seedv, r.src.draws = st.gen, st.Seed, st.Draws
+}
+
+// rngStateGob is RNGState's wire form.
+type rngStateGob struct {
+	Seed      int64
+	Draws     uint64
+	Tap, Feed int
+	Vec       []int64
+}
+
+// GobEncode serializes the state (disk-backed warm starts).
+func (st RNGState) GobEncode() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(rngStateGob{
+		Seed: st.Seed, Draws: st.Draws, Tap: st.gen.tap, Feed: st.gen.feed, Vec: st.gen.vec[:],
+	})
+	if err != nil {
+		return nil, err
 	}
-	replayedDraws.Add(st.Draws - s.draws)
-	for s.draws < st.Draws {
-		s.gen.Uint64()
-		s.draws++
+	return buf.Bytes(), nil
+}
+
+// GobDecode rebuilds a state from its serialized form. A generator no
+// RNG could hold — a tap or feed index outside the register, a register
+// of another length — is an error, so a corrupt disk artifact misses the
+// cache instead of panicking in the first draw after Restore.
+func (st *RNGState) GobDecode(b []byte) error {
+	var w rngStateGob
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
+		return err
 	}
+	if w.Tap < 0 || w.Tap >= rngLen || w.Feed < 0 || w.Feed >= rngLen {
+		return fmt.Errorf("sim: RNG state tap %d / feed %d outside the %d-word register", w.Tap, w.Feed, rngLen)
+	}
+	if len(w.Vec) != rngLen {
+		return fmt.Errorf("sim: RNG state register holds %d words, want %d", len(w.Vec), rngLen)
+	}
+	st.Seed, st.Draws = w.Seed, w.Draws
+	st.gen.tap, st.gen.feed = w.Tap, w.Feed
+	copy(st.gen.vec[:], w.Vec)
+	return nil
 }
 
 // Reseed resets the RNG, in place, to the start of the stream for seed —

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 	"testing/quick"
 )
@@ -31,7 +33,7 @@ func TestRNGSnapshotReplay(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		want = append(want, r.Float64(), float64(r.Intn(1<<30)), r.ExpFloat64())
 	}
-	r.Restore(st)
+	r.Restore(&st)
 	for i := 0; i < 200; i++ {
 		got := []float64{r.Float64(), float64(r.Intn(1 << 30)), r.ExpFloat64()}
 		for k, g := range got {
@@ -42,9 +44,9 @@ func TestRNGSnapshotReplay(t *testing.T) {
 	}
 }
 
-// TestRNGSnapshotIntoFreshRNG: restoring into a different RNG instance
+// TestRNGRestoreIntoFreshRNG: restoring into a different RNG instance
 // (the machine-clone path) behaves identically to restoring in place.
-func TestRNGSnapshotIntoFreshRNG(t *testing.T) {
+func TestRNGRestoreIntoFreshRNG(t *testing.T) {
 	check := func(seed int64, burn uint16) bool {
 		a := NewRNG(seed)
 		for i := 0; i < int(burn); i++ {
@@ -52,7 +54,7 @@ func TestRNGSnapshotIntoFreshRNG(t *testing.T) {
 		}
 		st := a.Snapshot()
 		b := NewRNG(0) // unrelated stream
-		b.Restore(st)
+		b.Restore(&st)
 		for i := 0; i < 32; i++ {
 			if a.Int63() != b.Int63() {
 				return false
@@ -73,7 +75,7 @@ func TestRNGSnapshotOfDerivedStream(t *testing.T) {
 	r.Float64()
 	st := r.Snapshot()
 	want := r.Int63()
-	r.Restore(st)
+	r.Restore(&st)
 	if got := r.Int63(); got != want {
 		t.Fatalf("derived stream diverged: %d != %d", got, want)
 	}
@@ -82,62 +84,134 @@ func TestRNGSnapshotOfDerivedStream(t *testing.T) {
 	}
 }
 
-// TestRNGDeltaRestoreMatchesScratch: the property behind the O(Δ)
-// fast-forward. Restoring a stream that already sits at or before the
-// target position replays only the delta; the result must be draw-for-draw
-// identical to restoring the same state into a completely fresh RNG (which
-// replays from the seed). Covers the delta path, the overshoot-rewind
-// path (current position past the target), and the seed-mismatch path —
-// each both by replay (a bare position, as decoded from disk) and by
-// copying the materialized generator.
+// TestRNGDeltaRestoreMatchesScratch: restoring a state lands on the same
+// stream wherever the RNG sat before — behind the state on its own seed,
+// past it, or on another seed — draw for draw like a fresh RNG restored
+// to it.
 func TestRNGDeltaRestoreMatchesScratch(t *testing.T) {
 	check := func(seed int64, burn, extra uint8) bool {
 		orig := NewRNG(seed)
 		for i := 0; i < int(burn); i++ {
 			orig.Int63()
 		}
-		snap := orig.Snapshot()
-		return restoresAgree(t, seed, burn, extra, snap.Position()) &&
-			restoresAgree(t, seed, burn, extra, snap)
+		st := orig.Snapshot()
+		behind := NewRNG(seed)
+		for i := 0; i < int(burn)/2; i++ {
+			behind.Int63()
+		}
+		past := NewRNG(seed)
+		for i := 0; i < int(burn)+int(extra)+1; i++ {
+			past.Int63()
+		}
+		other := NewRNG(seed + 1)
+		other.Int63()
+		scratch := NewRNG(0)
+		for _, r := range []*RNG{behind, past, other, scratch} {
+			r.Restore(&st)
+			if r.Snapshot() != st {
+				t.Fatalf("restored state differs from the captured one")
+			}
+		}
+		for i := 0; i < 64; i++ {
+			want := scratch.Int63()
+			if behind.Int63() != want || past.Int63() != want || other.Int63() != want {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// restoresAgree restores st into RNGs sitting behind it on its own seed,
-// past it, and on another seed, and checks each continues exactly like a
-// fresh RNG restored to st. burn is st's draw count.
-func restoresAgree(t *testing.T, seed int64, burn, extra uint8, st RNGState) bool {
-	t.Helper()
-	// Delta path: same seed, position behind the target.
-	delta := NewRNG(seed)
-	for i := 0; i < int(burn)/2; i++ {
-		delta.Int63()
+// TestRNGStateGobRoundTrip: a decoded state restores the stream its
+// capture did, and re-encodes to the same bytes.
+func TestRNGStateGobRoundTrip(t *testing.T) {
+	r := Derive(3, "timer")
+	for i := 0; i < 5_000; i++ {
+		r.Intn(17)
 	}
-	// Overshoot path: same seed, position past the target.
-	over := NewRNG(seed)
-	for i := 0; i < int(burn)+int(extra)+1; i++ {
-		over.Int63()
+	st := r.Snapshot()
+	b, err := st.GobEncode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Mismatch path: different seed entirely.
-	other := NewRNG(seed + 1)
-	other.Int63()
+	var dec RNGState
+	if err := dec.GobDecode(b); err != nil {
+		t.Fatal(err)
+	}
+	if dec != st {
+		t.Fatal("decoded state differs from the encoded one")
+	}
+	if b2, err := dec.GobEncode(); err != nil || !bytes.Equal(b, b2) {
+		t.Fatalf("re-encoding changed the bytes (err %v)", err)
+	}
+	restored := NewRNG(0)
+	restored.Restore(&dec)
+	for i := 0; i < 100; i++ {
+		if restored.Int63() != r.Int63() {
+			t.Fatalf("decoded stream diverged at draw %d", i)
+		}
+	}
+}
 
-	scratch := NewRNG(0)
-	for _, r := range []*RNG{delta, over, other, scratch} {
-		r.Restore(st)
-		if got := r.Snapshot(); got.Position() != st.Position() {
-			t.Fatalf("restored position %+v want %+v", got.Position(), st.Position())
+// encodedRNGState returns the gob of a captured state after edit has
+// rewritten its wire form.
+func encodedRNGState(t testing.TB, edit func(*rngStateGob)) []byte {
+	t.Helper()
+	st := NewRNG(9).Snapshot()
+	w := rngStateGob{Seed: st.Seed, Draws: st.Draws, Tap: st.gen.tap, Feed: st.gen.feed, Vec: st.gen.vec[:]}
+	edit(&w)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRNGStateGobDecodeRejectsBadGenerator: a generator no RNG could hold
+// fails the decode, not the first draw after Restore. A state whose
+// recorded position is absurd still decodes: the position is bookkeeping,
+// and restoring it costs one copy.
+func TestRNGStateGobDecodeRejectsBadGenerator(t *testing.T) {
+	for name, edit := range map[string]func(*rngStateGob){
+		"tap past register":  func(w *rngStateGob) { w.Tap = rngLen },
+		"negative tap":       func(w *rngStateGob) { w.Tap = -1 },
+		"feed past register": func(w *rngStateGob) { w.Feed = rngLen },
+		"negative feed":      func(w *rngStateGob) { w.Feed = -1 },
+		"short register":     func(w *rngStateGob) { w.Vec = w.Vec[:rngLen-1] },
+		"long register":      func(w *rngStateGob) { w.Vec = append(w.Vec[:rngLen:rngLen], 1) },
+		"no register":        func(w *rngStateGob) { w.Vec = nil },
+	} {
+		var st RNGState
+		if err := st.GobDecode(encodedRNGState(t, edit)); err == nil {
+			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	for i := 0; i < 64; i++ {
-		want := scratch.Int63()
-		if delta.Int63() != want || over.Int63() != want || other.Int63() != want {
-			return false
-		}
+	var st RNGState
+	if err := st.GobDecode(encodedRNGState(t, func(w *rngStateGob) { w.Draws = 1 << 62 })); err != nil {
+		t.Fatalf("huge draw count rejected: %v", err)
 	}
-	return true
+}
+
+// FuzzRNGStateGobDecode: no input panics the decoder, and a state it
+// accepts restores into an RNG that draws.
+func FuzzRNGStateGobDecode(f *testing.F) {
+	f.Add(encodedRNGState(f, func(*rngStateGob) {}))
+	f.Add(encodedRNGState(f, func(w *rngStateGob) { w.Tap = rngLen }))
+	f.Add(encodedRNGState(f, func(w *rngStateGob) { w.Vec = w.Vec[:3] }))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var st RNGState
+		if st.GobDecode(b) != nil {
+			return
+		}
+		r := NewRNG(0)
+		r.Restore(&st)
+		for i := 0; i < 2*rngLen; i++ {
+			r.Int63()
+		}
+	})
 }
 
 // TestRNGReseedMatchesNew: in-place Reseed is NewRNG by another name.

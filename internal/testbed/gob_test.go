@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/nic"
@@ -77,5 +78,94 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// snapshotGobRewrite encodes snap, lets edit change its wire form, and
+// re-encodes it.
+func snapshotGobRewrite(t *testing.T, snap *Snapshot, edit func(*snapshotGob)) []byte {
+	t.Helper()
+	b, err := snap.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w snapshotGob
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	edit(&w)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotGobDecodeRejectsMissingState: a snapshot without one of its
+// components or RNG states cannot be restored, so it fails the decode.
+func TestSnapshotGobDecodeRejectsMissingState(t *testing.T) {
+	tb, err := New(smallOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := tb.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*snapshotGob){
+		"cache":     func(w *snapshotGob) { w.Cache = nil },
+		"allocator": func(w *snapshotGob) { w.Alloc = nil },
+		"nic":       func(w *snapshotGob) { w.NIC = nil },
+		"noise RNG": func(w *snapshotGob) { w.NoiseRNG = nil },
+		"timer RNG": func(w *snapshotGob) { w.TimerRNG = nil },
+	} {
+		var s Snapshot
+		if err := s.GobDecode(snapshotGobRewrite(t, snap, edit)); err == nil {
+			t.Errorf("snapshot without its %s decoded without error", name)
+		}
+	}
+}
+
+// TestAdoptIgnoresRecordedDrawCount is the regression test for a restore
+// that took time in proportion to a decoded RNG position: with the timer
+// RNG's draw count raised to 2^62, AdoptSnapshot must return at once and
+// the timer stream must continue exactly as the uncorrupted snapshot's.
+func TestAdoptIgnoresRecordedDrawCount(t *testing.T) {
+	opts := smallOptions(6)
+	tb, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Idle(50_000)
+	snap, err := tb.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corrupt Snapshot
+	if err := corrupt.GobDecode(snapshotGobRewrite(t, snap, func(w *snapshotGob) { w.TimerRNG.Draws = 1 << 62 })); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if corrupt.timerRNG.Draws != 1<<62 {
+		t.Fatalf("timer draw count %d after decode, want 2^62", corrupt.timerRNG.Draws)
+	}
+	got, err := NewShell(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		got.AdoptSnapshot(opts, &corrupt)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("AdoptSnapshot of a snapshot with a huge timer draw count did not return")
+	}
+	want := shellClone(t, opts, snap)
+	for i := 0; i < 1000; i++ {
+		if g, w := got.timerRNG.Int63(), want.timerRNG.Int63(); g != w {
+			t.Fatalf("timer draw %d: %d from the corrupted snapshot, %d from the clean one", i, g, w)
+		}
 	}
 }

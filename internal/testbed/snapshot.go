@@ -13,10 +13,10 @@ import (
 
 // Snapshot is a deep, immutable copy of the whole machine's mutable state:
 // clock cycle, cache contents, physical-memory bookkeeping, NIC/driver
-// state, the noise and timer RNG stream positions, and the noise process
-// cursor. One snapshot can be restored any number of times, into the
-// testbed it was taken from or into a freshly constructed testbed with
-// identical Options — the warm-start path clones machines that way, one
+// state, the noise and timer RNG states, and the noise process cursor.
+// One snapshot can be restored any number of times, into the testbed it
+// was taken from or into a freshly constructed testbed with identical
+// Options — the warm-start path clones machines that way, one
 // independent clone per concurrent trial.
 //
 // A snapshot deliberately excludes the traffic source: Source
@@ -97,20 +97,12 @@ func NewShell(opts Options) (*Testbed, error) {
 // installed traffic source is dropped, matching the no-traffic state the
 // snapshot was taken in.
 func (tb *Testbed) Restore(s *Snapshot) {
-	tb.restore(s, true)
-}
-
-func (tb *Testbed) restore(s *Snapshot, withRNG bool) {
 	tb.clock.Restore(s.clock)
 	tb.cache.Restore(s.cache)
 	tb.alloc.Restore(s.alloc)
-	if withRNG {
-		tb.nic.Restore(s.nic)
-		tb.noiseRNG.Restore(s.noiseRNG)
-		tb.timerRNG.Restore(s.timerRNG)
-	} else {
-		tb.nic.RestoreSkipRNG(s.nic)
-	}
+	tb.nic.Restore(s.nic)
+	tb.noiseRNG.Restore(&s.noiseRNG)
+	tb.timerRNG.Restore(&s.timerRNG)
 	tb.opts.NoiseRate = s.noiseRate
 	tb.opts.TimerNoise = s.timerNoise
 	tb.noisePeriod = s.noisePeriod
@@ -131,20 +123,7 @@ func (tb *Testbed) restore(s *Snapshot, withRNG bool) {
 // without constructing anything.
 func (tb *Testbed) AdoptSnapshot(opts Options, s *Snapshot) {
 	tb.adopt(opts)
-	tb.restore(s, true)
-}
-
-// AdoptSnapshotReseeded is AdoptSnapshot followed by ReseedOnline(seed),
-// except the snapshot's noise/timer/driver RNG positions — which the
-// reseed would immediately discard — are never restored. Restoring them
-// is wasted work, and for a snapshot decoded from disk it means replaying
-// the offline phase's whole draw history, so every warm trial that
-// decorrelates its ambient randomness takes this entrance. The result is
-// state-identical to AdoptSnapshot+ReseedOnline.
-func (tb *Testbed) AdoptSnapshotReseeded(opts Options, s *Snapshot, seed int64) {
-	tb.adopt(opts)
-	tb.restore(s, false)
-	tb.ReseedOnline(seed)
+	tb.Restore(s)
 }
 
 // adopt rebinds the cache and driver to opts, which must keep the
@@ -198,8 +177,8 @@ type snapshotGob struct {
 	Alloc *mem.AllocatorState
 	NIC   *nic.Snapshot
 
-	NoiseRNG sim.RNGState
-	TimerRNG sim.RNGState
+	// Pointers, so a missing state decodes as nil.
+	NoiseRNG, TimerRNG *sim.RNGState
 
 	NoiseRate   float64
 	TimerNoise  uint64
@@ -215,7 +194,7 @@ func (s *Snapshot) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(snapshotGob{
 		Clock: s.clock, Cache: s.cache, Alloc: s.alloc, NIC: s.nic,
-		NoiseRNG: s.noiseRNG, TimerRNG: s.timerRNG,
+		NoiseRNG: &s.noiseRNG, TimerRNG: &s.timerRNG,
 		NoiseRate: s.noiseRate, TimerNoise: s.timerNoise,
 		NoisePeriod: s.noisePeriod, NoiseNextAt: s.noiseNextAt, NoiseSpace: s.noiseSpace,
 	})
@@ -225,14 +204,19 @@ func (s *Snapshot) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode rebuilds a machine snapshot from its serialized form.
+// GobDecode rebuilds a machine snapshot from its serialized form. A
+// missing component or RNG state is an error: the snapshot could not be
+// restored.
 func (s *Snapshot) GobDecode(b []byte) error {
 	var w snapshotGob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
 	}
+	if w.Cache == nil || w.Alloc == nil || w.NIC == nil || w.NoiseRNG == nil || w.TimerRNG == nil {
+		return fmt.Errorf("testbed: snapshot is missing a component or RNG state")
+	}
 	s.clock, s.cache, s.alloc, s.nic = w.Clock, w.Cache, w.Alloc, w.NIC
-	s.noiseRNG, s.timerRNG = w.NoiseRNG, w.TimerRNG
+	s.noiseRNG, s.timerRNG = *w.NoiseRNG, *w.TimerRNG
 	s.noiseRate, s.timerNoise = w.NoiseRate, w.TimerNoise
 	s.noisePeriod, s.noiseNextAt, s.noiseSpace = w.NoisePeriod, w.NoiseNextAt, w.NoiseSpace
 	return nil

@@ -103,7 +103,7 @@ func checkWorldReplay(t *testing.T, seed int64, data []byte) {
 		t.Fatal(err)
 	}
 	if a.clock != b.clock || a.noiseNextAt != b.noiseNextAt ||
-		a.noiseRNG.Position() != b.noiseRNG.Position() || a.timerRNG.Position() != b.timerRNG.Position() {
+		a.noiseRNG != b.noiseRNG || a.timerRNG != b.timerRNG {
 		t.Fatal("world cursors differ after replay")
 	}
 }
@@ -119,10 +119,10 @@ func TestWorldSnapshotReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotIntoFreshTestbed is the warm-start clone path: restore a
+// TestRestoreIntoFreshTestbed is the warm-start clone path: restore a
 // snapshot into a separately constructed machine with identical options
 // and check both worlds evolve identically from there.
-func TestSnapshotIntoFreshTestbed(t *testing.T) {
+func TestRestoreIntoFreshTestbed(t *testing.T) {
 	opts := smallOptions(7)
 	a, err := New(opts)
 	if err != nil {
