@@ -256,6 +256,44 @@ func (c *Cache) ReadRef(r *LineRef) (bool, uint64) {
 	return hit, lat
 }
 
+// LoadWalk loads refs[walk[0]], refs[walk[1]], ... in order, each exactly
+// as ReadRef would (hints included), charges each load its latency plus
+// overhead cycles of the clock, and returns the summed latency. It is the
+// spy's probe walk in one call.
+//
+// Without the partition defense nothing on the access path reads the
+// clock, so the clock advances once, by the whole walk's cycles. With the
+// defense, adaptation and occupancy integration read it, so it advances
+// load by load.
+func (c *Cache) LoadWalk(refs []LineRef, walk []int32, overhead uint64) uint64 {
+	var sum uint64
+	if c.pstate != nil {
+		for _, k := range walk {
+			_, lat := c.ReadRef(&refs[k])
+			c.clock.Advance(lat + overhead)
+			sum += lat
+		}
+		return sum
+	}
+	var hits uint64
+	for _, k := range walk {
+		r := &refs[k]
+		if i := r.set*c.ways + r.way; holds(c.meta[i], r.key) {
+			hits++
+			c.stamp[i] = c.touch()
+			continue
+		}
+		_, lat, w := c.access(r.set, r.key, false)
+		r.way = w
+		sum += lat
+	}
+	c.stats.CPUAccesses += hits
+	c.stats.CPUHits += hits
+	sum += hits * c.cfg.HitLatency
+	c.clock.Advance(sum + uint64(len(walk))*overhead)
+	return sum
+}
+
 // access is the one CPU access path behind Read, Write and ReadRef's
 // fallback: look key up in the (already adapted) set, stamp a hit, or
 // fill the LRU way of the CPU partition on a miss. It returns the way the

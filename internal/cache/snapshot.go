@@ -67,6 +67,32 @@ func (c *Cache) Restore(s *Snapshot) {
 	c.stats = s.stats
 }
 
+// Fits reports why the snapshot cannot be restored into a cache built from
+// cfg, or nil if it can: it must carry cfg's geometry key, a line per way
+// of every set, per-set counters exactly when cfg partitions the cache,
+// and quotas within the partition's bounds. Restore panics on the first
+// two; a decoded snapshot checks all of them against the configuration it
+// is meant for, so a corrupt disk entry misses instead.
+func (s *Snapshot) Fits(cfg Config) error {
+	if g := geometryKey(cfg); s.geometry != g {
+		return fmt.Errorf("cache: snapshot of %q, want %q", s.geometry, g)
+	}
+	lines, sets := cfg.TotalSets()*cfg.Ways, 0
+	if cfg.Partition != nil {
+		sets = cfg.TotalSets()
+	}
+	if len(s.meta) != lines || len(s.stamp) != lines || len(s.pstate) != sets {
+		return fmt.Errorf("cache: snapshot holds %d/%d lines and %d set counters, want %d and %d",
+			len(s.meta), len(s.stamp), len(s.pstate), lines, sets)
+	}
+	for i, st := range s.pstate {
+		if p := cfg.Partition; st.Quota < p.MinIOWays || st.Quota > p.MaxIOWays {
+			return fmt.Errorf("cache: snapshot set %d: I/O quota %d outside [%d, %d]", i, st.Quota, p.MinIOWays, p.MaxIOWays)
+		}
+	}
+	return nil
+}
+
 // snapshotGob mirrors Snapshot with exported fields for the disk-backed
 // artifact store: the line words and per-set counters exactly as memory
 // holds them.

@@ -261,9 +261,18 @@ func FuzzSnapshotReplay(f *testing.F) {
 
 // TestSnapshotRestoreLineCountMismatchPanics: a snapshot whose line or
 // set-counter count disagrees with the cache panics in Restore instead of
-// restoring a prefix.
+// restoring a prefix. Fits rejects it first, and an I/O quota outside the
+// partition's bounds too.
 func TestSnapshotRestoreLineCountMismatchPanics(t *testing.T) {
 	c := New(tinyConfig(true), sim.NewClock())
+	if err := c.Snapshot().Fits(c.Config()); err != nil {
+		t.Fatalf("a snapshot must fit its own cache's config: %v", err)
+	}
+	quota := c.Snapshot()
+	quota.pstate[0].Quota = c.Config().Partition.MaxIOWays + 1
+	if quota.Fits(c.Config()) == nil {
+		t.Error("Fits accepts an I/O quota past the partition's maximum")
+	}
 	for name, cut := range map[string]func(*Snapshot){
 		"lines":  func(s *Snapshot) { s.meta = s.meta[:len(s.meta)-1] },
 		"stamps": func(s *Snapshot) { s.stamp = s.stamp[:len(s.stamp)-1] },
@@ -272,6 +281,9 @@ func TestSnapshotRestoreLineCountMismatchPanics(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := c.Snapshot()
 			cut(s)
+			if s.Fits(c.Config()) == nil {
+				t.Error("Fits accepts a short snapshot")
+			}
 			defer func() {
 				if recover() == nil {
 					t.Fatal("restoring a short snapshot must panic")

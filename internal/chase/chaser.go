@@ -81,6 +81,9 @@ type Chaser struct {
 	pos        int
 	lastPrimed int
 	monitors   map[int]*probe.Monitor // group id -> 2*MaxBlocks-set monitor
+	// active is the activity vector Next builds a packet's observation
+	// in, reused from packet to packet.
+	active []bool
 
 	// OutOfSync counts sync losses; Observed counts packets seen.
 	OutOfSync, Observed uint64
@@ -144,9 +147,9 @@ func (c *Chaser) CalibrationOK() bool {
 	return true
 }
 
-// WaitForActivity blocks (in simulated time) until the current buffer
+// waitForActivity blocks (in simulated time) until the current buffer
 // shows activity or the timeout elapses, returning the observed activity
-// vector and whether anything was seen.
+// vector (in c.active) and whether anything was seen.
 func (c *Chaser) waitForActivity(m *probe.Monitor, timeout uint64) ([]bool, bool) {
 	tb := c.spy.Testbed()
 	deadline := tb.Clock().Now() + timeout
@@ -163,12 +166,13 @@ func (c *Chaser) waitForActivity(m *probe.Monitor, timeout uint64) ([]bool, bool
 	var sticky []bool
 	polls := 0
 	for tb.Clock().Now() < deadline {
-		s := m.ProbeOnce()
+		active := m.Poll()
 		if sticky == nil || polls >= windowPolls {
-			sticky = make([]bool, len(s.Active))
+			sticky = c.activeBuf(len(active))
+			clear(sticky)
 			polls = 0
 		}
-		for i, a := range s.Active {
+		for i, a := range active {
 			sticky[i] = sticky[i] || a
 		}
 		polls++
@@ -178,6 +182,15 @@ func (c *Chaser) waitForActivity(m *probe.Monitor, timeout uint64) ([]bool, bool
 		tb.Idle(c.cfg.PollInterval)
 	}
 	return nil, false
+}
+
+// activeBuf returns c.active resliced to n entries, grown if needed; its
+// contents are stale.
+func (c *Chaser) activeBuf(n int) []bool {
+	if cap(c.active) < n {
+		c.active = make([]bool, n)
+	}
+	return c.active[:n]
 }
 
 // packetDetected applies the paper's detection rule: a packet is filling
@@ -223,9 +236,10 @@ func (c *Chaser) Next() (PacketObservation, bool) {
 		detected := false
 		if c.lastPrimed != c.pos {
 			c.lastPrimed = c.pos
-			s := m.ProbeOnce()
-			if c.cfg.SwitchDetect && c.packetDetected(s.Active) {
-				active, detected = s.Active, true
+			poll := m.Poll()
+			if c.cfg.SwitchDetect && c.packetDetected(poll) {
+				active, detected = c.activeBuf(len(poll)), true
+				copy(active, poll)
 			}
 		}
 		if !detected {
@@ -245,9 +259,9 @@ func (c *Chaser) Next() (PacketObservation, bool) {
 		// packet; see ChaserConfig.LingerCycles.
 		if c.cfg.LingerCycles > 0 {
 			c.spy.Testbed().Idle(c.cfg.LingerCycles)
-			s := m.ProbeOnce()
+			poll := m.Poll()
 			for i := range active {
-				active[i] = active[i] || s.Active[i]
+				active[i] = active[i] || poll[i]
 			}
 		}
 		obs := PacketObservation{

@@ -236,3 +236,40 @@ func TestRecoverFullInsertsCandidates(t *testing.T) {
 		t.Errorf("full recovery error %.1f%% too high", 100*q.ErrorRate)
 	}
 }
+
+// TestChaserPollAllocs: once a chase is under way, chasing a packet —
+// the switch probe, every poll of the wait, and the linger probe —
+// allocates nothing. The polls reuse the monitor's and the chaser's
+// activity buffers.
+func TestChaserPollAllocs(t *testing.T) {
+	tb, spy, groups := smallWorld(t, 25)
+	ccfg := tb.Cache().Config()
+	byCanon := map[int]int{}
+	for _, g := range groups {
+		byCanon[ccfg.AlignedIndexOf(ccfg.GlobalSet(g.Lines[0]))] = g.ID
+	}
+	var ring []int
+	for _, s := range tb.NIC().RingAlignedSets(ccfg) {
+		ring = append(ring, byCanon[s])
+	}
+	sizes := make([]int, 200)
+	gaps := make([]uint64, len(sizes))
+	for i := range sizes {
+		sizes[i] = 64 + 64*(i%4)
+		gaps[i] = 400_000
+	}
+	tb.SetTraffic(netmodel.NewTraceSource(netmodel.NewWire(netmodel.GigabitRate), sizes, gaps, tb.Clock().Now()+200_000))
+	cfg := DefaultChaserConfig()
+	cfg.SyncTimeout = 2_000_000
+	ch := NewChaser(spy, groups, ring, cfg)
+	if obs := ch.Chase(len(ring)); len(obs) != len(ring) {
+		t.Fatalf("chased %d of %d packets before measuring", len(obs), len(ring))
+	}
+	observed := ch.Observed
+	if allocs := testing.AllocsPerRun(40, func() { ch.Next() }); allocs != 0 {
+		t.Errorf("a steady-state chase of one packet allocates %v times, want 0", allocs)
+	}
+	if ch.Observed-observed != 41 {
+		t.Errorf("chased %d packets while measuring, want 41", ch.Observed-observed)
+	}
+}

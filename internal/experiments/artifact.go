@@ -420,14 +420,28 @@ func (s *ArtifactStore) loadRig(key string) (*RigArtifact, bool) {
 // trial can adopt. Gob accepts any bytes of the right shape: a machine
 // whose options were edited after the build decodes, then runs its trials
 // under the wrong environment; a missing machine, spy or eviction-set
-// line decodes, then panics the first trial that adopts it.
+// line, a machine of another shape than its options (testbed.Snapshot.Fits)
+// or a spy page or line outside its memory decodes, then panics or
+// misbehaves in the first trial that adopts it.
 func (ra *RigArtifact) servesKey(key string) bool {
-	if rigKey(ra.Opts, ra.Spy.Strategy) != key || ra.Machine == nil || len(ra.Spy.Pages) == 0 {
+	if rigKey(ra.Opts, ra.Spy.Strategy) != key || ra.Machine == nil || len(ra.Spy.Pages) == 0 ||
+		ra.Machine.Fits(ra.Opts) != nil {
 		return false
+	}
+	memBytes := ra.Opts.Shape().MemBytes
+	for _, p := range ra.Spy.Pages {
+		if uint64(p) >= memBytes {
+			return false
+		}
 	}
 	for _, g := range ra.Groups {
 		if len(g.Lines) == 0 {
 			return false
+		}
+		for _, a := range g.Lines {
+			if a >= memBytes {
+				return false
+			}
 		}
 	}
 	return true

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/mem"
 	"repro/internal/netmodel"
 	"repro/internal/nic"
 	"repro/internal/probe"
@@ -322,6 +323,33 @@ func TestDiskStoreHealsEmptyGroup(t *testing.T) {
 	checkDiskStoreRebuilds(t, "an empty eviction set", true, func(rig *rigWire) {
 		rig.Groups[0].Lines = nil
 	})
+}
+
+// TestDiskStoreRebuildsMisfitArtifact: an entry that decodes, but whose
+// machine is not the shape its options name, or whose spy pages or
+// eviction-set lines lie outside that machine's memory, would panic or
+// misbehave in the first trial that adopts it. Each must miss and
+// rebuild.
+func TestDiskStoreRebuildsMisfitArtifact(t *testing.T) {
+	for what, corrupt := range map[string]func(*rigWire){
+		"cache lines one word short": func(rig *rigWire) {
+			var machine machineWire
+			rig.Machine = gobRewrite(t, rig.Machine, &machine, func() {
+				var c cacheWire
+				machine.Cache = gobRewrite(t, machine.Cache, &c, func() {
+					c.Meta, c.Stamps = c.Meta[:len(c.Meta)-1], c.Stamps[:len(c.Stamps)-1]
+				})
+			})
+		},
+		"a spy page past the end of memory": func(rig *rigWire) {
+			rig.Spy.Pages[0] = mem.Addr(rig.Opts.Shape().MemBytes)
+		},
+		"an eviction-set line past the end of memory": func(rig *rigWire) {
+			rig.Groups[0].Lines[0] = rig.Opts.Shape().MemBytes + 64
+		},
+	} {
+		t.Run(what, func(t *testing.T) { checkDiskStoreRebuilds(t, what, true, corrupt) })
+	}
 }
 
 // checkDiskStoreHeals is checkDiskStoreRebuilds for a corruption of the

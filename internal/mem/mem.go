@@ -152,6 +152,15 @@ func (al *Allocator) Snapshot() *AllocatorState {
 	return &AllocatorState{free: slices.Clone(al.free), used: slices.Clone(al.used), numPages: al.numPages}
 }
 
+// Fits reports why the state cannot be restored into an allocator over
+// totalBytes, or nil if it can (Restore panics on another page count).
+func (st *AllocatorState) Fits(totalBytes uint64) error {
+	if n := totalBytes / PageSize; st.numPages != n {
+		return fmt.Errorf("mem: state of %d pages, want %d", st.numPages, n)
+	}
+	return nil
+}
+
 // allocatorStateGob mirrors AllocatorState with exported fields for the
 // disk-backed artifact store: the free list in its exact order (it
 // determines every future allocation) and the used bitset words, as

@@ -84,6 +84,17 @@ func (n *NIC) Restore(s *Snapshot) {
 	n.rng.Restore(&s.rng)
 }
 
+// Fits reports why the snapshot cannot be restored into a driver built
+// from cfg, or nil if it can (Restore panics on another ring or skb pool
+// size).
+func (s *Snapshot) Fits(cfg Config) error {
+	if skb := max(cfg.SKBPages, 1); len(s.ring) != cfg.RingSize || len(s.skb) != skb {
+		return fmt.Errorf("nic: snapshot of a %d-desc/%d-skb driver, want %d-desc/%d-skb",
+			len(s.ring), len(s.skb), cfg.RingSize, skb)
+	}
+	return nil
+}
+
 // snapshotGob mirrors Snapshot with exported fields for the disk-backed
 // artifact store.
 type snapshotGob struct {

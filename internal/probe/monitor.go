@@ -32,6 +32,8 @@ type Monitor struct {
 	// spreadEst is the amplified strategy's per-set local noise-spread
 	// estimate (zero for the fine-timer strategy).
 	spreadEst []uint64
+	// active is the buffer Poll returns, overwritten by the next Poll.
+	active []bool
 }
 
 // Sample is one probe pass over all monitored sets.
@@ -64,6 +66,7 @@ func NewMonitor(spy *Spy, sets []EvictionSet) *Monitor {
 		idleMin:    make([]uint64, len(sets)),
 		idleMax:    make([]uint64, len(sets)),
 		spreadEst:  make([]uint64, len(sets)),
+		active:     make([]bool, len(sets)),
 	}
 	for i, e := range sets {
 		from := len(backing)
@@ -257,35 +260,44 @@ func (m *Monitor) ReplaceSet(i int, e EvictionSet) {
 // reading (amplified strategy).
 func (m *Monitor) probeSet(i int) uint64 {
 	refs := m.refs[i]
+	reads := len(refs)
 	if m.spy.strat.Amplify {
-		var elapsed uint64
-		for j := range refs {
-			elapsed += m.spy.loadRaw(&refs[j])
-		}
-		return m.spy.tb.TimerRead(elapsed)
+		reads = 1
 	}
-	var lat uint64
-	for j := range refs {
-		lat += m.spy.touchRef(&refs[j])
-	}
-	return lat
+	return m.spy.timeWalk(refs, m.spy.identityWalk(len(refs)), reads)
 }
 
-// ProbeOnce syncs the world and probes every monitored set once.
+// ProbeOnce syncs the world and probes every monitored set once. The
+// sample's slices are the caller's.
 func (m *Monitor) ProbeOnce() Sample {
-	tb := m.spy.Testbed()
 	s := Sample{
-		At:      tb.Clock().Now(),
+		At:      m.spy.clock.Now(),
 		Active:  make([]bool, len(m.sets)),
 		Latency: make([]uint64, len(m.sets)),
 	}
-	for i := range m.sets {
-		tb.Sync()
-		lat := m.probeSet(i)
-		s.Latency[i] = lat
-		s.Active[i] = lat > m.thresholds[i]
-	}
+	m.probeAll(s.Active, s.Latency)
 	return s
+}
+
+// Poll is ProbeOnce for a caller that keeps only the activity bits: it
+// returns them in a monitor-owned buffer that the next Poll overwrites,
+// so a poll allocates nothing.
+func (m *Monitor) Poll() []bool {
+	m.probeAll(m.active, nil)
+	return m.active
+}
+
+// probeAll syncs the world before each set's probe and records each set's
+// activity, and its latency when lat is not nil.
+func (m *Monitor) probeAll(active []bool, lat []uint64) {
+	for i := range m.sets {
+		m.spy.tb.Sync()
+		l := m.probeSet(i)
+		if lat != nil {
+			lat[i] = l
+		}
+		active[i] = l > m.thresholds[i]
+	}
 }
 
 // ProbeSingle probes only set i (used when chasing a known sequence, where

@@ -55,11 +55,12 @@ type Spy struct {
 	// adaptively from spread and the calibrated edge (1 = unamplified).
 	factor int
 
-	// refs and walk are Evicts' reused buffers: its set and victim
-	// resolved into line refs, and the identity walk over the set. The
-	// refs keep their way hints while a caller repeats the same lines.
-	refs []cache.LineRef
-	walk []int32
+	// refs is Evicts' reused buffer: its set and victim resolved into
+	// line refs, which keep their way hints while a caller repeats the
+	// same lines. identity is the walk 0, 1, 2, ... that Evicts and every
+	// monitor walk their refs in (see identityWalk).
+	refs     []cache.LineRef
+	identity []int32
 }
 
 // overheadPerAccess is the loop overhead in cycles charged per load on
@@ -162,22 +163,44 @@ func (s *Spy) Touch(addr uint64) uint64 {
 	return s.tb.TimerRead(lat)
 }
 
-// touchRef is Touch of a resolved line.
+// touchRef is Touch of a resolved line: the timed load of a single
+// victim.
 func (s *Spy) touchRef(r *cache.LineRef) uint64 {
 	return s.tb.TimerRead(s.loadRaw(r))
 }
 
 // loadRaw performs a load and returns its TRUE latency without reading the
-// timer. Discarding the latency makes it an untimed load (the attacker
-// primes and walks without looking at the clock). It also serves block
-// timing: the caller accumulates the true elapsed work of several loads
-// and converts the block into one observed duration with a single
-// TimerRead — two timer reads around a block of work carry one
-// quantization error regardless of the block's length.
+// timer: the untimed load of a single victim (the attacker primes without
+// looking at the clock).
 func (s *Spy) loadRaw(r *cache.LineRef) uint64 {
 	_, lat := s.cache.ReadRef(r)
 	s.clock.Advance(lat + overheadPerAccess)
 	return lat
+}
+
+// loadWalk loads refs[walk[0]], refs[walk[1]], ... in order, untimed, and
+// returns the walk's TRUE latency: the cache walks them in one call.
+func (s *Spy) loadWalk(refs []cache.LineRef, walk []int32) uint64 {
+	return s.cache.LoadWalk(refs, walk, overheadPerAccess)
+}
+
+// timeWalk is loadWalk observed through the timer, read `reads` times:
+// once per load for a fine-timer walk, which sums one jitter draw per
+// line, or once for a block-timed walk — two timer reads around a block
+// of work carry one quantization error regardless of the block's length.
+// The timer is drawn only by timer reads, so drawing the walk's jitters
+// after its loads yields the stream a read after every load would.
+func (s *Spy) timeWalk(refs []cache.LineRef, walk []int32, reads int) uint64 {
+	return s.tb.TimerReads(s.loadWalk(refs, walk), reads)
+}
+
+// identityWalk returns the walk 0, 1, ..., n-1, grown in a spy-owned
+// buffer that only ever holds the identity.
+func (s *Spy) identityWalk(n int) []int32 {
+	for len(s.identity) < n {
+		s.identity = append(s.identity, int32(len(s.identity)))
+	}
+	return s.identity[:n]
 }
 
 // calibrate measures the hit/miss latency edge the way attackers do: time
@@ -324,10 +347,7 @@ func (s *Spy) Evicts(set []uint64, victim uint64) bool {
 		s.refs = append(s.refs, s.cache.Ref(a))
 	}
 	s.refs = append(s.refs, s.cache.Ref(victim))
-	for len(s.walk) < len(set) {
-		s.walk = append(s.walk, int32(len(s.walk)))
-	}
-	return s.conflict(s.refs, s.walk[:len(set)], int32(len(set)))
+	return s.conflict(s.refs, s.identityWalk(len(set)), int32(len(set)))
 }
 
 // conflict is the conflict test of Evicts over resolved lines: the set is
@@ -342,9 +362,9 @@ func (s *Spy) conflict(refs []cache.LineRef, walk []int32, v int32) bool {
 			evicted = s.reloadRounds(refs, walk, victim)
 		} else {
 			s.touchRef(victim)
-			for _, i := range walk {
-				s.touchRef(&refs[i])
-			}
+			// The fine-timer spy times every load; only the victim's
+			// reading decides, but the walk's readings draw jitter too.
+			s.timeWalk(refs, walk, len(walk))
 			lat := s.touchRef(victim)
 			evicted = lat > (s.hitLat+s.missLat)/2
 		}
@@ -372,9 +392,7 @@ func (s *Spy) reloadRounds(refs []cache.LineRef, walk []int32, victim *cache.Lin
 	s.loadRaw(victim)
 	var obs uint64
 	for r := 0; r < k; r++ {
-		for _, i := range walk {
-			s.loadRaw(&refs[i])
-		}
+		s.loadWalk(refs, walk)
 		obs += s.touchRef(victim)
 	}
 	return obs > uint64(k)*(s.hitLat+s.missLat)/2

@@ -169,11 +169,13 @@ func TestShuffleStepMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestUniformMatchesIntn pins RNG.Draw to Intn: across seeds and ranges
-// covering n = 1, powers of two, odd n, a range whose rejection loop
-// redraws a quarter of the time (3·2²⁹), the 2³¹−1 edge and the n ≥ 2³¹
-// Int63n delegation, every value and every stream position after it must
-// equal what Intn gives.
+// TestUniformMatchesIntn pins RNG.DrawSum to Intn: across seeds and
+// ranges covering n = 1, powers of two, odd n, a range whose rejection
+// loop redraws a quarter of the time (3·2²⁹), the 2³¹−1 edge and the
+// n ≥ 2³¹ Int63n delegation, every single draw and every sum of k draws
+// (k = 0, 1, a power of two and a count that is not one) must equal what
+// Intn gives, and leave the whole RNG state (generator and draw count)
+// where Intn does.
 func TestUniformMatchesIntn(t *testing.T) {
 	ns := []int{1, 2, 3, 17, 129, 1<<20 + 1, 1 << 30, 3 << 29, 1<<31 - 1, 1<<31 + 5}
 	pick := NewRNG(77)
@@ -187,12 +189,20 @@ func TestUniformMatchesIntn(t *testing.T) {
 		}
 		for _, seed := range []int64{0, 1, -7, 1<<31 + 3, DeriveSeed(int64(n), "uniform")} {
 			got, want := NewRNG(seed), NewRNG(seed)
-			for i := 0; i < 2000; i++ {
-				if g, w := got.Draw(&u), want.Intn(n); g != w {
-					t.Fatalf("n=%d seed=%d draw %d: Draw %d, Intn %d", n, seed, i, g, w)
+			for i := 0; i < 2200; i++ {
+				k := 1
+				if i >= 2000 {
+					k = []int{0, 1, 8, 13}[i%4]
+				}
+				sum := 0
+				for j := 0; j < k; j++ {
+					sum += want.Intn(n)
+				}
+				if g := got.DrawSum(&u, k); g != sum {
+					t.Fatalf("n=%d seed=%d call %d: DrawSum(%d) = %d, %d Intn calls sum to %d", n, seed, i, k, g, k, sum)
 				}
 				if g, w := got.Snapshot(), want.Snapshot(); g != w {
-					t.Fatalf("n=%d seed=%d draw %d: Draw left the stream at draw %d, Intn at %d", n, seed, i, g.Draws, w.Draws)
+					t.Fatalf("n=%d seed=%d call %d: DrawSum(%d) left the stream at draw %d, Intn at %d", n, seed, i, k, g.Draws, w.Draws)
 				}
 			}
 		}

@@ -21,7 +21,7 @@ import (
 // the random decisions the original would have made.
 //
 // The generator is sim's own copy of the stdlib source (alfg.go), held by
-// value. The draws the simulator makes per simulated access — Draw for
+// value. The draws the simulator makes per simulated access — DrawSum for
 // timer jitter, Int63 for noise addresses — call it directly; every other
 // method comes from the embedded *rand.Rand over the same source, so all
 // of them produce the stdlib stream value for value.
@@ -78,8 +78,7 @@ func NewRNG(seed int64) *RNG {
 func (r *RNG) Int63() int64 { return r.src.Int63() }
 
 // Intn is rand.Rand.Intn, value for value and draw for draw, with the
-// n < 2³¹ path (rand.Rand.Int31n) calling the generator directly: every
-// noisy spy timer read draws here.
+// n < 2³¹ path (rand.Rand.Int31n) calling the generator directly.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("invalid argument to Intn")
@@ -101,7 +100,7 @@ func (r *RNG) Intn(n int) int {
 
 // Uniform is Intn(n) with its per-n work done once, for a stream that
 // draws from one range over and over: every noisy spy timer read draws
-// from [0, 2·TimerNoise]. RNG.Draw takes it.
+// from [0, 2·TimerNoise]. RNG.DrawSum takes it.
 type Uniform struct {
 	n int
 	// max is Intn's rejection bound below 2³¹: larger draws are redrawn.
@@ -130,18 +129,44 @@ func NewUniform(n int) Uniform {
 // N returns the size of the range u draws from.
 func (u Uniform) N() int { return u.n }
 
-// Draw returns Intn(u.N()), value for value and draw for draw, without
-// Intn's two divisions.
-func (r *RNG) Draw(u *Uniform) int {
+// DrawSum returns the sum of n Intn(u.N()) calls, value for value and
+// draw for draw, leaving the RNG where those calls would, without Intn's
+// two divisions per draw. It steps the generator inline (alfg.go's Uint64,
+// rejections included) and adds the steps to the draw counter once: a
+// fine-timer spy walk reads the timer once per line, so every walk draws
+// its jitters here in one call.
+func (r *RNG) DrawSum(u *Uniform, n int) int {
+	sum := 0
 	if u.mult == 0 {
-		return r.Intn(u.n)
+		for ; n > 0; n-- {
+			sum += r.Intn(u.n)
+		}
+		return sum
 	}
-	v := int32(r.src.Int63() >> 32)
-	for v > u.max {
-		v = int32(r.src.Int63() >> 32)
+	g := &r.src.gen
+	tap, feed, steps := g.tap, g.feed, 0
+	for ; n > 0; n-- {
+		var v int32
+		for {
+			if tap--; tap < 0 {
+				tap += rngLen
+			}
+			if feed--; feed < 0 {
+				feed += rngLen
+			}
+			x := g.vec[feed] + g.vec[tap]
+			g.vec[feed] = x
+			steps++
+			if v = int32(uint64(x) & rngMask >> 32); v <= u.max {
+				break
+			}
+		}
+		hi, _ := bits.Mul64(u.mult*uint64(v), uint64(u.n))
+		sum += int(hi)
 	}
-	hi, _ := bits.Mul64(u.mult*uint64(v), uint64(u.n))
-	return int(hi)
+	g.tap, g.feed = tap, feed
+	r.src.draws += uint64(steps)
+	return sum
 }
 
 // ShuffleStep returns the swap partner j in [0, i] that rand.Rand.Shuffle

@@ -168,6 +168,28 @@ func (o Options) Shape() Shape {
 	}
 }
 
+// Fits reports why s cannot be adopted by a machine built from opts, or
+// nil if it can: the cache, memory and driver state must each fit opts
+// (see cache.Snapshot.Fits), and the noise process must draw from opts'
+// memory. A snapshot a machine took always fits that machine's options;
+// one decoded from disk is checked before a trial adopts it.
+func (s *Snapshot) Fits(opts Options) error {
+	memBytes := opts.Shape().MemBytes
+	if err := s.cache.Fits(opts.Cache); err != nil {
+		return fmt.Errorf("testbed: %w", err)
+	}
+	if err := s.alloc.Fits(memBytes); err != nil {
+		return fmt.Errorf("testbed: %w", err)
+	}
+	if err := s.nic.Fits(opts.NIC); err != nil {
+		return fmt.Errorf("testbed: %w", err)
+	}
+	if s.noiseSpace != memBytes {
+		return fmt.Errorf("testbed: snapshot draws noise from %d bytes, want %d", s.noiseSpace, memBytes)
+	}
+	return nil
+}
+
 // snapshotGob mirrors Snapshot with exported fields for the disk-backed
 // artifact store. The component snapshots carry their own gob codecs, so
 // this composes the same way the in-memory snapshot does.

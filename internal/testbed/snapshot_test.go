@@ -173,7 +173,9 @@ func TestRestoreIntoFreshTestbed(t *testing.T) {
 }
 
 // TestAdoptAcrossShapesPanics: a machine adopts only options of its own
-// Shape; any other is two machines crossed, and panics.
+// Shape; any other is two machines crossed, and panics. Snapshot.Fits,
+// which a decoded snapshot is checked with first, rejects every such
+// pairing.
 func TestAdoptAcrossShapesPanics(t *testing.T) {
 	opts := smallOptions(7)
 	a, err := New(opts)
@@ -183,6 +185,14 @@ func TestAdoptAcrossShapesPanics(t *testing.T) {
 	snap, err := a.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := snap.Fits(opts); err != nil {
+		t.Fatalf("a snapshot must fit its own machine's options: %v", err)
+	}
+	ddio := opts
+	ddio.Cache.DDIOWays++
+	if snap.Fits(ddio) == nil {
+		t.Error("a snapshot fits options whose cache geometry key differs")
 	}
 	for name, edit := range map[string]func(*Options){
 		"memory":    func(o *Options) { o.MemBytes *= 2 },
@@ -196,6 +206,9 @@ func TestAdoptAcrossShapesPanics(t *testing.T) {
 			edit(&other)
 			if other.Shape() == opts.Shape() {
 				t.Fatalf("%s: shape %+v unchanged", name, other.Shape())
+			}
+			if snap.Fits(other) == nil {
+				t.Errorf("%s: the snapshot fits options of another shape", name)
 			}
 			tb, err := NewShell(other)
 			if err != nil {

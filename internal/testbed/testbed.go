@@ -73,7 +73,7 @@ type Testbed struct {
 	noiseSpace  uint64
 
 	timerRNG *sim.RNG
-	//packetlint:transient derived from opts.TimerNoise: TimerRead rebuilds it whenever TimerNoise changes (Restore, AdoptSnapshot, SetTimerNoise)
+	//packetlint:transient derived from opts.TimerNoise: TimerReads rebuilds it whenever TimerNoise changes (Restore, AdoptSnapshot, SetTimerNoise)
 	timerJitter sim.Uniform // the draw of Intn(2*TimerNoise+1)
 }
 
@@ -156,16 +156,26 @@ func (tb *Testbed) Sync() {
 
 // TimerRead returns a latency observation with timer noise applied — the
 // spy's view of a measured duration.
-func (tb *Testbed) TimerRead(lat uint64) uint64 {
+func (tb *Testbed) TimerRead(lat uint64) uint64 { return tb.TimerReads(lat, 1) }
+
+// TimerReads returns the sum of n timer readings whose true durations sum
+// to lat: lat plus n jitter draws. Only timer readings draw from the
+// timer's stream, so a walk that reads the timer once per load may take
+// its n draws after its loads and see the same jitter.
+func (tb *Testbed) TimerReads(lat uint64, n int) uint64 {
 	if tb.opts.TimerNoise == 0 {
 		return lat
 	}
-	if n := int(2*tb.opts.TimerNoise + 1); tb.timerJitter.N() != n {
-		tb.timerJitter = sim.NewUniform(n)
+	if m := int(2*tb.opts.TimerNoise + 1); tb.timerJitter.N() != m {
+		tb.timerJitter = sim.NewUniform(m)
 	}
-	j := uint64(tb.timerRNG.Draw(&tb.timerJitter))
-	return lat + j // one-sided jitter: a timer never under-reports work
+	// One-sided jitter: a timer never under-reports work.
+	return lat + uint64(tb.timerRNG.DrawSum(&tb.timerJitter, n))
 }
+
+// TimerDraws returns how many values the timer's jitter stream has drawn:
+// a deterministic count of the spy's timer readings.
+func (tb *Testbed) TimerDraws() uint64 { return tb.timerRNG.Snapshot().Draws }
 
 // Idle advances the clock by d cycles with the spy doing nothing, keeping
 // the world caught up.
