@@ -381,8 +381,10 @@ func NewDiskArtifactStore(dir string, maxBytes int64) (*ArtifactStore, error) {
 // snapshot persists its memory form — RNG generator states, cache line
 // words and per-set counters, the allocator's free list and used bitset,
 // the NIC ring and driver queue — and probe.SpyState lost its per-access
-// overhead and its strategy's constant settings.
-const artifactFormatVersion = "packetchasing-artifact/v3"
+// overhead and its strategy's constant settings. v4: the allocator state
+// is its lazy form — the undrawn prefix's moved positions, the drawn
+// suffix and the shuffle stream — instead of a fully drawn free list.
+const artifactFormatVersion = "packetchasing-artifact/v4"
 
 // rigPath is the disk location for a key: the hex SHA-256 of the
 // version-qualified content address (keys embed config dumps — too long

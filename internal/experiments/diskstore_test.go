@@ -192,9 +192,10 @@ type (
 		Stats  cache.Stats
 	}
 	allocWire struct {
-		Free     []uint32
-		Used     []uint64
-		NumPages uint64
+		NumPages, Drawn  uint64
+		Pos, Val, Suffix []uint32
+		RNG              rawGob
+		Used             []uint64
 	}
 	nicWire struct {
 		Ring []struct {
@@ -246,7 +247,7 @@ func TestDiskStoreHealsOutOfRangeFrame(t *testing.T) {
 	checkDiskStoreHeals(t, "an out-of-range free frame", func(machine *machineWire) {
 		var alloc allocWire
 		machine.Alloc = gobRewrite(t, machine.Alloc, &alloc, func() {
-			alloc.Free[0] = uint32(alloc.NumPages)
+			alloc.Val[0] = uint32(alloc.NumPages)
 		})
 	})
 }
@@ -625,7 +626,10 @@ func TestDiskStoreDefenseVariantsDistinctFiles(t *testing.T) {
 
 // FuzzRigArtifactLoad writes untrusted bytes as the disk entry for a demo
 // rig's key. loadRig must never panic, and an artifact it accepts must
-// adopt into a rig, as captured and reseeded, without panicking.
+// adopt into a rig, as captured and reseeded, and measure one short trial
+// — spy loads, a short chase, and a page allocated from and freed to the
+// decoded allocator state — without panicking. Inputs the fuzzer found
+// are checked in under testdata/fuzz.
 func FuzzRigArtifactLoad(f *testing.F) {
 	opts, strat := machineOptions(Demo, 3), probe.DefaultStrategy()
 	ra, err := buildRigArtifact(opts, strat)
@@ -660,8 +664,15 @@ func FuzzRigArtifactLoad(f *testing.F) {
 		}
 		art := &Artifact{Root: 3, Rigs: map[string]*RigArtifact{"rig": got}}
 		for _, seed := range []int64{3, 4} {
-			if _, err := art.rig("rig", MeasureCtx{Scale: Demo, Seed: seed}); err != nil {
+			r, err := art.rig("rig", MeasureCtx{Scale: Demo, Seed: seed})
+			if err != nil {
 				t.Fatalf("accepted artifact does not adopt: %v", err)
+			}
+			driveState(r)
+			chaseAccuracy(r, nil, 8)
+			al := r.tb.Alloc()
+			if p, err := al.AllocPage(); err == nil {
+				al.FreePage(p)
 			}
 		}
 	})

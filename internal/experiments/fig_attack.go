@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/chase"
+	"repro/internal/mem"
 	"repro/internal/netmodel"
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -62,19 +63,20 @@ func Fig5(scale Scale, seed int64) (Result, error) {
 func Fig6(scale Scale, seed int64) (Result, error) {
 	const instances = 1000
 	opts := machineOptions(scale, seed)
+	ccfg := opts.Cache
+	al := mem.NewAllocatorShell(opts.Shape().MemBytes)
 	agg := map[int]int{}
 	overFour := 0
 	for inst := 0; inst < instances; inst++ {
 		o := opts
 		o.Seed = seed + int64(inst)*7919
-		tb, err := testbed.New(o)
+		pages, err := testbed.RingPages(o, al)
 		if err != nil {
 			return Result{}, err
 		}
-		ccfg := tb.Cache().Config()
 		perSet := make(map[int]int)
-		for _, s := range tb.NIC().RingAlignedSets(ccfg) {
-			perSet[s]++
+		for _, p := range pages {
+			perSet[ccfg.AlignedIndexOf(ccfg.GlobalSet(uint64(p)))]++
 		}
 		maxBuf := 0
 		for i := 0; i < ccfg.AlignedSetCount(); i++ {

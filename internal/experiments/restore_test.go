@@ -24,7 +24,7 @@ func gobRig(t *testing.T, ra *RigArtifact) []byte {
 // TestRigArtifactGobBytesPinned pins the disk wire format. The gob bytes of
 // two demo rig artifacts — the fig10 machine, and an adaptive-partitioning
 // machine whose per-set counters fill the cache codec's optional field —
-// must hash to the values recorded for packetchasing-artifact/v3, and
+// must hash to the values recorded for packetchasing-artifact/v4, and
 // decoding then re-encoding must reproduce them. Any change to these
 // bytes must come with an artifactFormatVersion bump, so entries written
 // in another format miss the store instead of decoding into wrong state.
@@ -43,8 +43,8 @@ func TestRigArtifactGobBytesPinned(t *testing.T) {
 		ra   *RigArtifact
 		want string
 	}{
-		{"fig10", fig10.Rigs["rig"], "5261b116800b49cd788497026aaf8e639fe149fa2d4af7c3811bc414bbfff0a2"},
-		{"adaptive-partition", part.Rigs["rig"], "884693dbef27a4a178b64a40b5d51aac1be1df5e4843655a6c322b066b73a7d0"},
+		{"fig10", fig10.Rigs["rig"], "ba2237759dd4cdc0f88d91a52a6bc982298719aa59ba8b23ece70ec778f90982"},
+		{"adaptive-partition", part.Rigs["rig"], "bf5fa369055de10abd083c4b8e42f49ebf450103344ea7a3159a8d8a37ddb179"},
 	} {
 		b := gobRig(t, c.ra)
 		sum := sha256.Sum256(b)

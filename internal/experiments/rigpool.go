@@ -15,8 +15,8 @@ import (
 // keeps finished rigs, keyed by their machine's testbed.Shape, and a later
 // lease of the same shape adopts one in place: every buffer is reused,
 // the restore allocates nothing (see testbed.AdoptSnapshot), and the page
-// free list is shared with the snapshot until the trial writes it (see
-// mem.Allocator).
+// free list is read through the snapshot's allocator state until the
+// trial writes it (see mem.Allocator).
 //
 // The shape key is what makes cross-artifact reuse safe. It covers the
 // size of every buffer a machine holds — cache slices, sets and ways,
@@ -115,8 +115,8 @@ func (p *RigPool) unlist(key testbed.Shape) {
 // put returns a rig to the idle set and marks its key the most recently
 // released. Over the cap, the least recently released key loses idle rigs
 // first: its shape is the least likely to be leased again. An idle rig
-// holds no page free list, neither a snapshot's nor its own copy: the
-// next adopt restores one anyway.
+// holds no page free list, neither a snapshot's state nor a materialized
+// list: the next adopt restores one anyway.
 func (p *RigPool) put(r *attackRig) {
 	if r == nil || r.poolKey == (testbed.Shape{}) {
 		return

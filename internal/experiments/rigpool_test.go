@@ -489,7 +489,7 @@ func randomizedOutcome(r *attackRig) (string, error) {
 	c := chaseAccuracy(r, nil, chaseFrames(r))
 	al := r.tb.Alloc()
 	if al.SharesFreeList() {
-		return "", fmt.Errorf("a ring-randomizing trial left the snapshot's free list unwritten")
+		return "", fmt.Errorf("a ring-randomizing trial never materialized its free list")
 	}
 	st, err := al.Snapshot().GobEncode()
 	if err != nil {
@@ -499,13 +499,13 @@ func randomizedOutcome(r *attackRig) (string, error) {
 		c.acc, c.outOfSync, c.calOK, r.tb.NIC().Stats(), al.FreePages(), sha256.Sum256(st)), nil
 }
 
-// TestRigCopyOnWriteSnapshotIntact: clones share their snapshot's page
-// free list until they write it, so concurrent ring-randomizing trials —
-// pooled and fresh, reseeded and trial-0 — must each copy before they
-// allocate. The artifact's bytes, free-list order included, are the same
-// after the trials as before, and every pooled clone reproduces the fresh
-// clone of its seed. Under -race a write into the shared list is a data
-// race between the trials.
+// TestRigCopyOnWriteSnapshotIntact: clones read their snapshot's page
+// allocator state until they write, so concurrent ring-randomizing trials
+// — pooled and fresh, reseeded and trial-0 — must each materialize a list
+// of their own before they allocate. The artifact's bytes, allocator
+// state included, are the same after the trials as before, and every
+// pooled clone reproduces the fresh clone of its seed. Under -race a write
+// into the shared state is a data race between the trials.
 func TestRigCopyOnWriteSnapshotIntact(t *testing.T) {
 	ctx := PrepareCtx{Scale: Demo, Seed: 5}
 	art := ctx.NewArtifact()
@@ -572,10 +572,11 @@ func TestRigCopyOnWriteSnapshotIntact(t *testing.T) {
 }
 
 // TestRigCloneFreeListMemory is the deterministic memory gate on clones:
-// a leased rig that never allocates a page shares the snapshot's 1 MiB
-// free list through its whole trial, an idle pooled rig holds no free
-// list at all, and a fresh demo clone allocates under 1 MiB — less than
-// the free list it would otherwise copy.
+// a leased rig that never allocates a page reads the snapshot's allocator
+// state through its whole trial and never materializes the 1 MiB free
+// list, an idle pooled rig holds no free list at all, and a fresh demo
+// clone allocates under 1 MiB — less than the free list it would
+// otherwise hold.
 func TestRigCloneFreeListMemory(t *testing.T) {
 	ctx := PrepareCtx{Scale: Demo, Seed: 1}
 	art, err := PrepareFig10(ctx)
@@ -593,7 +594,7 @@ func TestRigCloneFreeListMemory(t *testing.T) {
 			}
 			driveState(r)
 			if !r.tb.Alloc().SharesFreeList() {
-				t.Errorf("seed %d lease %d: a non-randomizing trial holds a copy of the free list", seed, i)
+				t.Errorf("seed %d lease %d: a non-randomizing trial materialized the free list", seed, i)
 			}
 			lease.Release()
 		}

@@ -1,18 +1,20 @@
 package mem
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// TestRestoreCopyOnWrite: a restored allocator shares the snapshot's free
-// list until its first write, and no write path — AllocPage,
-// AllocPageRandom, FreePage (whose append could reach the snapshot's spare
-// capacity), AllocPages' rollback — touches a byte of the snapshot's
-// backing array. Every path returns what the same operation on a private
-// copy of the state (the gob-decoded disk form) returns.
+// TestRestoreCopyOnWrite: a restored allocator reads through its state
+// until the first write materializes a list of its own, and no write path
+// — AllocPage, AllocPageRandom, FreePage (whose append could reach the
+// suffix's spare capacity were the suffix the list), AllocPages' rollback
+// — touches a byte of the state. Every path returns what the same
+// operation on an allocator that materialized the gob-decoded state up
+// front returns.
 func TestRestoreCopyOnWrite(t *testing.T) {
 	const pages = 64
 	src := NewAllocator(pages*PageSize, sim.NewRNG(1))
@@ -20,15 +22,23 @@ func TestRestoreCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spare capacity past the list: an append that reused it would write
-	// into the snapshot without changing its visible length.
+	// Spare capacity past the suffix: an append that reused it would
+	// write into the state without changing its visible length.
 	st := src.Snapshot()
-	st.free = append(make([]uint32, 0, 2*pages), st.free...)
-	backing := slices.Clone(st.free[:cap(st.free)])
+	st.suffix = append(make([]uint32, 0, 2*pages), st.suffix...)
+	backing := slices.Clone(st.suffix[:cap(st.suffix)])
+	wire, err := st.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	unchanged := func(t *testing.T, when string) {
 		t.Helper()
-		if !slices.Equal(st.free[:cap(st.free)], backing) {
-			t.Fatalf("%s: snapshot's free-list backing array changed", when)
+		enc, err := st.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, wire) || !slices.Equal(st.suffix[:cap(st.suffix)], backing) {
+			t.Fatalf("%s: the restored state changed", when)
 		}
 	}
 
@@ -51,8 +61,8 @@ func TestRestoreCopyOnWrite(t *testing.T) {
 		t.Run(op.name, func(t *testing.T) {
 			al := NewAllocatorShell(pages * PageSize)
 			al.Restore(st)
-			if !al.SharesFreeList() || &al.free[0] != &st.free[0] {
-				t.Fatal("restore copied the free list")
+			if !al.SharesFreeList() || len(al.free) != 0 || al.Snapshot() != st {
+				t.Fatal("restore materialized the free list")
 			}
 			ref := NewAllocatorShell(pages * PageSize)
 			ref.Restore(gobCopy(t, st))
@@ -61,20 +71,20 @@ func TestRestoreCopyOnWrite(t *testing.T) {
 			got, gotErr := op.run(al)
 			want, wantErr := op.run(ref)
 			if got != want || (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("shared restore gave %#x, %v; private copy %#x, %v", got, gotErr, want, wantErr)
+				t.Fatalf("restored state gave %#x, %v; materialized copy %#x, %v", got, gotErr, want, wantErr)
 			}
 			unchanged(t, op.name)
 			if al.SharesFreeList() {
-				t.Fatal("allocator still shares the snapshot's list after a write")
+				t.Fatal("allocator still reads through the state after a write")
 			}
-			if !slices.Equal(al.Snapshot().free, ref.Snapshot().free) {
-				t.Fatal("shared and private allocators diverged")
+			if !slices.Equal(drawnList(al.Snapshot()), drawnList(ref.Snapshot())) {
+				t.Fatal("restored and materialized allocators diverged")
 			}
 		})
 	}
 
 	// Dropping the list leaves an allocator that can allocate nothing
-	// until its next restore, which shares the snapshot again.
+	// until its next restore, which reads through the state again.
 	al := NewAllocatorShell(pages * PageSize)
 	al.Restore(st)
 	if _, err := al.AllocPage(); err != nil {
@@ -88,8 +98,8 @@ func TestRestoreCopyOnWrite(t *testing.T) {
 		t.Fatal("allocation from a dropped free list succeeded")
 	}
 	al.Restore(st)
-	if !al.SharesFreeList() || al.FreePages() != len(st.free) {
-		t.Fatal("restore after a drop did not share the snapshot's list")
+	if !al.SharesFreeList() || al.FreePages() != pages-len(held) {
+		t.Fatal("restore after a drop did not read through the state")
 	}
 	unchanged(t, "drop and restore")
 }

@@ -56,22 +56,26 @@ func (a Addr) Page() Addr { return a &^ (PageSize - 1) }
 // drawn, so the prefix below it is exactly the half-shuffled list the
 // eager shuffle would have seen there, and drawing it later yields the
 // same frames. A machine that allocates k pages therefore draws about k
-// positions instead of all of them; Snapshot draws the rest first, so
-// snapshots, restores and clones always hold the final order.
+// positions instead of all of them, and Snapshot keeps it that way: a
+// state holds the undrawn prefix as the positions the draws overwrote
+// (see AllocatorState), so it draws nothing and copies no full list.
 //
-// A restored free list is copy-on-write: Restore points free at the
-// snapshot's own list, and the first AllocPage, AllocPageRandom or
-// FreePage copies it. A cloned 1 GiB machine thus holds no 1 MiB copy of
-// its own until it allocates, which online only the ring-randomization
-// defense does.
+// A restored free list is materialized on first write: Restore only
+// points the allocator at the state, and the first AllocPage,
+// AllocPageRandom or FreePage writes identity, the overwritten prefix
+// positions and the drawn suffix into the allocator's own buffer, then
+// keeps drawing from the restored shuffle stream. A cloned 1 GiB machine
+// thus holds no 1 MiB list of its own until it allocates, which online
+// only the ring-randomization defense does.
 type Allocator struct {
 	// free holds the free frame numbers, consumed from the tail.
 	// free[drawn:] holds final positions; free[:drawn] the shuffle's
-	// undrawn prefix.
+	// undrawn prefix. It is not materialized while st is set.
 	free []uint32
-	// shared marks free as a snapshot's list, which must not be written.
-	//packetlint:transient copy-on-write marker of free: Restore sets it, the first write clears it, and snapshots never hold it
-	shared bool
+	// st is the restored state free still reads through: Restore sets
+	// it, the first write materializes it into free and clears it, and
+	// Snapshot returns it while it is set.
+	st *AllocatorState
 	// used is a frame-number bitset: snapshots and restores copy it with
 	// a memcpy, one word per 64 frames.
 	used     []uint64
@@ -99,24 +103,40 @@ func newPages(totalBytes uint64) uint64 {
 // and draws from it as allocations reach undrawn positions (see
 // Allocator), so the caller must pass a stream nothing else uses.
 func NewAllocator(totalBytes uint64, rng *sim.RNG) *Allocator {
-	n := newPages(totalBytes)
-	free := make([]uint32, n)
-	for i := range free {
-		free[i] = uint32(i)
+	al := NewAllocatorShell(totalBytes)
+	al.Reset(rng)
+	return al
+}
+
+// Reset returns the allocator to the state NewAllocator(TotalPages()*
+// PageSize, rng) builds — every frame free, none drawn — reusing its
+// buffers, and takes ownership of rng as NewAllocator does.
+func (al *Allocator) Reset(rng *sim.RNG) {
+	n := int(al.numPages)
+	al.free = slices.Grow(al.free[:0], n)[:n]
+	for i := range al.free {
+		al.free[i] = uint32(i)
 	}
-	return &Allocator{free: free, used: make([]uint64, (n+63)/64), numPages: n, drawn: int(n), rng: rng}
+	clear(al.used)
+	al.st, al.drawn, al.rng = nil, n, rng
 }
 
 // TotalPages returns the number of physical pages.
 func (al *Allocator) TotalPages() uint64 { return al.numPages }
 
 // FreePages returns the number of currently free pages.
-func (al *Allocator) FreePages() int { return len(al.free) }
+func (al *Allocator) FreePages() int {
+	if al.st != nil {
+		return al.st.drawn + len(al.st.suffix)
+	}
+	return len(al.free)
+}
 
 // NewAllocatorShell creates an allocator over totalBytes with no free
-// pages and no RNG — a restore target. Restore overwrites the free list
-// wholesale with the snapshot's exact order. A shell that is never
-// restored cannot allocate (every AllocPage fails).
+// pages and no RNG — a restore target, or one for Reset. Restore installs
+// the snapshot's free list, order and shuffle stream included. A shell
+// that is neither restored nor reset cannot allocate (every AllocPage
+// fails).
 func NewAllocatorShell(totalBytes uint64) *Allocator {
 	n := newPages(totalBytes)
 	return &Allocator{used: make([]uint64, (n+63)/64), numPages: n}
@@ -134,22 +154,58 @@ func (al *Allocator) drawTo(i int) {
 	}
 }
 
-// AllocatorState is a deep copy of an allocator's free/used bookkeeping,
-// taken by Snapshot and reapplied by Restore. The free list order is part
-// of the state: it determines every future allocation. A state is always
-// fully drawn.
+// AllocatorState is an allocator's free/used bookkeeping in the lazy
+// form the allocator holds it in, taken by Snapshot and reapplied by
+// Restore. The free list order is part of the state: it determines every
+// future allocation. The list is free[:drawn] followed by suffix, where
+// the undrawn prefix free[:drawn] is the identity except at the
+// positions pos, which hold val (sorted by position, at most one per
+// draw: each draw overwrites one prefix position). rng is the shuffle
+// stream that draws the prefix, set exactly when drawn > 0.
 type AllocatorState struct {
-	free     []uint32
+	drawn    int
+	pos, val []uint32
+	suffix   []uint32
+	rng      *sim.RNGState
 	used     []uint64 // frame-number bitset, like Allocator.used
 	numPages uint64
 }
 
-// Snapshot captures the allocator's state, drawing the rest of the shuffle
-// first. The returned value is immutable and safe to restore into any
-// allocator built over the same memory size.
+// Snapshot captures the allocator's state without drawing: the prefix
+// positions that differ from the identity, the drawn suffix, the shuffle
+// stream and the used bitset. An allocator that has not written since its
+// Restore returns the state it was restored from. The returned value is
+// immutable and safe to restore into any allocator built over the same
+// memory size.
 func (al *Allocator) Snapshot() *AllocatorState {
-	al.drawTo(0)
-	return &AllocatorState{free: slices.Clone(al.free), used: slices.Clone(al.used), numPages: al.numPages}
+	if al.st != nil {
+		return al.st
+	}
+	st := &AllocatorState{
+		drawn:    al.drawn,
+		suffix:   append([]uint32(nil), al.free[al.drawn:]...),
+		used:     slices.Clone(al.used),
+		numPages: al.numPages,
+	}
+	moved := 0
+	for i, v := range al.free[:al.drawn] {
+		if v != uint32(i) {
+			moved++
+		}
+	}
+	if moved > 0 {
+		st.pos, st.val = make([]uint32, 0, moved), make([]uint32, 0, moved)
+		for i, v := range al.free[:al.drawn] {
+			if v != uint32(i) {
+				st.pos, st.val = append(st.pos, uint32(i)), append(st.val, v)
+			}
+		}
+	}
+	if al.drawn > 0 {
+		rng := al.rng.Snapshot()
+		st.rng = &rng
+	}
+	return st
 }
 
 // Fits reports why the state cannot be restored into an allocator over
@@ -162,30 +218,40 @@ func (st *AllocatorState) Fits(totalBytes uint64) error {
 }
 
 // allocatorStateGob mirrors AllocatorState with exported fields for the
-// disk-backed artifact store: the free list in its exact order (it
-// determines every future allocation) and the used bitset words, as
-// memory holds them.
+// disk-backed artifact store: the lazy free list as memory holds it (it
+// determines every future allocation) and the used bitset words.
 type allocatorStateGob struct {
-	Free     []uint32
-	Used     []uint64
 	NumPages uint64
+	Drawn    uint64
+	Pos, Val []uint32
+	Suffix   []uint32
+	RNG      *sim.RNGState
+	Used     []uint64
 }
 
 // GobEncode serializes the allocator state (disk-backed warm starts).
 func (st *AllocatorState) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(allocatorStateGob{Free: st.free, Used: st.used, NumPages: st.numPages}); err != nil {
+	err := gob.NewEncoder(&buf).Encode(allocatorStateGob{
+		NumPages: st.numPages, Drawn: uint64(st.drawn), Pos: st.pos, Val: st.val,
+		Suffix: st.suffix, RNG: st.rng, Used: st.used,
+	})
+	if err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // GobDecode rebuilds allocator state from its serialized form. Input that
-// no allocator could have produced — a bitset of the wrong length or with
-// a frame past the end marked used, a free frame out of range, listed
-// twice, or also used — is an error, so a corrupt disk artifact misses the
-// cache instead of panicking here or in Restore, or handing out one frame
-// twice.
+// no allocator could have produced is an error, so a corrupt disk artifact
+// misses the cache instead of panicking here or in Restore, or handing
+// out one frame twice: a bitset of the wrong length or with a frame past
+// the end marked used; more free frames than pages; prefix positions
+// unsorted, repeated, past the undrawn prefix or restating the identity;
+// a frame out of range; a shuffle stream missing while positions are
+// undrawn, present when none are, or invalid; and a free frame — implicit
+// in the prefix, overwritten into it, or in the suffix — listed twice or
+// also used.
 func (st *AllocatorState) GobDecode(b []byte) error {
 	var w allocatorStateGob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
@@ -195,8 +261,8 @@ func (st *AllocatorState) GobDecode(b []byte) error {
 	if n > maxPages {
 		return fmt.Errorf("mem: allocator state of %d pages exceeds the %d-page limit", n, uint64(maxPages))
 	}
-	if uint64(len(w.Free)) > n {
-		return fmt.Errorf("mem: allocator state lists %d free frames of %d", len(w.Free), n)
+	if w.Drawn > n || uint64(len(w.Suffix)) > n-w.Drawn {
+		return fmt.Errorf("mem: allocator state lists %d+%d free frames of %d", w.Drawn, len(w.Suffix), n)
 	}
 	words := (n + 63) / 64
 	if uint64(len(w.Used)) != words {
@@ -205,56 +271,98 @@ func (st *AllocatorState) GobDecode(b []byte) error {
 	if tail := n % 64; tail != 0 && w.Used[words-1]>>tail != 0 {
 		return fmt.Errorf("mem: used bitset marks frames past page %d", n)
 	}
-	seen := make([]uint64, words)
-	for _, pfn := range w.Free {
-		if uint64(pfn) >= n {
-			return fmt.Errorf("mem: free frame %d out of range (%d pages)", pfn, n)
-		}
-		bit := uint64(1) << (pfn % 64)
-		if (w.Used[pfn/64]|seen[pfn/64])&bit != 0 {
-			return fmt.Errorf("mem: free frame %d listed twice or also used", pfn)
-		}
-		seen[pfn/64] |= bit
+	if (w.Drawn > 0) != (w.RNG != nil) {
+		return fmt.Errorf("mem: shuffle stream present=%v with %d undrawn positions", w.RNG != nil, w.Drawn)
 	}
-	st.free, st.used, st.numPages = w.Free, w.Used, n
+	if len(w.Pos) != len(w.Val) {
+		return fmt.Errorf("mem: %d prefix positions with %d frames", len(w.Pos), len(w.Val))
+	}
+	// ident marks the prefix positions that hold their own frame.
+	ident := make([]uint64, words)
+	for i := uint64(0); i < w.Drawn/64; i++ {
+		ident[i] = ^uint64(0)
+	}
+	if r := w.Drawn % 64; r != 0 {
+		ident[w.Drawn/64] = 1<<r - 1
+	}
+	for k, p := range w.Pos {
+		if uint64(p) >= w.Drawn || k > 0 && p <= w.Pos[k-1] || w.Val[k] == p {
+			return fmt.Errorf("mem: prefix position %d unsorted, repeated, past %d undrawn or holding its own frame", p, w.Drawn)
+		}
+		ident[p/64] &^= 1 << (p % 64)
+	}
+	seen := make([]uint64, words)
+	for _, list := range [][]uint32{w.Val, w.Suffix} {
+		for _, pfn := range list {
+			if uint64(pfn) >= n {
+				return fmt.Errorf("mem: free frame %d out of range (%d pages)", pfn, n)
+			}
+			bit := uint64(1) << (pfn % 64)
+			if (w.Used[pfn/64]|seen[pfn/64])&bit != 0 {
+				return fmt.Errorf("mem: free frame %d listed twice or also used", pfn)
+			}
+			seen[pfn/64] |= bit
+		}
+	}
+	for i, m := range ident {
+		if m&(w.Used[i]|seen[i]) != 0 {
+			return fmt.Errorf("mem: an undrawn frame near %d is listed twice or also used", 64*i)
+		}
+	}
+	*st = AllocatorState{drawn: int(w.Drawn), pos: w.Pos, val: w.Val, suffix: w.Suffix, rng: w.RNG, used: w.Used, numPages: n}
 	return nil
 }
 
 // Restore overwrites the allocator's state from a snapshot. It panics on a
 // memory-size mismatch (snapshots never move between machine shapes). The
-// free list is not copied: the allocator shares the snapshot's list, which
-// is immutable, until its first write copies it (see Allocator). The used
-// bitset is copied into the allocator's existing backing array, so
+// free list is not materialized: the allocator reads through the state,
+// which is immutable, until its first write (see Allocator). The used
+// bitset and the shuffle stream are copied into the allocator's own, so
 // repeated restores — the rig-pool lease path runs one per warm trial —
-// allocate nothing.
+// allocate nothing once the allocator holds a stream.
 func (al *Allocator) Restore(st *AllocatorState) {
 	if st.numPages != al.numPages {
 		panic(fmt.Sprintf("mem: restoring %d-page snapshot into %d-page allocator", st.numPages, al.numPages))
 	}
-	al.free, al.shared = st.free, true
+	al.st, al.free, al.drawn = st, al.free[:0], st.drawn
 	al.used = append(al.used[:0], st.used...)
-	// A snapshot is fully drawn, so the restored allocator never draws.
-	al.drawn, al.rng = 0, nil
+	if st.rng != nil {
+		if al.rng == nil {
+			al.rng = sim.NewRNG(0)
+		}
+		al.rng.Restore(st.rng)
+	}
 }
 
 // SharesFreeList reports whether the free list is still a restored
-// snapshot's own, not yet copied by a write (see Allocator).
-func (al *Allocator) SharesFreeList() bool { return al.shared }
+// state's, not yet materialized by a write (see Allocator).
+func (al *Allocator) SharesFreeList() bool { return al.st != nil }
 
-// DropFreeList empties the free list, whether shared with a snapshot or a
-// private copy, so an idle allocator pins no snapshot and holds no copy.
-// The allocator can allocate again only after its next Restore.
+// DropFreeList empties the free list, whether a restored state's or a
+// materialized one, so an idle allocator pins no snapshot and holds no
+// list. The allocator can allocate again only after its next Restore.
 func (al *Allocator) DropFreeList() {
-	al.free, al.shared = nil, false
+	al.free, al.st, al.drawn = nil, nil, 0
 }
 
-// own copies a free list shared with a snapshot before its first write.
-// The copy also gives FreePage's append a backing array of its own: a
-// shared list's spare capacity belongs to the snapshot.
+// own materializes a restored state's free list into the allocator's own
+// buffer before its first write: the identity prefix, the positions the
+// draws overwrote, then the drawn suffix.
 func (al *Allocator) own() {
-	if al.shared {
-		al.free, al.shared = slices.Clone(al.free), false
+	st := al.st
+	if st == nil {
+		return
 	}
+	n := st.drawn + len(st.suffix)
+	free := slices.Grow(al.free[:0], n)[:n]
+	for i := range free[:st.drawn] {
+		free[i] = uint32(i)
+	}
+	for k, p := range st.pos {
+		free[p] = st.val[k]
+	}
+	copy(free[st.drawn:], st.suffix)
+	al.free, al.st = free, nil
 }
 
 // take removes the drawn free-list entry at position i, moving the tail
@@ -270,7 +378,7 @@ func (al *Allocator) take(i int) Addr {
 
 // AllocPage returns the base address of a newly allocated physical page.
 func (al *Allocator) AllocPage() (Addr, error) {
-	if len(al.free) == 0 {
+	if al.FreePages() == 0 {
 		return 0, fmt.Errorf("mem: out of physical pages (%d total)", al.numPages)
 	}
 	al.own()
@@ -286,7 +394,7 @@ func (al *Allocator) AllocPage() (Addr, error) {
 // page just vacated. Randomized placement is the point of that defense,
 // so it allocates through this method.
 func (al *Allocator) AllocPageRandom(rng *sim.RNG) (Addr, error) {
-	if len(al.free) == 0 {
+	if al.FreePages() == 0 {
 		return 0, fmt.Errorf("mem: out of physical pages (%d total)", al.numPages)
 	}
 	al.own()

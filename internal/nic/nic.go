@@ -149,17 +149,14 @@ type NIC struct {
 // page for the coherent descriptor ring. rng is the driver's own stream,
 // drawn for buffer reallocation; it must not be nil.
 func New(cfg Config, c *cache.Cache, alloc *mem.Allocator, clock *sim.Clock, rng *sim.RNG) (*NIC, error) {
-	if cfg.RingSize <= 0 || cfg.BufferSize <= 0 || cfg.BufferSize > mem.PageSize {
-		return nil, fmt.Errorf("nic: invalid ring/buffer geometry %d/%d", cfg.RingSize, cfg.BufferSize)
+	pages, err := AllocRing(cfg, alloc)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.SKBPages <= 0 {
 		cfg.SKBPages = 1
 	}
 	n := &NIC{cfg: cfg, cache: c, alloc: alloc, clock: clock, rng: rng}
-	pages, err := alloc.AllocPages(cfg.RingSize)
-	if err != nil {
-		return nil, fmt.Errorf("nic: ring allocation: %w", err)
-	}
 	n.ring = make([]descriptor, cfg.RingSize)
 	for i, p := range pages {
 		n.ring[i] = descriptor{Page: p}
@@ -171,6 +168,21 @@ func New(cfg Config, c *cache.Cache, alloc *mem.Allocator, clock *sim.Clock, rng
 		return nil, fmt.Errorf("nic: descriptor ring: %w", err)
 	}
 	return n, nil
+}
+
+// AllocRing checks the ring geometry and allocates its buffer pages, one
+// per descriptor in ring order — the first allocation New makes, so the
+// ring of a machine is the first cfg.RingSize pages its allocator hands
+// out.
+func AllocRing(cfg Config, alloc *mem.Allocator) ([]mem.Addr, error) {
+	if cfg.RingSize <= 0 || cfg.BufferSize <= 0 || cfg.BufferSize > mem.PageSize {
+		return nil, fmt.Errorf("nic: invalid ring/buffer geometry %d/%d", cfg.RingSize, cfg.BufferSize)
+	}
+	pages, err := alloc.AllocPages(cfg.RingSize)
+	if err != nil {
+		return nil, fmt.Errorf("nic: ring allocation: %w", err)
+	}
+	return pages, nil
 }
 
 // Config returns the driver configuration.

@@ -42,8 +42,6 @@ type Sample struct {
 	At uint64
 	// Active[i] reports eviction activity on monitored set i.
 	Active []bool
-	// Latency[i] is the observed probe latency of set i.
-	Latency []uint64
 }
 
 // NewMonitor builds a monitor and calibrates per-set activity thresholds:
@@ -268,14 +266,10 @@ func (m *Monitor) probeSet(i int) uint64 {
 }
 
 // ProbeOnce syncs the world and probes every monitored set once. The
-// sample's slices are the caller's.
+// sample's slice is the caller's.
 func (m *Monitor) ProbeOnce() Sample {
-	s := Sample{
-		At:      m.spy.clock.Now(),
-		Active:  make([]bool, len(m.sets)),
-		Latency: make([]uint64, len(m.sets)),
-	}
-	m.probeAll(s.Active, s.Latency)
+	s := Sample{At: m.spy.clock.Now(), Active: make([]bool, len(m.sets))}
+	m.probeAll(s.Active)
 	return s
 }
 
@@ -283,20 +277,16 @@ func (m *Monitor) ProbeOnce() Sample {
 // returns them in a monitor-owned buffer that the next Poll overwrites,
 // so a poll allocates nothing.
 func (m *Monitor) Poll() []bool {
-	m.probeAll(m.active, nil)
+	m.probeAll(m.active)
 	return m.active
 }
 
 // probeAll syncs the world before each set's probe and records each set's
-// activity, and its latency when lat is not nil.
-func (m *Monitor) probeAll(active []bool, lat []uint64) {
+// activity.
+func (m *Monitor) probeAll(active []bool) {
 	for i := range m.sets {
 		m.spy.tb.Sync()
-		l := m.probeSet(i)
-		if lat != nil {
-			lat[i] = l
-		}
-		active[i] = l > m.thresholds[i]
+		active[i] = m.probeSet(i) > m.thresholds[i]
 	}
 }
 
@@ -310,14 +300,18 @@ func (m *Monitor) ProbeSingle(i int) bool {
 
 // Collect takes n samples spaced interval cycles apart (the paper's
 // repeated_probe). The spacing is between sample starts; if a pass takes
-// longer than the interval the next one starts immediately.
+// longer than the interval the next one starts immediately. The samples'
+// activity bits share one backing array, the caller's.
 func (m *Monitor) Collect(n int, interval uint64) []Sample {
 	tb := m.spy.Testbed()
-	out := make([]Sample, 0, n)
+	out := make([]Sample, n)
+	bits := make([]bool, n*len(m.sets))
 	next := tb.Clock().Now()
-	for len(out) < n {
+	for k := range out {
 		tb.IdleTo(next)
-		out = append(out, m.ProbeOnce())
+		active := bits[k*len(m.sets) : (k+1)*len(m.sets) : (k+1)*len(m.sets)]
+		out[k] = Sample{At: m.spy.clock.Now(), Active: active}
+		m.probeAll(active)
 		next += interval
 		if now := tb.Clock().Now(); next < now {
 			next = now

@@ -6,6 +6,8 @@
 // intervals, percentiles).
 package stats
 
+import "sync"
+
 // Levenshtein returns the minimum number of single-element insertions,
 // deletions, or substitutions required to transform a into b.
 //
@@ -95,53 +97,72 @@ type AlignStep struct {
 	I, J int
 }
 
+// alignMatrices holds Align's DP matrices for reuse across calls: a trial
+// aligns sequences of hundreds to thousands of elements, so each matrix
+// is tens of KB to MBs, and allocating one per call dominated the
+// measure phase's garbage.
+var alignMatrices sync.Pool // of *[]int32
+
 // Align returns a minimal edit alignment from a to b in forward order —
 // the single authoritative backtrace behind LevenshteinOps,
 // LongestMismatch, and the chaser's per-class confusion metrics. When
 // several minimal alignments exist the backtrace prefers matches, then
 // substitutions, then deletions — a fixed rule, so every derived metric
-// is deterministic and mutually consistent.
+// is deterministic and mutually consistent. The (n+1)×(m+1) DP matrix is
+// one flat, pooled buffer; only the returned steps are allocated.
 func Align(a, b []int) []AlignStep {
 	n, m := len(a), len(b)
-	d := make([][]int, n+1)
-	for i := range d {
-		d[i] = make([]int, m+1)
-		d[i][0] = i
+	if n+m == 0 {
+		return nil
 	}
-	for j := 0; j <= m; j++ {
-		d[0][j] = j
+	w := m + 1
+	buf, _ := alignMatrices.Get().(*[]int32)
+	if buf == nil {
+		buf = new([]int32)
+	}
+	defer alignMatrices.Put(buf)
+	if size := (n + 1) * w; cap(*buf) < size {
+		*buf = make([]int32, size)
+	}
+	d := (*buf)[:(n+1)*w]
+	for j := range w {
+		d[j] = int32(j)
 	}
 	for i := 1; i <= n; i++ {
+		prev, row := d[(i-1)*w:i*w], d[i*w:(i+1)*w]
+		row[0] = int32(i)
+		ai := a[i-1]
 		for j := 1; j <= m; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
+			cost := int32(1)
+			if ai == b[j-1] {
 				cost = 0
 			}
-			d[i][j] = min3(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
+			row[j] = min(prev[j]+1, row[j-1]+1, prev[j-1]+cost)
 		}
 	}
-	var rev []AlignStep
+	// Walk back from (n, m), filling the steps from the end.
+	steps := make([]AlignStep, n+m)
+	k := len(steps)
 	i, j := n, m
 	for i > 0 || j > 0 {
+		k--
+		here := d[i*w+j]
 		switch {
-		case i > 0 && j > 0 && a[i-1] == b[j-1] && d[i][j] == d[i-1][j-1]:
-			rev = append(rev, AlignStep{Op: OpMatch, I: i - 1, J: j - 1})
+		case i > 0 && j > 0 && a[i-1] == b[j-1] && here == d[(i-1)*w+j-1]:
+			steps[k] = AlignStep{Op: OpMatch, I: i - 1, J: j - 1}
 			i, j = i-1, j-1
-		case i > 0 && j > 0 && d[i][j] == d[i-1][j-1]+1:
-			rev = append(rev, AlignStep{Op: OpSubstitute, I: i - 1, J: j - 1})
+		case i > 0 && j > 0 && here == d[(i-1)*w+j-1]+1:
+			steps[k] = AlignStep{Op: OpSubstitute, I: i - 1, J: j - 1}
 			i, j = i-1, j-1
-		case i > 0 && d[i][j] == d[i-1][j]+1:
-			rev = append(rev, AlignStep{Op: OpDelete, I: i - 1, J: -1})
+		case i > 0 && here == d[(i-1)*w+j]+1:
+			steps[k] = AlignStep{Op: OpDelete, I: i - 1, J: -1}
 			i--
 		default:
-			rev = append(rev, AlignStep{Op: OpInsert, I: -1, J: j - 1})
+			steps[k] = AlignStep{Op: OpInsert, I: -1, J: j - 1}
 			j--
 		}
 	}
-	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-		rev[l], rev[r] = rev[r], rev[l]
-	}
-	return rev
+	return steps[k:]
 }
 
 // LongestMismatch returns the length of the longest run of consecutive

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -205,5 +206,89 @@ func TestAlignMatchesLevenshteinOps(t *testing.T) {
 			t.Fatalf("trial %d: alignment cost %d != independent Levenshtein %d",
 				trial, ins+del+sub, want)
 		}
+	}
+}
+
+// alignReference is Align as first written — one slice per matrix row,
+// steps collected backwards and reversed — the reference the pooled flat
+// matrix is held to.
+func alignReference(a, b []int) []AlignStep {
+	n, m := len(a), len(b)
+	d := make([][]int, n+1)
+	for i := range d {
+		d[i] = make([]int, m+1)
+		d[i][0] = i
+	}
+	for j := 0; j <= m; j++ {
+		d[0][j] = j
+	}
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= m; j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			d[i][j] = min3(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
+		}
+	}
+	var rev []AlignStep
+	i, j := n, m
+	for i > 0 || j > 0 {
+		switch {
+		case i > 0 && j > 0 && a[i-1] == b[j-1] && d[i][j] == d[i-1][j-1]:
+			rev = append(rev, AlignStep{Op: OpMatch, I: i - 1, J: j - 1})
+			i, j = i-1, j-1
+		case i > 0 && j > 0 && d[i][j] == d[i-1][j-1]+1:
+			rev = append(rev, AlignStep{Op: OpSubstitute, I: i - 1, J: j - 1})
+			i, j = i-1, j-1
+		case i > 0 && d[i][j] == d[i-1][j]+1:
+			rev = append(rev, AlignStep{Op: OpDelete, I: i - 1, J: -1})
+			i--
+		default:
+			rev = append(rev, AlignStep{Op: OpInsert, I: -1, J: j - 1})
+			j--
+		}
+	}
+	slices.Reverse(rev)
+	return rev
+}
+
+// TestAlignMatchesReference: the pooled flat-matrix Align returns exactly
+// the reference backtrace — same steps, same tie rule — over random
+// sequences of small alphabets (many tied alignments), growing and
+// shrinking shapes that reuse one pooled matrix, and empty sides.
+func TestAlignMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		a := make([]int, rng.Intn(60))
+		b := make([]int, rng.Intn(60))
+		for i := range a {
+			a[i] = rng.Intn(1 + trial%5)
+		}
+		for i := range b {
+			b[i] = rng.Intn(1 + trial%5)
+		}
+		if got, want := Align(a, b), alignReference(a, b); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Align(%v, %v) = %v, reference %v", trial, a, b, got, want)
+		}
+	}
+}
+
+// TestAlignAllocatesOnlySteps: a warm Align allocates its returned steps
+// and nothing else.
+func TestAlignAllocatesOnlySteps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	a, b := make([]int, 300), make([]int, 280)
+	for i := range a {
+		a[i] = i % 7
+	}
+	for i := range b {
+		b[i] = i % 5
+	}
+	Align(a, b)
+	if n := testing.AllocsPerRun(20, func() { Align(a, b) }); n > 1 {
+		t.Errorf("Align allocated %v times per call, want 1", n)
 	}
 }

@@ -85,7 +85,7 @@ func New(opts Options) (*Testbed, error) {
 	}
 	clock := sim.NewClock()
 	c := cache.New(opts.Cache, clock)
-	alloc := mem.NewAllocator(opts.MemBytes, sim.Derive(opts.Seed, "page-alloc"))
+	alloc := mem.NewAllocator(opts.MemBytes, pageAllocRNG(opts.Seed))
 	n, err := nic.New(opts.NIC, c, alloc, clock, sim.Derive(opts.Seed, "driver"))
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
@@ -105,6 +105,18 @@ func New(opts Options) (*Testbed, error) {
 		tb.noiseNextAt = tb.noisePeriod
 	}
 	return tb, nil
+}
+
+// pageAllocRNG is the stream that shuffles a machine's frame order.
+func pageAllocRNG(seed int64) *sim.RNG { return sim.Derive(seed, "page-alloc") }
+
+// RingPages returns the ring buffer pages New(opts) allocates, without
+// assembling the machine: it resets al, an allocator over opts.MemBytes
+// (1 GiB when zero), to New's frame shuffle and allocates the ring from
+// it as New does, first. Fig 6 reads a thousand machines' rings this way.
+func RingPages(opts Options, al *mem.Allocator) ([]mem.Addr, error) {
+	al.Reset(pageAllocRNG(opts.Seed))
+	return nic.AllocRing(opts.NIC, al)
 }
 
 // Clock returns the simulated cycle clock.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/mem"
 	"repro/internal/netmodel"
 )
 
@@ -149,6 +150,39 @@ func TestDeterminism(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("same seed must reproduce the same world exactly")
+	}
+}
+
+// TestRingPagesMatchNew: RingPages, reusing one allocator across seeds
+// and after that allocator has allocated and freed, returns exactly the
+// ring pages of the machine New assembles, at the default 1 GiB and at a
+// smaller memory.
+func TestRingPagesMatchNew(t *testing.T) {
+	for _, memBytes := range []uint64{0, 1 << 26} {
+		opts := DefaultOptions(0)
+		opts.Cache = cache.ScaledConfig(2, 128, 4)
+		opts.MemBytes = memBytes
+		al := mem.NewAllocatorShell(opts.Shape().MemBytes)
+		for seed := int64(1); seed <= 4; seed++ {
+			opts.Seed = seed
+			tb, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RingPages(opts, al)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range got {
+				if want := tb.NIC().BufferPage(i); p != want {
+					t.Fatalf("mem %d seed %d: ring page %d is %#x, New allocated %#x", memBytes, seed, i, p, want)
+				}
+			}
+			if len(got) != opts.NIC.RingSize {
+				t.Fatalf("mem %d seed %d: %d ring pages, want %d", memBytes, seed, len(got), opts.NIC.RingSize)
+			}
+			al.FreePage(got[0])
+		}
 	}
 }
 
